@@ -11,8 +11,9 @@ from .convergence import (ConvergenceCurve, MinorizationCertificate,
                           MixingCertificate, RateFit,
                           SurvivalComparisonCertificate,
                           certify_minorization, certify_survival_comparison,
-                          convergence_curve, fit_rate, mixing_certificate,
-                          survival_profile_error, tv_distance)
+                          convergence_curve, convergence_curves, fit_rate,
+                          mixing_certificate, survival_profile_error,
+                          tv_distance)
 from .errors import (ConditioningImpossibleError, ConvergenceError,
                      DomainError, EmptySpaceError, NoFitError,
                      NoSurvivorsError, NumericalError, QsdlabError,
@@ -35,8 +36,8 @@ from .simulate import (ConditionalEstimate, EmpiricalLaw, ParticleResult,
 from .solver import (QsdResult, SubGenerator, TruncatedSpace, assemble,
                      conditional_path, enumerate_space, evolve_function,
                      evolve_measure, expected_hitting_time,
-                     qprocess_generator, solve_qsd, survival_probability,
-                     transient_conditional, truncation_tv)
+                     qprocess_generator, solve_qsd, transient_conditional,
+                     truncation_tv)
 from . import presets
 
 __version__ = "0.1.0"
@@ -57,13 +58,14 @@ __all__ = [
     "check_catastrophes", "check_competition_dominance",
     "check_conditional_drift", "check_drift", "check_growth_envelope",
     "check_multibirth", "check_neutral_threshold", "conditional_path",
-    "convergence_curve", "enumerate_space", "estimate_conditional",
-    "evolve_function", "evolve_measure", "expected_hitting_time",
+    "convergence_curve", "convergence_curves", "enumerate_space",
+    "estimate_conditional", "evolve_function", "evolve_measure",
+    "expected_hitting_time",
     "fit_rate", "fleming_viot", "is_absorbed", "is_interior", "load_config",
     "mixing_certificate", "occupation_measure", "presets",
     "qprocess_generator", "sample_shells", "simulate_path",
     "simulate_qprocess", "size_potential", "size_potential_bracket",
-    "solve_qsd", "survival_probability", "survival_profile_error",
-    "total_rate", "transient_conditional", "transitions", "truncation_tv",
-    "tv_distance", "validate_trajectory",
+    "solve_qsd", "survival_profile_error", "total_rate",
+    "transient_conditional", "transitions", "truncation_tv", "tv_distance",
+    "validate_trajectory",
 ]

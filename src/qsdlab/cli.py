@@ -28,7 +28,7 @@ from collections import Counter
 import numpy as np
 
 from .config import load_config
-from .convergence import (convergence_curve, fit_rate, mixing_certificate,
+from .convergence import (convergence_curves, fit_rate, mixing_certificate,
                           survival_profile_error)
 from .errors import NoFitError, NumericalError, QsdlabError, ValidationError
 from .lyapunov import (PotentialParams, check_boundary_pressure,
@@ -307,8 +307,7 @@ def _cmd_qprocess(cfg, args, out):
     occ_path = os.path.join(out, "occupation.csv")
     _write_csv(occ_path, _state_header(cfg.r) + ["occupation", "stationary"],
                rows)
-    tv = occupation.tv_against(type("A", (), {"space": space,
-                                              "law": stationary})())
+    tv = occupation.tv_against((space, stationary))
     summary = _summary(cfg, overrides, initial=list(initial), t=cfg.t_max,
                        burn_in=burn_in, events=len(path.times) - 1,
                        tv_to_stationary=tv)
@@ -359,8 +358,7 @@ def _cmd_converge(cfg, args, out):
     grid = cfg.time_grid()
     times = grid[grid > 0]
     initials = _initials(cfg)
-    curves = [convergence_curve(Q, res, initial, times)
-              for initial in initials]
+    curves = convergence_curves(Q, res, initials, times)
     header = ["t"]
     for initial in initials:
         tag = "_".join(str(v) for v in initial)

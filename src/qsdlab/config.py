@@ -119,6 +119,10 @@ class ConfigDocument:
             out["model.d"] = list(self.d)
         if self.c is not None:
             out["model.c"] = [list(row) for row in self.c]
+        for key in ("b_table", "d_table", "c_table"):
+            table = getattr(self, key)
+            if table is not None:
+                out[f"model.{key}"] = list(table)
         for key in ("beta1", "beta2", "eps", "c_r"):
             val = getattr(self, key)
             if val is not None:

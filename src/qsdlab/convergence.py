@@ -46,22 +46,37 @@ class ConvergenceCurve:
                         self.survival.tolist()))
 
 
+def convergence_curves(Q: SubGenerator, qsd: QsdResult, initials,
+                       times) -> list:
+    """Conditioned-law distance to the long-run law along ``times``, one
+    :class:`ConvergenceCurve` per initial state.
+
+    The point masses at all initials are stepped as one block, and each
+    curve is read from its own column, so it has the same bits as a run from
+    its initial alone.  The curves are computed by exact stepping between
+    grid points, so each survival column is nonincreasing by construction; a
+    violation would mean a corrupted generator and raises.
+    """
+    initials = [tuple(int(v) for v in initial) for initial in initials]
+    block = np.column_stack([Q.space.point_mass(initial)
+                             for initial in initials])
+    laws, survivals = conditional_path(Q, block, times)
+    times = np.asarray(times, dtype=float)
+    curves = []
+    for j, initial in enumerate(initials):
+        tv = 0.5 * np.abs(laws[:, :, j] - qsd.law).sum(axis=1)
+        survival = survivals[:, j].copy()
+        if (np.diff(survival) > 0).any() or (survival > 1.0).any():
+            raise NumericalError("survival failed to decrease along the grid")
+        curves.append(ConvergenceCurve(initial=initial, times=times, tv=tv,
+                                       survival=survival))
+    return curves
+
+
 def convergence_curve(Q: SubGenerator, qsd: QsdResult, initial,
                       times) -> ConvergenceCurve:
-    """Conditioned-law distance to the long-run law along ``times``.
-
-    The curve is computed by exact stepping between grid points, so the
-    survival column is nonincreasing by construction; a violation would mean
-    a corrupted generator and raises.
-    """
-    initial = tuple(int(v) for v in initial)
-    mu0 = Q.space.point_mass(initial)
-    laws, survival = conditional_path(Q, mu0, times)
-    tv = 0.5 * np.abs(laws - qsd.law).sum(axis=1)
-    if (np.diff(survival) > 0).any() or (survival > 1.0).any():
-        raise NumericalError("survival failed to decrease along the grid")
-    return ConvergenceCurve(initial=initial, times=np.asarray(times, dtype=float),
-                            tv=tv, survival=survival)
+    """The :func:`convergence_curves` curve from a single initial state."""
+    return convergence_curves(Q, qsd, [initial], times)[0]
 
 
 @dataclass(frozen=True)
@@ -156,7 +171,8 @@ def certify_minorization(Q: SubGenerator, t0: float, reference=None,
     """Uniform conditioned return-mass bound at a reference state.
 
     For every start x, ``P_x(at reference at t0) / P_x(alive at t0)`` is
-    computed by two adjoint propagations; the minimum over x is the
+    computed by one adjoint propagation of the indicator of the reference
+    and the constant one, as a two-column block; the minimum over x is the
     certificate mass.  ``t0 = 0`` is allowed but yields mass 0 — an invalid
     certificate — because the indicator of the reference has zeros.
     """
@@ -172,10 +188,10 @@ def certify_minorization(Q: SubGenerator, t0: float, reference=None,
         raise DomainError(f"reference state {reference} is outside the space")
     ref = Q.space.index[reference]
     size = len(Q.space.states)
-    indicator = np.zeros(size)
-    indicator[ref] = 1.0
-    hit = evolve_function(Q, indicator, t0)
-    alive = evolve_function(Q, np.ones(size), t0)
+    start = np.zeros((size, 2))
+    start[ref, 0] = 1.0
+    start[:, 1] = 1.0
+    hit, alive = evolve_function(Q, start, t0).T
     if not (alive > 0).all():
         raise NumericalError("survival underflowed at some start; shrink t0")
     ratios = hit / alive
@@ -196,7 +212,11 @@ def certify_minorization(Q: SubGenerator, t0: float, reference=None,
 
 @dataclass(frozen=True)
 class SurvivalComparisonCertificate:
-    """Witnessed lower bound on reference survival against the best start."""
+    """Witnessed lower bound on reference survival against the best start.
+
+    Valid only over a positive horizon: at t = 0 the ratio is 1 by
+    definition, so a scan of t = 0 alone witnesses nothing.
+    """
 
     reference: tuple
     horizon: float
@@ -206,7 +226,7 @@ class SurvivalComparisonCertificate:
 
     @property
     def valid(self) -> bool:
-        return 0 < self.ratio <= 1.0
+        return self.horizon > 0 and 0 < self.ratio <= 1.0
 
     def to_dict(self) -> dict:
         return {"reference": list(self.reference), "horizon": self.horizon,
@@ -219,9 +239,12 @@ def certify_survival_comparison(Q: SubGenerator, reference,
     """Survival from the reference state versus the luckiest start.
 
     Scans ``min_t P_ref(alive at t) / max_x P_x(alive at t)`` over the given
-    grid, always including t = 0 (where the ratio is exactly 1, so the
-    result never exceeds 1).  The scan is repeated on a doubled grid and the
-    disagreement of the two minima is reported as ``reproduction``.
+    grid, always including t = 0.  One backward pass of the survival
+    function ``alive = P_.(alive at t)`` gives both numbers: the numerator
+    is its entry at the reference, so the ratio never exceeds 1.  The pass
+    runs on the doubled grid, which adds the midpoints; the certificate is
+    the minimum over the given grid points, and the gap to the minimum over
+    the doubled grid is reported as ``reproduction``.
     """
     reference = tuple(int(v) for v in reference)
     if reference not in Q.space.index:
@@ -232,30 +255,23 @@ def certify_survival_comparison(Q: SubGenerator, reference,
     times = np.unique(times)
     if times[0] != 0.0:
         times = np.concatenate(([0.0], times))
-
-    def scan(grid):
-        size = len(Q.space.states)
-        point = np.zeros(size)
-        point[Q.space.index[reference]] = 1.0
-        alive = np.ones(size)
-        best_ratio = math.inf
-        best_t = 0.0
-        prev = 0.0
-        for t in grid:
-            point = evolve_measure(Q, point, t - prev)
-            alive = evolve_function(Q, alive, t - prev)
-            prev = t
-            ratio = float(point.sum()) / float(alive.max())
-            if ratio < best_ratio:
-                best_ratio, best_t = ratio, float(t)
-        return best_ratio, best_t
-
-    ratio, worst_time = scan(times)
     fine = np.unique(np.concatenate((times, (times[1:] + times[:-1]) / 2.0)))
-    fine_ratio, _ = scan(fine)
+
+    ref = Q.space.index[reference]
+    alive = np.ones(len(Q.space.states))
+    ratios = np.empty(len(fine))
+    prev = 0.0
+    for i, t in enumerate(fine):
+        alive = evolve_function(Q, alive, t - prev)
+        prev = t
+        ratios[i] = alive[ref] / alive.max()
+    coarse = ratios[np.isin(fine, times)]
+    k = int(np.argmin(coarse))
+    ratio = float(coarse[k])
     return SurvivalComparisonCertificate(
         reference=reference, horizon=float(times[-1]), ratio=ratio,
-        worst_time=worst_time, reproduction=abs(ratio - fine_ratio))
+        worst_time=float(times[k]),
+        reproduction=abs(ratio - float(ratios.min())))
 
 
 @dataclass(frozen=True)
@@ -288,8 +304,9 @@ def mixing_certificate(Q: SubGenerator, qsd: QsdResult, t0: float,
 
     The survival comparison is scanned on a uniform grid over ``[0,
     horizon]`` (default ``8 * t0``).  The rate bound is
-    ``-log(1 - product) / t0`` when the product of the two masses is
-    positive, else 0.
+    ``-log(1 - product) / t0``, with ``product`` the return mass times the
+    survival ratio, when both certificates are valid and ``product < 1``;
+    otherwise nothing is certified and the bound is 0.
     """
     if horizon is None:
         horizon = 8.0 * t0
@@ -297,6 +314,7 @@ def mixing_certificate(Q: SubGenerator, qsd: QsdResult, t0: float,
     grid = np.linspace(0.0, horizon, grid_points)
     comp = certify_survival_comparison(Q, minor.reference, grid)
     product = minor.mass * comp.ratio
-    rate = -math.log1p(-product) / t0 if 0 < product < 1 and t0 > 0 else 0.0
+    certified = minor.valid and comp.valid and product < 1
+    rate = -math.log1p(-product) / t0 if certified else 0.0
     return MixingCertificate(minorization=minor, comparison=comp,
                              rate_bound=rate)

@@ -186,15 +186,18 @@ class EmpiricalLaw:
     def tv_against(self, other) -> float:
         """Total-variation distance to another law.
 
-        ``other`` is either another empirical law or a solved result (its
-        law read on its space); mass outside the other's support counts in
-        full.
+        ``other`` is another empirical law, a solved result (its law read on
+        its space), or a ``(space, law)`` pair with ``law`` a vector aligned
+        with ``space``; mass outside the other's support counts in full.
         """
         if isinstance(other, EmpiricalLaw):
             keys = set(self.weights) | set(other.weights)
             return 0.5 * sum(abs(self.weights.get(k, 0.0) -
                                  other.weights.get(k, 0.0)) for k in keys)
-        space, law = other.space, other.law
+        if isinstance(other, tuple):
+            space, law = other
+        else:
+            space, law = other.space, other.law
         total = 0.0
         for i, state in enumerate(space.states):
             total += abs(self.weights.get(state, 0.0) - law[i])

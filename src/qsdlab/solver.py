@@ -60,13 +60,6 @@ class TruncatedSpace:
     def __len__(self):
         return len(self.states)
 
-    def vector_of(self, mapping) -> np.ndarray:
-        """Dense vector aligned with the enumeration from a state->value map."""
-        out = np.zeros(len(self.states))
-        for state, value in mapping.items():
-            out[self.index[state]] = value
-        return out
-
     def point_mass(self, n) -> np.ndarray:
         if n not in self.index:
             raise DomainError(f"state {n} is not in the truncated space (N = {self.N})")
@@ -104,10 +97,12 @@ class SubGenerator:
     """Killed generator on a truncated space, with its uniformization constant.
 
     Immutable and safe to share between threads; the matrix is CSR and must
-    not be modified in place.  ``matrix_t`` is the cached CSR transpose:
-    :func:`solve_qsd` computes the forward product ``law Q`` as
-    ``matrix_t @ law``, which gives the same bits as ``law @ matrix`` at a
-    fraction of the cost of scipy's row-vector path.
+    not be modified in place.  ``matrix_t`` is the cached CSR transpose, and
+    every forward product ``nu Q`` is computed as ``matrix_t @ nu``: in
+    :func:`solve_qsd` and in the forward semigroup (:func:`evolve_measure`,
+    :func:`conditional_path`).  It gives the same bits as ``nu @ matrix`` at
+    a fraction of the cost, because scipy's row-vector path rebuilds the
+    transpose on every product.
     """
 
     space: TruncatedSpace
@@ -285,40 +280,60 @@ def _check_vector(Q, vec, name):
     return vec
 
 
-def evolve_measure(Q: SubGenerator, nu: np.ndarray, t: float) -> np.ndarray:
-    """Unnormalized forward flow ``nu exp(tQ)`` by uniformization."""
-    nu = _check_vector(Q, nu, "nu")
+def _check_block(Q, block, name):
+    """A vector of shape ``(n,)`` or a block of ``k`` columns, ``(n, k)``."""
+    block = np.asarray(block, dtype=float)
+    if block.ndim not in (1, 2) or block.shape[0] != Q.matrix.shape[0]:
+        raise DomainError(
+            f"{name} has shape {block.shape}, expected ({Q.matrix.shape[0]},) "
+            f"or ({Q.matrix.shape[0]}, k)")
+    return block
+
+
+def _flow(mat, lam, block, t):
+    """Uniformized ``sum_k Poisson(lam t; k) (I + mat/lam)^k block``.
+
+    The one semigroup loop.  ``block`` is a vector or an ``(n, k)`` block of
+    columns; each column gets the same bits as it would alone, because a CSR
+    product sums every row in the same order for one column or many.
+    Forward flows pass the transpose ``Q.matrix_t``, backward flows
+    ``Q.matrix``.
+    """
     if t < 0:
         raise DomainError(f"t must be >= 0, got {t}")
     if t == 0:
-        return nu.copy()
-    first, last, weights = _poisson_weights(Q.lam * t, POISSON_TAIL)
-    acc = np.zeros_like(nu)
-    p = nu.copy()
+        return block.copy()
+    first, last, weights = _poisson_weights(lam * t, POISSON_TAIL)
+    acc = np.zeros_like(block)
+    p = block
     for k in range(last + 1):
         if k >= first:
             acc += weights[k] * p
         if k < last:
-            p = p + (p @ Q.matrix) / Q.lam
+            # p + (mat @ p) / lam, in place on the fresh product
+            step = mat @ p
+            step /= lam
+            step += p
+            p = step
     return acc
+
+
+def evolve_measure(Q: SubGenerator, nu: np.ndarray, t: float) -> np.ndarray:
+    """Unnormalized forward flow ``nu exp(tQ)`` by uniformization.
+
+    ``nu`` is one measure of shape ``(n,)`` or ``k`` measures as the columns
+    of an ``(n, k)`` block.
+    """
+    return _flow(Q.matrix_t, Q.lam, _check_block(Q, nu, "nu"), t)
 
 
 def evolve_function(Q: SubGenerator, f: np.ndarray, t: float) -> np.ndarray:
-    """Backward flow ``exp(tQ) f``: survival-weighted expectations per start state."""
-    f = _check_vector(Q, f, "f")
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    if t == 0:
-        return f.copy()
-    first, last, weights = _poisson_weights(Q.lam * t, POISSON_TAIL)
-    acc = np.zeros_like(f)
-    p = f.copy()
-    for k in range(last + 1):
-        if k >= first:
-            acc += weights[k] * p
-        if k < last:
-            p = p + (Q.matrix @ p) / Q.lam
-    return acc
+    """Backward flow ``exp(tQ) f``: survival-weighted expectations per start state.
+
+    ``f`` is one function of shape ``(n,)`` or ``k`` functions as the columns
+    of an ``(n, k)`` block.
+    """
+    return _flow(Q.matrix, Q.lam, _check_block(Q, f, "f"), t)
 
 
 def transient_conditional(Q: SubGenerator, mu0: np.ndarray, t: float):
@@ -343,39 +358,42 @@ def transient_conditional(Q: SubGenerator, mu0: np.ndarray, t: float):
     return nu / survival, survival
 
 
-def survival_probability(Q: SubGenerator, mu0: np.ndarray, t: float) -> float:
-    """P(not yet absorbed at time t) from initial law ``mu0``."""
-    return transient_conditional(Q, mu0, t)[1]
-
-
 def conditional_path(Q: SubGenerator, mu0: np.ndarray, times):
     """Conditional laws and survival probabilities along an increasing grid.
 
     Steps the unnormalized measure from grid point to grid point (the flow
     property makes this exact up to the Poisson tail), so a fine grid costs
-    little more than its largest time.  Returns ``(laws, survivals)`` with one
-    row of ``laws`` per grid time.
+    little more than its largest time.  ``mu0`` is one initial law of shape
+    ``(n,)`` or ``k`` initial laws as the columns of an ``(n, k)`` block,
+    which are all stepped together.  Returns ``(laws, survivals)`` with one
+    entry per grid time: ``laws[i]`` has the shape of ``mu0`` and
+    ``survivals[i]`` is a number per column.  Each column's mass is summed
+    on its own, so a column gets the same bits as a run from it alone.
     """
-    mu0 = _check_vector(Q, mu0, "mu0")
+    mu0 = _check_block(Q, mu0, "mu0")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise DomainError("times must be a non-empty 1-d grid")
     if times[0] < 0 or (np.diff(times) <= 0).any():
         raise DomainError("times must be nonnegative and strictly increasing")
-    laws = np.empty((len(times), len(mu0)))
-    survivals = np.empty(len(times))
-    nu = mu0.copy()
+    columns = mu0.reshape(len(mu0), -1)
+    laws = np.empty((len(times),) + columns.shape)
+    survivals = np.empty((len(times), columns.shape[1]))
+    nu = columns
     prev = 0.0
     for i, t in enumerate(times):
         nu = evolve_measure(Q, nu, t - prev)
         prev = t
-        mass = float(nu.sum())
-        if mass < SURVIVAL_FLOOR:
+        # Per column, not nu.sum(axis=0): an axis-0 reduction adds the rows
+        # in another order and would move the last bits.
+        mass = np.array([nu[:, j].sum() for j in range(nu.shape[1])])
+        if mass.min() < SURVIVAL_FLOOR:
             raise ConditioningImpossibleError(
                 f"survival mass underflowed at grid time {t}")
         survivals[i] = mass
         laws[i] = nu / mass
-    return laws, survivals
+    shape = (len(times),) + mu0.shape
+    return laws.reshape(shape), survivals.reshape(shape[:1] + mu0.shape[1:])
 
 
 def expected_hitting_time(model: Model, space: TruncatedSpace, goal) -> np.ndarray:

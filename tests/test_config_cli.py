@@ -52,6 +52,19 @@ initials = (1,1); (5,5)
 t_grid = 0:4:0.1
 """
 
+TABULATED = """\
+[model]
+r = 1
+gamma = 1.0
+family = tabulated
+b_table = 1.0, 1.5, 2.0, 2.0
+d_table = 0.0, 0.1, 0.2, 0.3
+c_table = 1.0, 1.0, 0.5, 0.5
+
+[truncation]
+n = 12
+"""
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -172,6 +185,29 @@ def test_solve_writes_law_and_summary(tmp_path):
     assert summary["iterations"] > 0
 
 
+def test_tabulated_summary_reproduces_its_run(tmp_path):
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_cfg(tmp_path, TABULATED),
+                 "--out", str(out)]) == 0
+    echo = json.loads((out / "solve_summary.json").read_text())["config"]
+    assert echo["model.b_table"] == [1.0, 1.5, 2.0, 2.0]
+    assert echo["model.d_table"] == [0.0, 0.1, 0.2, 0.3]
+    assert echo["model.c_table"] == [1.0, 1.0, 0.5, 0.5]
+    # a config rebuilt from the echo alone gives the same law, to the byte
+    lines = ["[model]"]
+    for key in ("r", "gamma", "family", "b_table", "d_table", "c_table"):
+        value = echo[f"model.{key}"]
+        if isinstance(value, list):
+            value = ", ".join(repr(v) for v in value)
+        lines.append(f"{key} = {value}")
+    lines += ["[truncation]", f"n = {echo['truncation.n']}"]
+    again = tmp_path / "again"
+    rebuilt = write_cfg(tmp_path, "\n".join(lines) + "\n", "echo.cfg")
+    assert main(["solve", "--config", rebuilt, "--out", str(again)]) == 0
+    assert (again / "qsd_law.csv").read_bytes() == \
+        (out / "qsd_law.csv").read_bytes()
+
+
 def test_solve_truncation_override_matches_config(tmp_path):
     cfg_50 = write_cfg(tmp_path, MINIMAL.replace("n = 25", "n = 50"), "a.cfg")
     cfg_25 = write_cfg(tmp_path, MINIMAL, "b.cfg")
@@ -268,6 +304,18 @@ def test_certify_writes_the_mixing_certificate(tmp_path):
     assert cert["valid"] is True
     assert cert["rate_bound"] > 0
     assert cert["minorization"]["mass"] > 0
+
+
+def test_certify_at_zero_horizon_does_not_certify(tmp_path):
+    out = tmp_path / "out"
+    assert main(["certify", "--config", write_cfg(tmp_path, MINIMAL),
+                 "--out", str(out), "--t", "0"]) == 0
+    cert = json.loads((out / "mixing_certificate.json").read_text())[
+        "certificate"]
+    assert cert["minorization"]["valid"] is True
+    assert cert["survival_comparison"]["valid"] is False
+    assert cert["valid"] is False
+    assert cert["rate_bound"] == 0.0
 
 
 def test_out_env_variable_is_honored(tmp_path, monkeypatch):

@@ -18,13 +18,14 @@ from qsdlab.convergence import (
     certify_minorization,
     certify_survival_comparison,
     convergence_curve,
+    convergence_curves,
     fit_rate,
     mixing_certificate,
     survival_profile_error,
     tv_distance,
 )
 from qsdlab.errors import NoFitError
-from qsdlab.solver import evolve_measure
+from qsdlab.solver import conditional_path, evolve_function, evolve_measure
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +76,24 @@ def test_curve_rows_serialize_in_grid_order(logistic30_system):
     rows = list(curve.rows())
     assert len(rows) == 2
     assert rows[0][0] == 0.5 and rows[1][0] == 1.0
+
+
+def test_single_curve_is_the_matching_column_of_the_block(logistic30_system):
+    *_, generator, result = logistic30_system
+    times = np.arange(0.25, 6.0 + 1e-9, 0.25)
+    initials = [(1,), (5,), (20,)]
+    curves = convergence_curves(generator, result, initials, times)
+    for initial, curve in zip(initials, curves):
+        alone = convergence_curve(generator, result, initial, times)
+        assert curve.initial == alone.initial == initial
+        assert np.array_equal(curve.tv, alone.tv)
+        assert np.array_equal(curve.survival, alone.survival)
+        # and both have the bits of a path stepped from the start vector
+        laws, survival = conditional_path(
+            generator, generator.space.point_mass(initial), times)
+        assert np.array_equal(curve.tv,
+                              0.5 * np.abs(laws - result.law).sum(axis=1))
+        assert np.array_equal(curve.survival, survival)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +228,38 @@ def test_survival_comparison_bounds_and_reproduces(logistic30_system):
             start[i] = 1.0
             best = max(best, evolve_measure(generator, start, cert.worst_time).sum())
         assert ref_alive / best == pytest.approx(cert.ratio, rel=1e-9)
+
+
+def test_survival_comparison_is_at_most_one_and_matches_a_coarse_scan(
+        logistic30_system):
+    *_, generator, result = logistic30_system
+    space = generator.space
+    times = np.linspace(0.0, 8.0, 17)
+    for reference in (space.states[int(np.argmax(result.law))], (1,), (30,)):
+        cert = certify_survival_comparison(generator, reference, times)
+        assert cert.ratio <= 1.0
+        # a separate scan that steps over the coarse grid only
+        ref = space.index[reference]
+        alive = np.ones(len(space.states))
+        prev = 0.0
+        coarse = []
+        for t in times:
+            alive = evolve_function(generator, alive, t - prev)
+            prev = t
+            coarse.append(alive[ref] / alive.max())
+        assert abs(cert.ratio - min(coarse)) < 1e-12
+
+
+def test_survival_comparison_at_zero_horizon_is_not_a_certificate(
+        logistic30_system):
+    *_, generator, result = logistic30_system
+    reference = generator.space.states[int(np.argmax(result.law))]
+    cert = certify_survival_comparison(generator, reference, [0.0])
+    assert cert.horizon == 0.0 and cert.ratio == 1.0
+    assert not cert.valid
+    mixing = mixing_certificate(generator, result, t0=1.0, horizon=0.0)
+    assert not mixing.valid
+    assert mixing.rate_bound == 0.0
 
 
 def test_mixing_certificate_assembles_a_positive_rate(logistic30_system):

@@ -153,6 +153,9 @@ def test_empirical_tv_counts_off_support_mass(logistic30_system):
     *_, result = logistic30_system
     law = EmpiricalLaw.from_counts({(1000,): 1})  # far outside the truncation
     assert law.tv_against(result) == pytest.approx(1.0)
+    # a (space, law) pair reads the same law as the solved result
+    law = EmpiricalLaw.from_counts({(1,): 1, (2,): 1, (1000,): 2})
+    assert law.tv_against((result.space, result.law)) == law.tv_against(result)
 
 
 def test_empirical_tv_between_empirical_laws():

@@ -11,7 +11,9 @@ everything is solvable by hand:
     profile    = ((4 + 3*sqrt(2))/8, (2 + sqrt(2))/4)
 """
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ import scipy.sparse as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qsdlab
 from qsdlab.errors import (
     ConditioningImpossibleError,
     ConvergenceError,
@@ -32,6 +35,7 @@ from qsdlab.solver import (
     assemble,
     conditional_path,
     enumerate_space,
+    evolve_function,
     evolve_measure,
     expected_hitting_time,
     qprocess_generator,
@@ -232,6 +236,69 @@ def test_evolution_preserves_sign_and_loses_mass(two_state):
     mu_t = evolve_measure(generator, mu0, 2.0)
     assert (mu_t >= 0).all()
     assert mu_t.sum() < 1.0
+
+
+# ---------------------------------------------------------------------------
+# block semigroup: one kernel for a vector or a block of columns
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def ref2d_30():
+    return assemble(reference_2d(), enumerate_space(2, 30))
+
+
+@pytest.mark.parametrize("flow", [evolve_measure, evolve_function])
+def test_block_flow_equals_its_columns_bit_for_bit(ref2d_30, flow):
+    block = np.random.default_rng(11).random((len(ref2d_30.space), 3))
+    out = flow(ref2d_30, block, 0.8)
+    assert out.shape == block.shape
+    for j in range(block.shape[1]):
+        assert np.array_equal(out[:, j], flow(ref2d_30, block[:, j], 0.8))
+
+
+def test_forward_products_have_the_bits_of_the_row_vector_path(ref2d_30):
+    nu = np.random.default_rng(12).random(len(ref2d_30.space))
+    assert np.array_equal(ref2d_30.matrix_t @ nu, nu @ ref2d_30.matrix)
+
+
+def test_block_conditional_path_equals_its_columns_bit_for_bit(
+        ref2d_30, delta_start):
+    space = ref2d_30.space
+    block = np.column_stack([delta_start(space, (1, 1)),
+                             delta_start(space, (6, 4))])
+    times = np.linspace(0.1, 2.0, 20)
+    laws, survivals = conditional_path(ref2d_30, block, times)
+    assert laws.shape == (len(times),) + block.shape
+    assert survivals.shape == (len(times), 2)
+    for j in range(block.shape[1]):
+        laws_j, survivals_j = conditional_path(ref2d_30, block[:, j], times)
+        assert np.array_equal(laws[:, :, j], laws_j)
+        assert np.array_equal(survivals[:, j], survivals_j)
+
+
+def test_semigroup_rejects_misshapen_blocks(two_state):
+    *_, generator = two_state
+    for bad in (np.ones(3), np.ones((3, 2)), np.ones((2, 2, 1))):
+        with pytest.raises(DomainError):
+            evolve_measure(generator, bad, 1.0)
+        with pytest.raises(DomainError):
+            evolve_function(generator, bad, 1.0)
+
+
+def test_no_forward_product_steps_through_the_row_vector_path():
+    """Every ``nu Q`` in the package is computed as ``matrix_t @ nu``: no
+    product has the generator's matrix as its right operand."""
+    offenders = []
+    for path in sorted(pathlib.Path(qsdlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.MatMult)):
+                continue
+            right = getattr(node.right, "attr", getattr(node.right, "id", None))
+            if right in ("matrix", "mat"):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 # ---------------------------------------------------------------------------
