@@ -26,9 +26,8 @@ from .lyapunov import (FAIL, INCONCLUSIVE, PASS, AssumptionReport,
                        check_growth_envelope, check_multibirth,
                        check_neutral_threshold, sample_shells, size_potential,
                        size_potential_bracket)
-from .model import (LitterLaw, Model, Transition, absorbed_marker,
-                    build_model, is_absorbed, is_interior, total_rate,
-                    transitions)
+from .model import (LitterLaw, Model, absorbed_marker, build_model,
+                    is_absorbed, is_interior)
 from .simulate import (ConditionalEstimate, EmpiricalLaw, ParticleResult,
                        RngPlan, Trajectory, estimate_conditional,
                        fleming_viot, occupation_measure, simulate_path,
@@ -51,7 +50,7 @@ __all__ = [
     "NoSurvivorsError", "NumericalError", "PASS", "ParticleResult",
     "PotentialParams", "QsdResult", "QsdlabError", "RateFit",
     "RateOverflowError", "ReducibleSpaceError", "RngPlan", "SubGenerator",
-    "SurvivalComparisonCertificate", "Trajectory", "Transition",
+    "SurvivalComparisonCertificate", "Trajectory",
     "TruncatedSpace", "ValidationError", "absorbed_marker",
     "apply_generator", "assemble", "build_model", "certify_minorization",
     "certify_survival_comparison", "check_boundary_pressure",
@@ -65,7 +64,7 @@ __all__ = [
     "mixing_certificate", "occupation_measure", "presets",
     "qprocess_generator", "sample_shells", "simulate_path",
     "simulate_qprocess", "size_potential", "size_potential_bracket",
-    "solve_qsd", "survival_profile_error", "total_rate",
-    "transient_conditional", "transitions", "truncation_tv", "tv_distance",
+    "solve_qsd", "survival_profile_error", "transient_conditional",
+    "truncation_tv", "tv_distance",
     "validate_trajectory",
 ]

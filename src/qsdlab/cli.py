@@ -37,8 +37,8 @@ from .lyapunov import (PotentialParams, check_boundary_pressure,
                        check_growth_envelope, check_multibirth,
                        check_neutral_threshold)
 from .model import build_model
-from .simulate import (EmpiricalLaw, RngPlan, estimate_conditional,
-                       fleming_viot, occupation_measure, simulate_path,
+from .simulate import (RngPlan, _conditional_estimate, _survivor_counts,
+                       estimate_conditional, fleming_viot, occupation_measure,
                        simulate_qprocess)
 from .solver import assemble, conditional_path, enumerate_space, solve_qsd
 
@@ -202,16 +202,8 @@ def _simulate_chunk(config_path, trunc, initial, t, seed, first, count):
     cfg = load_config(config_path)
     if trunc is not None:
         cfg.truncation_n = trunc
-    model = build_model(cfg)
-    plan = RngPlan(seed)
-    counts = Counter()
-    survivors = 0
-    for k in range(first, first + count):
-        path = simulate_path(model, initial, t, plan.stream(k))
-        if not path.absorbed:
-            counts[path.final_state] += 1
-            survivors += 1
-    return counts, survivors
+    return _survivor_counts(build_model(cfg), initial, t, RngPlan(seed),
+                            first, count)
 
 
 def _cmd_simulate(cfg, args, out):
@@ -232,21 +224,13 @@ def _cmd_simulate(cfg, args, out):
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             parts = pool.starmap(_simulate_chunk, chunks)
         counts = Counter()
-        survivors = 0
-        for part_counts, part_survivors in parts:
-            counts.update(part_counts)
-            survivors += part_survivors
-        if survivors == 0:
-            from .errors import NoSurvivorsError
-            raise NoSurvivorsError(
-                f"all {total} paths were absorbed before t = {cfg.t_max}",
-                survival_estimate=0.0)
-        law = EmpiricalLaw.from_counts(counts)
-        survival = survivors / total
+        for part in parts:
+            counts.update(part)
+        est = _conditional_estimate(counts, total, cfg.t_max)
     else:
-        plan = RngPlan(cfg.seed)
-        est = estimate_conditional(model, initial, cfg.t_max, total, plan)
-        law, survival, survivors = est.law, est.survival, est.survivors
+        est = estimate_conditional(model, initial, cfg.t_max, total,
+                                   RngPlan(cfg.seed))
+    law, survival, survivors = est.law, est.survival, est.survivors
 
     header, rows = _empirical_rows(cfg.r, [("mass", law)])
     law_path = os.path.join(out, "conditional_law.csv")

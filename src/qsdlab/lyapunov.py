@@ -15,12 +15,14 @@ summing the series.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import math
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
 from .model import Model, is_absorbed, is_interior
+from .solver import _lex_states
 
 PASS = "pass-on-range"
 FAIL = "fail"
@@ -34,6 +36,15 @@ _MONOTONE_SLACK = 1e-9
 # Half-grid quadrature-error estimates are compared against margins with
 # this safety factor, since they assume the asymptotic refinement regime.
 _QUAD_SAFETY = 3.0
+# Small shells are enumerated exhaustively until this many states are
+# sampled; larger sizes get a geometric ladder of representatives.
+_DENSE_BUDGET = 4000
+# A dominance or bulk-pressure curve must reach this value at the range end.
+_GROWTH_THRESHOLD = 10.0
+# A loss-to-competition ratio at the range end must not exceed this value.
+_DECAY_THRESHOLD = 0.1
+# Points on the geometric grid of potential exponents for the threshold.
+_THRESHOLD_GRID = 600
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +108,11 @@ def apply_generator(model: Model, f, n) -> float:
     if not is_interior(n):
         raise DomainError(f"state {n} is not interior")
     targets, rates, _ = model.transition_table(n)
-    fn = f(n)
+    return _generator_sum(f, f(n), targets, rates)
+
+
+def _generator_sum(f, fn, targets, rates) -> float:
+    """``sum(rate * (f(target) - fn))`` over a transition table, in order."""
     total = 0.0
     for target, rate in zip(targets, rates):
         total += rate * (f(target) - fn)
@@ -132,14 +147,13 @@ class PotentialParams:
 # ---------------------------------------------------------------------------
 
 def _states_of_size(r: int, size: int):
-    """All interior states with the given total size, lexicographic."""
-    if r == 1:
-        return [(size,)] if size >= 1 else []
-    out = []
-    for first in range(1, size - r + 2):
-        for rest in _states_of_size(r - 1, size - first):
-            out.append((first,) + rest)
-    return out
+    """All interior states of ``r >= 2`` types with the given total size.
+
+    Lexicographic: the first ``r - 1`` coordinates run through the states of
+    total size below ``size`` and the last one takes up the rest.
+    """
+    return [m + (size - sum(m),) for m in _lex_states(r - 1, size - 1)]
+
 
 def _shell_representatives(r: int, size: int):
     """A small deterministic cross-section of the shell |n| = size."""
@@ -167,7 +181,7 @@ def _shell_representatives(r: int, size: int):
     return sorted(reps)
 
 
-def sample_shells(r: int, n_check: int, dense_budget: int = 4000):
+def sample_shells(r: int, n_check: int):
     """Deterministic per-size samples of states up to total size n_check.
 
     Returns ``{size: [states]}``.  Small shells are enumerated exhaustively
@@ -182,7 +196,7 @@ def sample_shells(r: int, n_check: int, dense_budget: int = 4000):
         for s in range(1, n_check + 1):
             shells[s] = [(s,)]
         return shells
-    budget = dense_budget
+    budget = _DENSE_BUDGET
     size = r
     while size <= n_check:
         states = _states_of_size(r, size)
@@ -197,6 +211,63 @@ def sample_shells(r: int, n_check: int, dense_budget: int = 4000):
         for s in ladder:
             shells[int(s)] = _shell_representatives(r, int(s))
     return shells
+
+
+class _Sweep:
+    """The sampled states in shell order, with their rates evaluated once.
+
+    Shell ``k`` has total size ``sizes[k]`` and its states start at
+    ``starts[k]``; ``shell`` maps each state to its shell.  Per state:
+    ``n`` and ``size`` as floats, and, evaluated on first use, ``b`` and
+    ``d`` of shape ``(m, r)``, ``c`` of shape ``(m, r, r)`` and its
+    diagonal ``diag``.
+    """
+
+    def __init__(self, model: Model, n_check: int):
+        shells = sample_shells(model.r, n_check)
+        ordered = sorted(shells)
+        counts = [len(shells[s]) for s in ordered]
+        self.model = model
+        self.states = [n for s in ordered for n in shells[s]]
+        self.sizes = np.array(ordered, dtype=float)
+        self.starts = np.cumsum([0] + counts[:-1])
+        self.shell = np.repeat(np.arange(len(ordered)), counts)
+        self.size = self.sizes[self.shell]
+        self.n = np.array(self.states, dtype=float)
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        return np.array([self.model.birth(n) for n in self.states], dtype=float)
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        return np.array([self.model.death(n) for n in self.states], dtype=float)
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        return np.array([self.model.competition(n) for n in self.states],
+                        dtype=float)
+
+    @cached_property
+    def diag(self) -> np.ndarray:
+        return np.diagonal(self.c, axis1=1, axis2=2)
+
+    def size_power(self, expo: float) -> np.ndarray:
+        """``size ** expo`` per state by scalar pow, which numpy's vectorised
+        power does not match to the last bit."""
+        return np.array([s ** expo for s in self.sizes.tolist()])[self.shell]
+
+
+def _per_shell(sweep: _Sweep, values: np.ndarray, pick):
+    """Per-shell extreme of per-state ``values`` and the state attaining it.
+
+    ``pick`` is ``np.argmin`` or ``np.argmax``.  Like them, and like a
+    running strict comparison, a tie goes to the first state of the shell;
+    the reported witnesses rely on that rule.
+    """
+    key = -values if pick is np.argmax else values
+    first = np.lexsort((key, sweep.shell))[sweep.starts]
+    return values[first], [sweep.states[i] for i in first]
 
 
 def _loglog_slope(sizes, values):
@@ -341,34 +412,23 @@ def check_growth_envelope(model: Model, n_check: int = 10000) -> AssumptionRepor
     decade), then tests the exponent arithmetic that keeps the death channel
     dominant: beta1 >= 0, beta2 < 1, beta1 + gamma*beta2 < gamma.
     """
-    shells = sample_shells(model.r, n_check)
-    sizes = np.array(sorted(shells), dtype=float)
-    max_bd = np.empty(len(sizes))
-    max_b = np.empty(len(sizes))
-    max_d = np.empty(len(sizes))
-    min_cdiag = np.empty(len(sizes))
+    sw = _Sweep(model, n_check)
+    diag = sw.diag
+    # Written as "not all positive" so that NaN rates fail too.
+    positive = ((sw.b > 0).all(axis=1) & (sw.d >= 0).all(axis=1)
+                & (sw.c >= 0).all(axis=(1, 2)) & (diag > 0).all(axis=1))
+    if not positive.all():
+        return AssumptionReport(
+            name="growth-envelope", verdict=FAIL, checked_range=n_check,
+            witness=sw.states[int(np.argmin(positive))],
+            notes=["rate positivity fails: need b > 0, d >= 0, "
+                   "c >= 0 with positive diagonal"])
+    sizes = sw.sizes
+    max_b, _ = _per_shell(sw, sw.b.max(axis=1), np.argmax)
+    max_d, _ = _per_shell(sw, sw.d.max(axis=1), np.argmax)
+    max_bd = np.maximum(max_b, max_d)
+    min_cdiag, _ = _per_shell(sw, diag.min(axis=1), np.argmin)
     notes: list = []
-
-    for k, s in enumerate(sorted(shells)):
-        worst_bd = worst_b = worst_d = 0.0
-        best_c = math.inf
-        for n in shells[s]:
-            b = np.asarray(model.birth(n), dtype=float)
-            d = np.asarray(model.death(n), dtype=float)
-            c = np.asarray(model.competition(n), dtype=float)
-            diag = np.diag(c)
-            if (b <= 0).any() or (d < 0).any() or (c < 0).any() or (diag <= 0).any():
-                return AssumptionReport(
-                    name="growth-envelope", verdict=FAIL, checked_range=n_check,
-                    witness=n,
-                    notes=["rate positivity fails: need b > 0, d >= 0, "
-                           "c >= 0 with positive diagonal"])
-            worst_b = max(worst_b, float(b.max()))
-            worst_d = max(worst_d, float(d.max()))
-            worst_bd = max(worst_bd, float(max(b.max(), d.max())))
-            best_c = min(best_c, float(diag.min()))
-        max_b[k], max_d[k] = worst_b, worst_d
-        max_bd[k], min_cdiag[k] = worst_bd, best_c
 
     beta1, beta2 = _declared_or_fitted_exponents(
         model, sizes, max_bd, min_cdiag, notes)
@@ -423,39 +483,30 @@ def check_growth_envelope(model: Model, n_check: int = 10000) -> AssumptionRepor
 # self-regulation vs cross-pressure
 # ---------------------------------------------------------------------------
 
-def check_competition_dominance(model: Model, n_check: int = 10000,
-                                growth_threshold: float = 10.0) -> AssumptionReport:
+def check_competition_dominance(model: Model,
+                                n_check: int = 10000) -> AssumptionReport:
     """Does self-competition outgrow cross-competition along every direction?
 
     Computes, per sampled state, ``min_i c_ii(n) / (sum of off-diagonal
     c_jk(n) + sum of diagonal c_jj(n)/|n|)`` and tracks the per-shell
     minimum.  Passes when the curve is nondecreasing on the top half of the
-    range and clears ``growth_threshold`` at the far end; a flat curve is a
+    range and clears a threshold of 10 at the far end; a flat curve is a
     failure with the minimizing state as witness; anything else is
     inconclusive.
     """
-    shells = sample_shells(model.r, n_check)
-    sizes = np.array(sorted(shells), dtype=float)
-    curve = np.empty(len(sizes))
-    minimizers = []
-    for k, s in enumerate(sorted(shells)):
-        worst = math.inf
-        arg = None
-        for n in shells[s]:
-            c = np.asarray(model.competition(n), dtype=float)
-            diag = np.diag(c)
-            off = float(c.sum() - diag.sum())
-            ratio = float(diag.min()) / (off + float(diag.sum()) / s)
-            if ratio < worst:
-                worst, arg = ratio, n
-        curve[k] = worst
-        minimizers.append(arg)
+    sw = _Sweep(model, n_check)
+    diag = sw.diag
+    diag_sum = diag.sum(axis=1)
+    ratio = diag.min(axis=1) / (
+        (sw.c.sum(axis=(1, 2)) - diag_sum) + diag_sum / sw.size)
+    curve, minimizers = _per_shell(sw, ratio, np.argmin)
+    sizes = sw.sizes
 
     top = sizes >= sizes[-1] / 2.0
     slope = _loglog_slope(sizes[top], curve[top])
     constants = {"ratio_at_range_end": float(curve[-1])}
     margins = {"top_half_slope": slope if slope is not None else float("nan")}
-    if _nondecreasing(curve[top]) and curve[-1] >= growth_threshold:
+    if _nondecreasing(curve[top]) and curve[-1] >= _GROWTH_THRESHOLD:
         return AssumptionReport(
             name="competition-dominance", verdict=PASS, checked_range=n_check,
             constants=constants, margins=margins)
@@ -475,8 +526,8 @@ def check_competition_dominance(model: Model, n_check: int = 10000,
 # ---------------------------------------------------------------------------
 
 def check_boundary_pressure(model: Model, n_check: int = 10000,
-                            comparison_coef: float | None = None,
-                            growth_threshold: float = 10.0) -> AssumptionReport:
+                            comparison_coef: float | None = None
+                            ) -> AssumptionReport:
     """Bulk competition pressure must dominate edge pressure, and grow.
 
     Splits each state's types into the bulk (count above one) and the edge
@@ -493,54 +544,39 @@ def check_boundary_pressure(model: Model, n_check: int = 10000,
         beta1 = 0.0
     target = max(beta1, model.gamma)
 
-    shells = sample_shells(model.r, n_check)
-    ordered = sorted(shells)
-    sizes = np.array(ordered, dtype=float)
-    bulk_curve = np.full(len(sizes), math.inf)
-    bulk_arg = [None] * len(sizes)
-    last_violation_size = None
-    last_violation_state = None
-    gamma = model.gamma
+    sw = _Sweep(model, n_check)
+    sizes = sw.sizes
+    powered = np.matmul(sw.c, sw.n[:, :, None])[:, :, 0] ** model.gamma
+    # Masked entries add exact zeros, and numpy sums rows of fewer than
+    # eight entries left to right, so up to r = 7 these are the sums of the
+    # bulk and the edge entries alone, bit for bit.
+    edge = sw.n == 1
+    lhs = np.where(edge, 0.0, (sw.n / sw.size[:, None]) * powered).sum(axis=1)
+    rhs = np.where(edge, powered, 0.0).sum(axis=1)
+    bulk_curve, bulk_arg = _per_shell(sw, lhs / sw.size_power(target),
+                                      np.argmin)
 
-    for k, s in enumerate(ordered):
-        for n in shells[s]:
-            arr = np.asarray(n, dtype=float)
-            press = np.asarray(model.competition(n), dtype=float) @ arr
-            powered = press ** gamma
-            edge = np.asarray(n) == 1
-            lhs = float(np.sum((arr[~edge] / s) * powered[~edge]))
-            rhs = float(np.sum(powered[edge]))
-            if lhs < comparison_coef * rhs:
-                last_violation_size = s
-                last_violation_state = n
-            scaled = lhs / s ** target
-            if scaled < bulk_curve[k]:
-                bulk_curve[k] = scaled
-                bulk_arg[k] = n
-
-    # Clause 1: the comparison holds from some shell onward.
-    if last_violation_size is None:
-        clean_from = ordered[0]
-    else:
-        later = [s for s in ordered if s > last_violation_size]
-        clean_from = later[0] if later else None
+    # Clause 1: the comparison holds from the shell after the last violation.
+    violations = np.flatnonzero(lhs < comparison_coef * rhs)
+    clean = sw.shell[violations[-1]] + 1 if len(violations) else 0
     notes = []
     constants = {"comparison_coef": float(comparison_coef),
                  "exponent_target": float(target)}
-    if clean_from is None or clean_from > n_check / 2:
+    if clean == len(sizes) or sizes[clean] > n_check / 2:
         return AssumptionReport(
             name="boundary-pressure", verdict=FAIL, checked_range=n_check,
-            constants=constants, witness=last_violation_state,
+            constants=constants,
+            witness=sw.states[violations[-1]] if len(violations) else None,
             notes=["edge pressure still beats bulk pressure in the top half "
                    "of the range"])
-    constants["clean_from_size"] = int(clean_from)
+    constants["clean_from_size"] = int(sizes[clean])
 
     # Clause 2: growth of the scaled bulk pressure.
     top = sizes >= sizes[-1] / 2.0
     slope = _loglog_slope(sizes[top], bulk_curve[top])
     constants["scaled_pressure_at_range_end"] = float(bulk_curve[-1])
     margins = {"top_half_slope": slope if slope is not None else float("nan")}
-    if _nondecreasing(bulk_curve[top]) and bulk_curve[-1] >= growth_threshold:
+    if _nondecreasing(bulk_curve[top]) and bulk_curve[-1] >= _GROWTH_THRESHOLD:
         return AssumptionReport(
             name="boundary-pressure", verdict=PASS, checked_range=n_check,
             constants=constants, margins=margins, notes=notes)
@@ -561,8 +597,7 @@ def check_boundary_pressure(model: Model, n_check: int = 10000,
 # ---------------------------------------------------------------------------
 
 def check_neutral_threshold(model: Model | None = None, r: int | None = None,
-                            gamma: float | None = None,
-                            grid_size: int = 600) -> AssumptionReport:
+                            gamma: float | None = None) -> AssumptionReport:
     """Coexistence threshold for exchangeable competition: r < 1 + e*gamma.
 
     With all competition entries equal, coexistence of ``r`` types holds
@@ -595,7 +630,7 @@ def check_neutral_threshold(model: Model | None = None, r: int | None = None,
 
     best_eps = None
     best_factor = math.inf
-    for x in np.geomspace(1e-4, 0.999, grid_size):
+    for x in np.geomspace(1e-4, 0.999, _THRESHOLD_GRID):
         factor = (r - 1) / gamma * math.exp((1.0 - x) / x * math.log1p(-x))
         if factor < best_factor:
             best_factor = factor
@@ -625,7 +660,8 @@ def check_neutral_threshold(model: Model | None = None, r: int | None = None,
         notes.append("below the threshold but no constructive margin found "
                      "on the exponent grid")
     return AssumptionReport(
-        name="neutral-threshold", verdict=verdict, checked_range=grid_size,
+        name="neutral-threshold", verdict=verdict,
+        checked_range=_THRESHOLD_GRID,
         constants=constants, margins=margins, notes=notes)
 
 
@@ -656,19 +692,11 @@ def check_drift(model: Model, eps: float, n_check: int = 10000) -> DriftReport:
     _potential_table(eps, n_check + litter_slack + 2)
     potential = lambda n: size_potential(n, eps)
 
-    shells = sample_shells(model.r, n_check)
-    ordered = sorted(shells)
-    sizes = np.array(ordered, dtype=float)
-    curve = np.empty(len(sizes))
-    argmax = [None] * len(sizes)
-    for k, s in enumerate(ordered):
-        worst = -math.inf
-        for n in shells[s]:
-            value = apply_generator(model, potential, n)
-            if value > worst:
-                worst = value
-                argmax[k] = n
-        curve[k] = worst
+    sw = _Sweep(model, n_check)
+    sizes = sw.sizes
+    curve, argmax = _per_shell(
+        sw, np.array([apply_generator(model, potential, n) for n in sw.states]),
+        np.argmax)
 
     notes: list = []
     # Eventually negative on the range?
@@ -744,8 +772,8 @@ def check_conditional_drift(model: Model, space, times, laws,
     drift = np.empty(len(space.states))
     kill = np.empty(len(space.states))
     for i, n in enumerate(space.states):
-        drift[i] = apply_generator(model, potential, n)
         targets, rates, _ = model.transition_table(n)
+        drift[i] = _generator_sum(potential, v[i], targets, rates)
         dead = 0.0
         for target, rate in zip(targets, rates):
             if is_absorbed(target):
@@ -811,15 +839,14 @@ def check_conditional_drift(model: Model, space, times, laws,
 # catastrophe smallness
 # ---------------------------------------------------------------------------
 
-def check_catastrophes(model: Model, n_check: int = 10000,
-                       decay_threshold: float = 0.1) -> AssumptionReport:
+def check_catastrophes(model: Model, n_check: int = 10000) -> AssumptionReport:
     """Total-loss rates must stay below the quadratic death channel.
 
     One type: searches for a cutoff size n0 and constants with
     ``death(n) >= c_low * n**2`` and ``catastrophe(n) <= delta * c_low * n``
     with ``delta < 1`` beyond the cutoff.  Several types: tracks the ratio
     of the catastrophe rate to ``min_i c_ii(n) * |n|**gamma`` per shell and
-    requires clear decay.
+    requires it to decay, to at most 0.1 at the range end.
     """
     if model.catastrophe is None:
         return AssumptionReport(
@@ -828,18 +855,14 @@ def check_catastrophes(model: Model, n_check: int = 10000,
             notes=["no catastrophe channel declared; the zero rate "
                    "satisfies every smallness bound"])
 
+    sw = _Sweep(model, n_check)
+    loss = np.array([float(model.catastrophe(n)) for n in sw.states])
     if model.r == 1:
-        ns = np.arange(1, n_check + 1, dtype=float)
-        birth_total = np.empty(n_check)
-        death_total = np.empty(n_check)
-        loss = np.empty(n_check)
-        for i, n in enumerate(ns):
-            state = (int(n),)
-            birth_total[i] = n * float(np.asarray(model.birth(state))[0])
-            d = float(np.asarray(model.death(state))[0])
-            c = float(np.asarray(model.competition(state))[0, 0])
-            death_total[i] = n * (d + (c * n) ** model.gamma)
-            loss[i] = float(model.catastrophe(state))
+        # One type: the shells are exactly the states 1..n_check.
+        ns = sw.n[:, 0]
+        birth_total = ns * sw.b[:, 0]
+        pressure = [x ** model.gamma for x in (sw.c[:, 0, 0] * ns).tolist()]
+        death_total = ns * (sw.d[:, 0] + np.array(pressure))
         birth_bound = float(np.max(birth_total / ns))
 
         # Suffix envelopes: death_floor[i] = min over n >= i of death/n^2.
@@ -868,31 +891,21 @@ def check_catastrophes(model: Model, n_check: int = 10000,
             notes=["total-loss rate is not dominated by the quadratic death "
                    "channel with any margin below one"])
 
-    shells = sample_shells(model.r, n_check)
-    ordered = sorted(shells)
-    sizes = np.array(ordered, dtype=float)
-    curve = np.empty(len(sizes))
-    argmax = [None] * len(sizes)
-    for k, s in enumerate(ordered):
-        worst = -math.inf
-        for n in shells[s]:
-            c = np.asarray(model.competition(n), dtype=float)
-            ratio = float(model.catastrophe(n)) / (
-                float(np.diag(c).min()) * s ** model.gamma)
-            if ratio > worst:
-                worst, argmax[k] = ratio, n
-        curve[k] = worst
+    sizes = sw.sizes
+    curve, argmax = _per_shell(
+        sw, loss / (sw.diag.min(axis=1) * sw.size_power(model.gamma)),
+        np.argmax)
 
     top = sizes >= sizes[-1] / 2.0
     slope = _loglog_slope(sizes[top], curve[top])
     constants = {"ratio_at_range_end": float(curve[-1])}
     margins = {"top_half_slope": slope if slope is not None else float("nan")}
-    if curve[-1] <= decay_threshold and (
+    if curve[-1] <= _DECAY_THRESHOLD and (
             slope is None or slope <= -_FLAT_SLOPE or curve[-1] == 0.0):
         return AssumptionReport(
             name="catastrophe-smallness", verdict=PASS, checked_range=n_check,
             constants=constants, margins=margins)
-    if slope is not None and slope > -_FLAT_SLOPE and curve[-1] > decay_threshold:
+    if slope is not None and slope > -_FLAT_SLOPE and curve[-1] > _DECAY_THRESHOLD:
         return AssumptionReport(
             name="catastrophe-smallness", verdict=FAIL, checked_range=n_check,
             constants=constants, margins=margins, witness=argmax[-1],

@@ -21,24 +21,17 @@ solver collapses boundary targets to a single canonical absorbed marker
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .config import ConfigDocument
-from .errors import DomainError, RateOverflowError, ValidationError
+from .errors import RateOverflowError, ValidationError
 
 State = tuple
 #: Litter laws and worked examples index types by these tuples of ints.
-
-
-class Transition(NamedTuple):
-    """One jump of the chain: where it goes and at what rate."""
-
-    target: State
-    rate: float
 
 
 def is_interior(n: State) -> bool:
@@ -409,28 +402,6 @@ def _generic_kernel(model):
     return kernel
 
 
-def transitions(model: Model, n: State) -> list:
-    """All nonzero-rate moves of the generator out of interior state ``n``.
-
-    Deaths land on the literal neighbouring state even when that state lies on
-    the absorbing boundary; catastrophe moves land on the canonical absorbed
-    marker.  Calling this twice on the same inputs yields identical lists.
-    """
-    if not is_interior(n):
-        raise DomainError(f"transitions undefined outside the interior: {n}")
-    if len(n) != model.r:
-        raise DomainError(f"state {n} has {len(n)} coordinates, model has r = {model.r}")
-    targets, rates, _ = model.transition_table(n)
-    return [Transition(t, rho) for t, rho in zip(targets, rates)]
-
-
-def total_rate(model: Model, n: State) -> float:
-    """Total jump intensity out of ``n``; the exact enumeration-order sum."""
-    if not is_interior(n):
-        raise DomainError(f"total_rate undefined outside the interior: {n}")
-    return model.transition_table(n)[2]
-
-
 def build_model(config: ConfigDocument) -> Model:
     """Construct the model described by a validated configuration document."""
     catastrophe = _catastrophe_from_config(config.catastrophe)
@@ -439,14 +410,10 @@ def build_model(config: ConfigDocument) -> Model:
         model = Model.constant(config.b, config.d, config.c, config.gamma,
                                catastrophe=catastrophe, litter=litter)
         if config.beta1 is not None or config.beta2 is not None:
-            model = Model(r=model.r, gamma=model.gamma, birth=model.birth,
-                          death=model.death, competition=model.competition,
-                          family="constant",
-                          beta1=config.beta1 if config.beta1 is not None else 0.0,
-                          beta2=config.beta2 if config.beta2 is not None else 0.0,
-                          catastrophe=catastrophe, litter=litter,
-                          b_coef=model.b_coef, d_coef=model.d_coef,
-                          c_coef=model.c_coef)
+            model = replace(
+                model,
+                beta1=config.beta1 if config.beta1 is not None else 0.0,
+                beta2=config.beta2 if config.beta2 is not None else 0.0)
         return model
     if config.family == "power-law":
         return Model.power_law(config.b, config.d, config.c, config.gamma,

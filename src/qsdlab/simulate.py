@@ -106,11 +106,20 @@ def simulate_path(model: Model, initial, t_max: float,
         raise DomainError(f"initial state {n} is not interior for r = {model.r}")
     if t_max <= 0:
         raise DomainError(f"t_max must be positive, got {t_max}")
+    return _jump_path(model.transition_table, n, t_max, rng)
+
+
+def _jump_path(table, n, t_max: float, rng: np.random.Generator) -> Trajectory:
+    """The event loop of a single path, over the moves ``table(n)`` gives.
+
+    ``table(n)`` returns ``(targets, rates, total)``.  The path stops at
+    ``t_max``, when no move is left, or on entering an absorbed state.
+    """
     times = [0.0]
     states = [n]
     t = 0.0
     for _ in range(_EVENT_BUDGET):
-        targets, rates, total = model.transition_table(n)
+        targets, rates, total = table(n)
         if total <= 0.0:
             return Trajectory(tuple(times), tuple(states), t_max, False)
         t += _exponential(rng, total)
@@ -254,13 +263,26 @@ def estimate_conditional(model: Model, initial, t: float, trajectories: int,
     """
     if trajectories < 1:
         raise DomainError(f"need at least one trajectory, got {trajectories}")
+    counts = _survivor_counts(model, initial, t, plan, first_stream,
+                              trajectories)
+    return _conditional_estimate(counts, trajectories, t)
+
+
+def _survivor_counts(model: Model, initial, t: float, plan: RngPlan,
+                     first: int, count: int) -> Counter:
+    """Final states at t of the surviving paths on streams ``first`` on."""
     counts: Counter = Counter()
-    survivors = 0
-    for k in range(trajectories):
-        path = simulate_path(model, initial, t, plan.stream(first_stream + k))
+    for k in range(first, first + count):
+        path = simulate_path(model, initial, t, plan.stream(k))
         if not path.absorbed:
             counts[path.final_state] += 1
-            survivors += 1
+    return counts
+
+
+def _conditional_estimate(counts: Counter, trajectories: int,
+                          t: float) -> ConditionalEstimate:
+    """The estimate from the survivor counts of ``trajectories`` paths."""
+    survivors = sum(counts.values())
     if survivors == 0:
         raise NoSurvivorsError(
             f"all {trajectories} paths were absorbed before t = {t}",
@@ -391,10 +413,8 @@ def simulate_qprocess(model: Model, qsd: QsdResult, initial, t_max: float,
         raise DomainError(f"initial state {n} is outside the solved space")
     if t_max <= 0:
         raise DomainError(f"t_max must be positive, got {t_max}")
-    times = [0.0]
-    states = [n]
-    t = 0.0
-    for _ in range(_EVENT_BUDGET):
+
+    def table(n):
         targets, rates, _ = model.transition_table(n)
         h_n = h[space.index[n]]
         new_targets = []
@@ -408,13 +428,6 @@ def simulate_qprocess(model: Model, qsd: QsdResult, initial, t_max: float,
             new_targets.append(target)
             new_rates.append(w)
             total += w
-        if total <= 0.0:
-            return Trajectory(tuple(times), tuple(states), t_max, False)
-        t += _exponential(rng, total)
-        if t >= t_max:
-            return Trajectory(tuple(times), tuple(states), t_max, False)
-        n = _pick_move(rng, new_targets, new_rates, total)
-        times.append(t)
-        states.append(n)
-    raise NumericalError(f"event budget {_EVENT_BUDGET} exhausted before "
-                         f"t_max = {t_max}")
+        return new_targets, new_rates, total
+
+    return _jump_path(table, n, t_max, rng)

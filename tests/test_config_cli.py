@@ -7,6 +7,7 @@ written files are observed exactly as a shell would see them.
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from qsdlab.cli import main
 from qsdlab.config import load_config
 from qsdlab.errors import ValidationError
 from qsdlab.model import build_model
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL = """\
 [model]
@@ -251,6 +254,17 @@ def test_simulate_threads_do_not_change_the_answer(tmp_path):
                  "--t", "1.0", "--threads", "3"]) == 0
     assert (out_a / "conditional_law.csv").read_bytes() == \
         (out_b / "conditional_law.csv").read_bytes()
+
+
+def test_simulate_without_survivors_exits_two_on_every_path(tmp_path, capsys):
+    cfg = str(CONFIGS / "neutral3d.cfg")
+    messages = []
+    for threads in ("1", "2"):
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path),
+                     "--traj", "50", "--threads", threads]) == 2
+        messages.append(capsys.readouterr().err)
+    assert messages[0] == messages[1]
+    assert "all 50 paths were absorbed before t = 5.0" in messages[0]
 
 
 def test_fv_writes_particle_law(tmp_path):

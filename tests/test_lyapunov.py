@@ -146,6 +146,49 @@ def test_multi_type_shells_cover_the_range_with_mixes():
         assert all(sum(s) == size and min(s) >= 1 for s in states)
 
 
+def test_shell_checks_match_scalar_per_state_loops():
+    # Reference: the per-state scalar arithmetic and running strict
+    # comparisons of a plain loop over the shells.  The checkers must
+    # reproduce it bit for bit, ties included, here with three types, a
+    # non-integer gamma and state-dependent rates.
+    base = np.array([[1.0, 2.0, 1.5], [1.2, 0.8, 2.0], [1.6, 1.4, 1.5]])
+    model = Model.from_callbacks(
+        r=3, gamma=1.05, birth=lambda n: np.full(3, 2.0),
+        death=lambda n: np.full(3, 0.5),
+        competition=lambda n: base * (1.0 + 1.0 / (1.0 + n[0])),
+        catastrophe=lambda n: 0.3 * math.log1p(sum(n)))
+    eps = PotentialParams.for_model(model).eps
+    shells = sample_shells(3, 40)
+    last = max(shells)
+    dominance, pressure, loss = [], [], []
+    for n in shells[last]:
+        c = np.asarray(model.competition(n), dtype=float)
+        diag = np.diag(c)
+        dominance.append(float(diag.min()) / (
+            float(c.sum() - diag.sum()) + float(diag.sum()) / last))
+        arr = np.asarray(n, dtype=float)
+        powered = (c @ arr) ** model.gamma
+        edge = arr == 1
+        bulk = float(np.sum((arr[~edge] / last) * powered[~edge]))
+        pressure.append(bulk / last ** model.gamma)
+        loss.append(model.catastrophe(n) / (
+            float(diag.min()) * last ** model.gamma))
+    report = check_competition_dominance(model, 40)
+    assert report.verdict == "fail"
+    assert report.constants["ratio_at_range_end"] == min(dominance)
+    assert report.witness == shells[last][dominance.index(min(dominance))]
+    report = check_boundary_pressure(model, 40)
+    assert report.verdict == "fail"
+    assert report.constants["scaled_pressure_at_range_end"] == min(pressure)
+    assert report.witness == shells[last][pressure.index(min(pressure))]
+    report = check_catastrophes(model, 40)
+    assert report.constants["ratio_at_range_end"] == max(loss)
+    drift = check_drift(model, eps, 40)
+    assert list(drift.curve_values) == [
+        max(apply_generator(model, lambda m: size_potential(m, eps), n)
+            for n in shells[s]) for s in sorted(shells)]
+
+
 # ---------------------------------------------------------------------------
 # growth envelope
 # ---------------------------------------------------------------------------
@@ -179,10 +222,11 @@ def test_envelope_fails_when_births_outrun_the_death_channel():
     assert report.margins["exponent_margin"] < 0
 
 
-def test_envelope_fails_on_a_positivity_violation_with_witness():
+@pytest.mark.parametrize("bad_birth", [0.0, math.nan])
+def test_envelope_fails_on_a_positivity_violation_with_witness(bad_birth):
     dying = Model.from_callbacks(
         r=1, gamma=1.0,
-        birth=lambda n: (1.0 if n[0] != 7 else 0.0,),
+        birth=lambda n: (1.0 if n[0] != 7 else bad_birth,),
         death=lambda n: (0.0,),
         competition=lambda n: ((1.0,),), validate=False)
     report = check_growth_envelope(dying, n_check=50)
@@ -204,8 +248,8 @@ def test_dominance_passes_strong_self_competition():
 def test_dominance_fails_the_neutral_model_with_witness():
     report = check_competition_dominance(neutral(r=3), n_check=2000)
     assert report.verdict == "fail"
-    assert report.witness is not None
-    assert len(report.witness) == 3
+    # every state of the last shell ties; the first one is the witness
+    assert report.witness == (1, 1, 1998)
 
 
 # ---------------------------------------------------------------------------
