@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -124,6 +125,10 @@ class Model:
     model was built ("constant", "power-law", "tabulated" or "callback") and
     the ``*_coef`` fields keep the raw coefficient data when it exists, so
     structural checks can inspect it exactly.
+
+    Every rate callable must be a function of the state alone: the
+    simulators evaluate each state's moves once and reuse them for the life
+    of the model.
     """
 
     r: int
@@ -260,6 +265,10 @@ class Model:
         if self.family == "constant" and self.catastrophe is None and self.litter is None:
             return _constant_kernel(self)
         return _generic_kernel(self)
+
+    @cached_property
+    def _moves(self):
+        return _memo_moves(self._kernel)
 
     def transition_table(self, n):
         """Raw ``(targets, rates, total)`` of all nonzero moves out of ``n``.
@@ -400,6 +409,27 @@ def _generic_kernel(model):
         return targets, rates, total
 
     return kernel
+
+
+def _memo_moves(table):
+    """Memoise ``table(n) -> (targets, rates, total)`` for the simulators.
+
+    The returned function maps a state to ``(targets, cum, total, dead)``,
+    computed on its first request: ``cum`` holds the running sums of
+    ``rates`` in table order, and ``dead[i]`` says whether ``targets[i]``
+    is absorbed.
+    """
+    memo = {}
+
+    def moves(n):
+        entry = memo.get(n)
+        if entry is None:
+            targets, rates, total = table(n)
+            entry = memo[n] = (targets, list(accumulate(rates)), total,
+                               [is_absorbed(target) for target in targets])
+        return entry
+
+    return moves
 
 
 def build_model(config: ConfigDocument) -> Model:

@@ -5,25 +5,33 @@ particle, and the resampling decisions each draw from their own counted
 stream of a counter-based generator, so results are reproducible bit for
 bit and independent of batching order.
 
-Exponential waits use ``-log1p(-u) / rate`` and move selection walks the
-model's canonical move enumeration with a single uniform, so a simulated
-path is determined entirely by its stream.
+Exponential waits use ``-log1p(-u) / rate`` and move selection bisects the
+running sums of the model's canonical move enumeration with a single
+uniform, so a simulated path is determined entirely by its stream.  Each
+state's moves are computed once and looked up afterwards, and each stream
+is drawn in blocks of ``_BLOCK`` uniforms, which are the same floats that
+single draws would give.
 """
 
 import bisect
 import heapq
 import math
+import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
 from .errors import (DomainError, NoSurvivorsError, NumericalError,
                      ValidationError)
-from .model import Model, absorbed_marker, is_absorbed, is_interior
+from .model import Model, _memo_moves, is_absorbed, is_interior
 from .solver import QsdResult
 
 _EVENT_BUDGET = 10 ** 7
+
+#: Uniforms drawn per call on a stream; 32 beat 8, and 128 was no better.
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -38,29 +46,35 @@ class RngPlan:
     master_seed: int
 
     def __post_init__(self):
-        if not 0 <= self.master_seed < 2 ** 64:
-            raise ValidationError(
-                f"master seed must fit in 64 bits, got {self.master_seed}")
+        try:
+            seed = operator.index(self.master_seed)
+        except TypeError:
+            raise ValidationError(f"master seed must be an integer, got "
+                                  f"{self.master_seed!r}") from None
+        if not 0 <= seed < 2 ** 64:
+            raise ValidationError(f"master seed must fit in 64 bits, got {seed}")
 
     def stream(self, index: int) -> np.random.Generator:
-        if index < 0:
-            raise DomainError(f"stream index must be nonnegative, got {index}")
+        try:
+            index = operator.index(index)
+        except TypeError:
+            raise DomainError(f"stream index must be an integer, got "
+                              f"{index!r}") from None
+        if not 0 <= index < 2 ** 64:
+            raise DomainError(f"stream index must lie in [0, 2**64), got {index}")
         key = np.array([self.master_seed, index], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def _exponential(rng, rate: float) -> float:
-    return -math.log1p(-rng.random()) / rate
+def _uniforms(rng: np.random.Generator):
+    """Iterator over the uniforms of ``rng`` in order, as Python floats.
 
-
-def _pick_move(rng, targets, rates, total):
-    u = rng.random() * total
-    acc = 0.0
-    for target, rate in zip(targets, rates):
-        acc += rate
-        if u < acc:
-            return target
-    return targets[-1]
+    ``rng.random(_BLOCK)`` gives the same floats as ``_BLOCK`` calls of
+    ``rng.random()``; up to ``_BLOCK - 1`` drawn values go unused, so
+    ``rng`` must belong to one consumer.
+    """
+    blocks = map(rng.random, repeat(_BLOCK))
+    return chain.from_iterable(map(np.ndarray.tolist, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -99,36 +113,44 @@ def simulate_path(model: Model, initial, t_max: float,
     """One path of the jump chain from ``initial`` up to time ``t_max``.
 
     Stops early on absorption (any type extinct, or a catastrophe).  Event
-    times and moves are drawn from ``rng`` alone.
+    times and moves are drawn from ``rng`` alone, so the path depends on its
+    stream alone.  ``rng`` is consumed in blocks, which leaves the state of a
+    generator the caller shares unspecified after the call: use one stream
+    per path.
     """
     n = tuple(int(v) for v in initial)
     if len(n) != model.r or not is_interior(n):
         raise DomainError(f"initial state {n} is not interior for r = {model.r}")
     if t_max <= 0:
         raise DomainError(f"t_max must be positive, got {t_max}")
-    return _jump_path(model.transition_table, n, t_max, rng)
+    return _jump_path(model._moves, n, t_max, rng)
 
 
-def _jump_path(table, n, t_max: float, rng: np.random.Generator) -> Trajectory:
-    """The event loop of a single path, over the moves ``table(n)`` gives.
+def _jump_path(moves, n, t_max: float, rng: np.random.Generator) -> Trajectory:
+    """The event loop of a single path, over the moves ``moves(n)`` gives.
 
-    ``table(n)`` returns ``(targets, rates, total)``.  The path stops at
-    ``t_max``, when no move is left, or on entering an absorbed state.
+    ``moves(n)`` returns ``(targets, cum, total, dead)`` (see
+    ``model._memo_moves``).  The path stops at ``t_max``, when no move is
+    left, or on entering an absorbed state.
     """
+    draw = _uniforms(rng).__next__
     times = [0.0]
     states = [n]
     t = 0.0
     for _ in range(_EVENT_BUDGET):
-        targets, rates, total = table(n)
+        targets, cum, total, dead = moves(n)
         if total <= 0.0:
             return Trajectory(tuple(times), tuple(states), t_max, False)
-        t += _exponential(rng, total)
+        t += -math.log1p(-draw()) / total
         if t >= t_max:
             return Trajectory(tuple(times), tuple(states), t_max, False)
-        n = _pick_move(rng, targets, rates, total)
+        # The first move whose running sum exceeds u * total; the last move
+        # when rounding leaves none.
+        i = bisect.bisect_right(cum, draw() * total, 0, len(cum) - 1)
+        n = targets[i]
         times.append(t)
         states.append(n)
-        if is_absorbed(n):
+        if dead[i]:
             return Trajectory(tuple(times), tuple(states), t, True)
     raise NumericalError(f"event budget {_EVENT_BUDGET} exhausted before "
                          f"t_max = {t_max}; the model may explode")
@@ -225,14 +247,14 @@ def occupation_measure(trajectory: Trajectory,
     if not 0.0 <= t_start < trajectory.t_end:
         raise DomainError(f"t_start = {t_start} outside [0, {trajectory.t_end})")
     weights: Counter = Counter()
-    times = list(trajectory.times) + [trajectory.t_end]
-    for i, state in enumerate(trajectory.states):
-        if is_absorbed(state):
-            break
-        lo = max(times[i], t_start)
-        hi = times[i + 1]
-        if hi > lo:
-            weights[state] += hi - lo
+    ends = list(trajectory.times[1:]) + [trajectory.t_end]
+    states = trajectory.states
+    if trajectory.absorbed:
+        states = states[:-1]
+    for start, end, state in zip(trajectory.times, ends, states):
+        lo = max(start, t_start)
+        if end > lo:
+            weights[state] += end - lo
     if not weights:
         raise ValidationError("no occupation time accumulated after t_start")
     return EmpiricalLaw.from_counts(weights)
@@ -320,9 +342,9 @@ def fleming_viot(model: Model, initial, particles: int, t_max: float,
 
     ``particles`` walkers move independently by the model's rates; a walker
     that would be absorbed instead teleports onto a uniformly chosen other
-    walker.  Walker k draws from stream k; the teleport choices draw from
-    stream ``particles``.  The occupation law time-averages all walkers from
-    ``occupation_from`` (default ``t_max / 2``) to the horizon.
+    walker.  Walker k draws from stream k, in blocks; the teleport choices
+    draw from stream ``particles``.  The occupation law time-averages all
+    walkers from ``occupation_from`` (default ``t_max / 2``) to the horizon.
     """
     if particles < 2:
         raise DomainError(f"need at least two particles, got {particles}")
@@ -337,9 +359,10 @@ def fleming_viot(model: Model, initial, particles: int, t_max: float,
     if len(start) != model.r or not is_interior(start):
         raise DomainError(f"initial state {start} is not interior")
 
+    moves = model._moves
     states = [start] * particles
-    streams = [plan.stream(i) for i in range(particles)]
-    resampler = plan.stream(particles)
+    draws = [_uniforms(plan.stream(i)).__next__ for i in range(particles)]
+    resample = _uniforms(plan.stream(particles)).__next__
     tables = [None] * particles
     since = [0.0] * particles
     occupation: Counter = Counter()
@@ -348,10 +371,11 @@ def fleming_viot(model: Model, initial, particles: int, t_max: float,
 
     def schedule(i, now):
         nonlocal pushes
-        table = model.transition_table(states[i])
+        table = moves(states[i])
         tables[i] = table
-        if table[2] > 0.0:
-            heapq.heappush(heap, (now + _exponential(streams[i], table[2]),
+        total = table[2]
+        if total > 0.0:
+            heapq.heappush(heap, (now + -math.log1p(-draws[i]()) / total,
                                   pushes, i))
             pushes += 1
 
@@ -369,19 +393,19 @@ def fleming_viot(model: Model, initial, particles: int, t_max: float,
         if not heap or heap[0][0] >= t_max:
             break
         t, _, i = heapq.heappop(heap)
-        targets, rates, total = tables[i]
-        target = _pick_move(streams[i], targets, rates, total)
+        targets, cum, total, dead = tables[i]
+        # The pick of ``_jump_path``.
+        k = bisect.bisect_right(cum, draws[i]() * total, 0, len(cum) - 1)
         events += 1
         settle(i, t)
-        if is_absorbed(target):
+        if dead[k]:
             deaths += 1
-            u = resampler.random()
-            j = int(u * (particles - 1))
+            j = int(resample() * (particles - 1))
             if j >= i:
                 j += 1
             states[i] = states[j]
         else:
-            states[i] = target
+            states[i] = targets[k]
         schedule(i, t)
     else:
         raise NumericalError(f"event budget {_EVENT_BUDGET} exhausted before "
@@ -405,7 +429,8 @@ def simulate_qprocess(model: Model, qsd: QsdResult, initial, t_max: float,
     Moves inside the solved space are reweighted by the ratio of survival
     profiles between target and source; moves out of the space (absorption
     or truncation overflow) get weight zero.  The resulting path never
-    absorbs.
+    absorbs.  Like ``simulate_path``, the path depends on its stream alone,
+    and ``rng`` is consumed in blocks: use one stream per path.
     """
     space, h = qsd.space, qsd.survival_profile
     n = tuple(int(v) for v in initial)
@@ -430,4 +455,4 @@ def simulate_qprocess(model: Model, qsd: QsdResult, initial, t_max: float,
             total += w
         return new_targets, new_rates, total
 
-    return _jump_path(table, n, t_max, rng)
+    return _jump_path(_memo_moves(table), n, t_max, rng)

@@ -7,7 +7,9 @@ event loop, the move enumeration, or the stream layout will break them
 loudly rather than drift silently.
 """
 
+import heapq
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,11 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsdlab.errors import DomainError, NoSurvivorsError, ValidationError
-from qsdlab.presets import logistic_1d, reference_2d
+from qsdlab.model import LitterLaw, Model, _memo_moves, is_absorbed
+from qsdlab.presets import (catastrophe_logistic_1d, logistic_1d,
+                            multibirth_uniform_1d, reference_2d)
 from qsdlab.simulate import (
     EmpiricalLaw,
     RngPlan,
     Trajectory,
+    _jump_path,
     estimate_conditional,
     fleming_viot,
     occupation_measure,
@@ -27,7 +32,8 @@ from qsdlab.simulate import (
     simulate_qprocess,
     validate_trajectory,
 )
-from qsdlab.solver import transient_conditional
+from qsdlab.solver import (assemble, enumerate_space, solve_qsd,
+                           transient_conditional)
 
 FROZEN_FIRST_EVENTS = [
     (0.0, (4, 4)),
@@ -58,6 +64,25 @@ def test_streams_differ_between_indices_and_seeds():
 def test_plan_rejects_negative_seeds():
     with pytest.raises((ValidationError, ValueError, OverflowError)):
         RngPlan(-1)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, "1", 2 ** 64])
+def test_plan_rejects_seeds_that_are_not_64_bit_integers(seed):
+    with pytest.raises(ValidationError):
+        RngPlan(seed)
+
+
+@pytest.mark.parametrize("index", [1.7, 1.0, "1", -1, 2 ** 64])
+def test_plan_rejects_stream_indices_that_are_not_64_bit_integers(index):
+    with pytest.raises(DomainError):
+        RngPlan(0).stream(index)
+
+
+def test_plan_accepts_numpy_integers_and_the_largest_index():
+    a = RngPlan(np.int64(5)).stream(np.uint64(3)).random(4)
+    assert (a == RngPlan(5).stream(3).random(4)).all()
+    last = RngPlan(2 ** 64 - 1).stream(2 ** 64 - 1).random(4)
+    assert not (last == RngPlan(0).stream(0).random(4)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -288,3 +313,297 @@ def two_state_qsd():
     space = enumerate_space(1, 2)
     generator = assemble(model, space)
     return model, space, solve_qsd(generator, tol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# memoised moves and block draws against the scalar reference
+# ---------------------------------------------------------------------------
+#
+# The reference below is the plain event loop: it rebuilds each state's rate
+# table, draws one ``rng.random()`` per uniform and picks a move by a linear
+# scan.  The simulators must reproduce it bit for bit.
+
+
+def _reference_pick(rng, targets, rates, total):
+    u = rng.random() * total
+    acc = 0.0
+    for target, rate in zip(targets, rates):
+        acc += rate
+        if u < acc:
+            return target
+    return targets[-1]
+
+
+def _reference_path(table, n, t_max, rng):
+    times, states, t = [0.0], [n], 0.0
+    while True:
+        targets, rates, total = table(n)
+        if total <= 0.0:
+            return tuple(times), tuple(states), t_max, False
+        t += -math.log1p(-rng.random()) / total
+        if t >= t_max:
+            return tuple(times), tuple(states), t_max, False
+        n = _reference_pick(rng, targets, rates, total)
+        times.append(t)
+        states.append(n)
+        if is_absorbed(n):
+            return tuple(times), tuple(states), t, True
+
+
+def _reference_qtable(model, qsd):
+    space, h = qsd.space, qsd.survival_profile
+
+    def table(n):
+        targets, rates, _ = model.transition_table(n)
+        h_n = h[space.index[n]]
+        kept, weights, total = [], [], 0.0
+        for target, rate in zip(targets, rates):
+            k = space.index.get(target)
+            if k is None:
+                continue
+            w = rate * h[k] / h_n
+            kept.append(target)
+            weights.append(w)
+            total += w
+        return kept, weights, total
+
+    return table
+
+
+def _reference_fleming_viot(model, start, particles, t_max, plan):
+    occupation_from = t_max / 2.0
+    states = [start] * particles
+    streams = [plan.stream(i) for i in range(particles)]
+    resampler = plan.stream(particles)
+    tables = [None] * particles
+    since = [0.0] * particles
+    occupation = Counter()
+    heap = []
+    pushes = 0
+
+    def schedule(i, now):
+        nonlocal pushes
+        tables[i] = model.transition_table(states[i])
+        total = tables[i][2]
+        if total > 0.0:
+            wait = -math.log1p(-streams[i].random()) / total
+            heapq.heappush(heap, (now + wait, pushes, i))
+            pushes += 1
+
+    def settle(i, now):
+        lo = max(since[i], occupation_from)
+        if now > lo:
+            occupation[states[i]] += now - lo
+        since[i] = now
+
+    for i in range(particles):
+        schedule(i, 0.0)
+    deaths = events = 0
+    while heap and heap[0][0] < t_max:
+        t, _, i = heapq.heappop(heap)
+        target = _reference_pick(streams[i], *tables[i])
+        events += 1
+        settle(i, t)
+        if is_absorbed(target):
+            deaths += 1
+            j = int(resampler.random() * (particles - 1))
+            if j >= i:
+                j += 1
+            states[i] = states[j]
+        else:
+            states[i] = target
+        schedule(i, t)
+    for i in range(particles):
+        settle(i, t_max)
+    return Counter(states), occupation, deaths, events
+
+
+def _reference_occupation(times, states, t_end):
+    weights = Counter()
+    ends = list(times) + [t_end]
+    for i, state in enumerate(states):
+        if is_absorbed(state):
+            break
+        lo = ends[i]
+        if ends[i + 1] > lo:
+            weights[state] += ends[i + 1] - lo
+    return weights
+
+
+def _litter_catastrophe_2d():
+    litter = LitterLaw({(1, 0): 0.5, (0, 2): 0.3, (1, 1): 0.2})
+    return Model.constant([1.0, 1.5], [0.2, 0.1], [[1.0, 0.3], [0.2, 0.8]],
+                          1.1, catastrophe=lambda n: 0.01 * sum(n),
+                          litter=litter)
+
+
+def _callback_2d():
+    def birth(n):
+        return [2.0 + 1.0 / n[0], 1.5 + 0.5 * math.sin(n[1])]
+
+    def death(n):
+        return [0.1 * n[1] / (1 + n[0]), 0.2]
+
+    def competition(n):
+        return [[0.5, 0.05 * n[1] / sum(n)], [0.1, 0.4 + 0.01 * n[0]]]
+
+    return Model.from_callbacks(2, 1.3, birth, death, competition)
+
+
+MODELS = {
+    "constant": (reference_2d, (3, 3), 4.0),
+    "litter": (multibirth_uniform_1d, (2,), 3.0),
+    "catastrophe": (catastrophe_logistic_1d, (4,), 3.0),
+    "litter-catastrophe-2d": (_litter_catastrophe_2d, (2, 3), 3.0),
+    "callback": (_callback_2d, (3, 2), 3.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_paths_equal_the_scalar_reference(name):
+    make, start, t_max = MODELS[name]
+    model = make()
+    reference = make()
+    plan = RngPlan(17)
+    absorbed = 0
+    for k in range(150):
+        path = simulate_path(model, start, t_max, plan.stream(k))
+        expected = _reference_path(reference.transition_table, start, t_max,
+                                   plan.stream(k))
+        assert (path.times, path.states, path.t_end,
+                path.absorbed) == expected
+        assert occupation_measure(path).weights == EmpiricalLaw.from_counts(
+            _reference_occupation(*expected[:3])).weights
+        absorbed += path.absorbed
+    assert 0 < absorbed < 150
+
+
+@pytest.fixture(scope="module")
+def small_solves():
+    solves = {}
+    for name, trunc in (("constant", 15), ("catastrophe", 30),
+                        ("litter-catastrophe-2d", 12), ("callback", 12)):
+        make, start, _ = MODELS[name]
+        model = make()
+        space = enumerate_space(model.r, trunc)
+        solves[name] = (model, start, solve_qsd(assemble(model, space)))
+    return solves
+
+
+@pytest.mark.parametrize("name", ["constant", "catastrophe",
+                                  "litter-catastrophe-2d", "callback"])
+def test_qprocess_equals_the_scalar_reference(small_solves, name):
+    model, start, qsd = small_solves[name]
+    table = _reference_qtable(model, qsd)
+    plan = RngPlan(23)
+    for k in range(40):
+        path = simulate_qprocess(model, qsd, start, 40.0, plan.stream(k))
+        expected = _reference_path(table, start, 40.0, plan.stream(k))
+        assert (path.times, path.states, path.t_end,
+                path.absorbed) == expected
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_particles_equal_the_scalar_reference(name):
+    make, start, t_max = MODELS[name]
+    for seed in (0, 5):
+        result = fleming_viot(make(), start, 60, t_max, RngPlan(seed))
+        law, occupation, deaths, events = _reference_fleming_viot(
+            make(), start, 60, t_max, RngPlan(seed))
+        assert (result.deaths, result.events) == (deaths, events)
+        assert deaths > 0
+        assert result.law.weights == EmpiricalLaw.from_counts(law).weights
+        assert result.occupation.weights == EmpiricalLaw.from_counts(
+            occupation).weights
+
+
+class _Scripted:
+    """Stand-in generator that hands out given uniforms, then 0.5 forever."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0) if self.values else 0.5
+        out = [self.values.pop(0) if self.values else 0.5
+               for _ in range(size)]
+        return np.array(out)
+
+
+def _fixed_table(targets, rates, total=None):
+    if total is None:
+        total = 0.0
+        for rate in rates:
+            total += rate
+    return lambda n: (targets, rates, total)
+
+
+# Waits: 0.5 gives a short first wait, the largest float below 1 a wait far
+# beyond the horizon, so each scripted path makes exactly one move.
+_LAST_BELOW_ONE = 1.0 - 2.0 ** -53
+
+
+def test_pick_on_a_running_sum_boundary_takes_the_next_move():
+    table = _fixed_table([(6,), (7,), (4,)], [1.0, 1.0, 2.0])
+    script = [0.5, 0.25, _LAST_BELOW_ONE]  # 0.25 * 4.0 == 1.0, the first sum
+    path = _jump_path(_memo_moves(table), (5,), 1.0, _Scripted(script))
+    assert path.states == ((5,), (7,))
+    assert (path.times, path.states, path.t_end, path.absorbed) == \
+        _reference_path(table, (5,), 1.0, _Scripted(script))
+
+
+def test_pick_rounded_up_to_the_last_sum_takes_the_last_move():
+    # When the total is the in-order sum of the rates, u * total stays below
+    # the last running sum for every u < 1.  A total summed otherwise can
+    # exceed that sum by an ulp, and then u * total can round up onto it.
+    total = math.nextafter(3.0, 4.0)
+    table = _fixed_table([(6,), (0,)], [1.0, 2.0], total)
+    assert _LAST_BELOW_ONE * total == 3.0
+    script = [0.5, _LAST_BELOW_ONE]
+    path = _jump_path(_memo_moves(table), (5,), 1.0, _Scripted(script))
+    assert path.states == ((5,), (0,))
+    assert path.absorbed
+    assert (path.times, path.states, path.t_end, path.absorbed) == \
+        _reference_path(table, (5,), 1.0, _Scripted(script))
+
+
+def test_particle_pick_on_a_running_sum_boundary_takes_the_next_move():
+    # From (1,) the logistic chain has birth and death rates 1.0 and 1.0:
+    # walker 0 draws 0.5, so u * total is the first running sum and the
+    # death is picked; it teleports onto walker 1 (resampler draw 0.25).
+    # Every other wait is far beyond the horizon.
+    class Plan:
+        scripts = {0: [0.5, 0.5, _LAST_BELOW_ONE], 1: [_LAST_BELOW_ONE],
+                   2: [0.25]}
+
+        def stream(self, k):
+            return _Scripted(self.scripts[k])
+
+    result = fleming_viot(logistic_1d(), (1,), 2, 0.5, Plan())
+    law, occupation, deaths, events = _reference_fleming_viot(
+        logistic_1d(), (1,), 2, 0.5, Plan())
+    assert (result.deaths, result.events) == (deaths, events) == (1, 1)
+    assert result.law.weights == EmpiricalLaw.from_counts(law).weights
+    assert result.occupation.weights == EmpiricalLaw.from_counts(
+        occupation).weights
+
+
+def test_moves_are_computed_once_per_visited_state():
+    calls = Counter()
+
+    def birth(n):
+        calls[n] += 1
+        return [1.0 + 0.1 * n[0]]
+
+    model = Model.from_callbacks(1, 1.0, birth, lambda n: [0.3],
+                                 lambda n: [[0.2]])
+    estimate_conditional(model, (3,), 2.0, 300, RngPlan(4))
+    assert len(calls) > 5
+    assert set(calls.values()) == {1}
+    visited = set()
+    for k in range(300):
+        path = simulate_path(model, (3,), 2.0, RngPlan(4).stream(k))
+        visited.update(s for s in path.states if not is_absorbed(s))
+    assert visited == set(calls)
+    assert set(calls.values()) == {1}
