@@ -33,10 +33,9 @@ from .simulate import (ConditionalEstimate, EmpiricalLaw, ParticleResult,
                        fleming_viot, occupation_measure, simulate_path,
                        simulate_qprocess, validate_trajectory)
 from .solver import (QsdResult, SubGenerator, TruncatedSpace, assemble,
-                     conditional_path, enumerate_space, evolve_function,
-                     evolve_measure, expected_hitting_time,
-                     qprocess_generator, solve_qsd, transient_conditional,
-                     truncation_tv)
+                     conditional_moments, conditional_path, enumerate_space,
+                     evolve_function, evolve_measure, expected_hitting_time,
+                     qprocess_generator, solve_qsd, transient_conditional)
 from . import presets
 
 __version__ = "0.1.0"
@@ -56,7 +55,8 @@ __all__ = [
     "certify_survival_comparison", "check_boundary_pressure",
     "check_catastrophes", "check_competition_dominance",
     "check_conditional_drift", "check_drift", "check_growth_envelope",
-    "check_multibirth", "check_neutral_threshold", "conditional_path",
+    "check_multibirth", "check_neutral_threshold", "conditional_moments",
+    "conditional_path",
     "convergence_curve", "convergence_curves", "enumerate_space",
     "estimate_conditional", "evolve_function", "evolve_measure",
     "expected_hitting_time",
@@ -65,6 +65,6 @@ __all__ = [
     "qprocess_generator", "sample_shells", "simulate_path",
     "simulate_qprocess", "size_potential", "size_potential_bracket",
     "solve_qsd", "survival_profile_error", "transient_conditional",
-    "truncation_tv", "tv_distance",
+    "tv_distance",
     "validate_trajectory",
 ]

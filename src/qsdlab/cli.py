@@ -28,8 +28,7 @@ from collections import Counter
 import numpy as np
 
 from .config import load_config
-from .convergence import (convergence_curves, fit_rate, mixing_certificate,
-                          survival_profile_error)
+from .convergence import convergence_curves, fit_rate, mixing_certificate
 from .errors import NoFitError, NumericalError, QsdlabError, ValidationError
 from .lyapunov import (PotentialParams, check_boundary_pressure,
                        check_catastrophes, check_competition_dominance,
@@ -40,7 +39,7 @@ from .model import build_model
 from .simulate import (RngPlan, _conditional_estimate, _survivor_counts,
                        estimate_conditional, fleming_viot, occupation_measure,
                        simulate_qprocess)
-from .solver import assemble, conditional_path, enumerate_space, solve_qsd
+from .solver import assemble, enumerate_space, solve_qsd
 
 _CONDITIONAL_CHECK_CAP = 20000
 
@@ -320,11 +319,10 @@ def _cmd_check(cfg, args, out):
     ]
     space = enumerate_space(cfg.r, cfg.truncation_n)
     if len(space.states) <= _CONDITIONAL_CHECK_CAP:
-        Q = assemble(model, space)
         times = np.arange(0.0, 5.0 + 1e-12, 0.01)
-        laws, _ = conditional_path(Q, space.point_mass(_initials(cfg)[0]),
-                                   times)
-        reports.append(check_conditional_drift(model, space, times, laws, eps))
+        reports.append(check_conditional_drift(
+            model, assemble(model, space),
+            space.point_mass(_initials(cfg)[0]), times, eps))
     payload = _summary(cfg, overrides, eps=eps,
                        reports=[rep.to_dict() for rep in reports])
     report_path = os.path.join(out, "check_report.json")
@@ -382,10 +380,9 @@ def _cmd_converge(cfg, args, out):
 def _cmd_certify(cfg, args, out):
     overrides = _apply_overrides(cfg, args)
     model, space, Q, res = _solved(cfg)
-    cert = mixing_certificate(Q, res, t0=args.t0, horizon=cfg.t_max)
-    plateau = {}
-    for t in (cfg.t_max / 2.0, cfg.t_max):
-        plateau[f"t={t:g}"] = survival_profile_error(Q, res, t)
+    cert = mixing_certificate(Q, res, t0=args.t0, horizon=cfg.t_max,
+                              plateau_times=(cfg.t_max / 2.0, cfg.t_max))
+    plateau = {f"t={t:g}": gap for t, gap in cert.comparison.plateau.items()}
     summary = _summary(cfg, overrides, decay_rate=res.decay_rate,
                        certificate=cert.to_dict(),
                        survival_profile_error=plateau)

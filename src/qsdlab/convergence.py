@@ -118,12 +118,14 @@ def fit_rate(curve: ConvergenceCurve, tv_window=(1e-6, 1e-1),
                    max_log_residual=residual)
 
 
-def survival_profile_error(Q: SubGenerator, qsd: QsdResult, t: float) -> float:
+def survival_profile_error(Q: SubGenerator, qsd: QsdResult, t: float,
+                           alive=None) -> float:
     """Worst-case gap between rescaled survival and the survival profile.
 
     Computes ``exp(decay_rate * t) * P_x(alive at t)`` for every start x and
     returns the sup-norm distance to the solved survival profile.  As t
     grows the gap falls to a plateau set by the subdominant spectral mass.
+    ``alive``, the survival at t from a caller's own pass, saves the flow.
     """
     if t < 0:
         raise DomainError(f"t must be nonnegative, got {t}")
@@ -131,7 +133,8 @@ def survival_profile_error(Q: SubGenerator, qsd: QsdResult, t: float) -> float:
     if scale > 600.0:
         raise NumericalError(
             f"horizon too deep to rescale: decay_rate * t = {scale:g}")
-    alive = evolve_function(Q, np.ones(len(Q.space.states)), t)
+    if alive is None:
+        alive = evolve_function(Q, np.ones(len(Q.space.states)), t)
     return float(np.max(np.abs(math.exp(scale) * alive - qsd.survival_profile)))
 
 
@@ -223,6 +226,7 @@ class SurvivalComparisonCertificate:
     ratio: float
     worst_time: float
     reproduction: float
+    plateau: dict = field(default_factory=dict)
 
     @property
     def valid(self) -> bool:
@@ -234,8 +238,9 @@ class SurvivalComparisonCertificate:
                 "reproduction": self.reproduction, "valid": self.valid}
 
 
-def certify_survival_comparison(Q: SubGenerator, reference,
-                                times) -> SurvivalComparisonCertificate:
+def certify_survival_comparison(
+        Q: SubGenerator, reference, times, qsd: QsdResult | None = None,
+        plateau_times=()) -> SurvivalComparisonCertificate:
     """Survival from the reference state versus the luckiest start.
 
     Scans ``min_t P_ref(alive at t) / max_x P_x(alive at t)`` over the given
@@ -244,7 +249,9 @@ def certify_survival_comparison(Q: SubGenerator, reference,
     is its entry at the reference, so the ratio never exceeds 1.  The pass
     runs on the doubled grid, which adds the midpoints; the certificate is
     the minimum over the given grid points, and the gap to the minimum over
-    the doubled grid is reported as ``reproduction``.
+    the doubled grid is reported as ``reproduction``.  The same pass gives
+    ``plateau``, the :func:`survival_profile_error` of ``qsd`` at each of
+    ``plateau_times``, which join the doubled grid where they are not on it.
     """
     reference = tuple(int(v) for v in reference)
     if reference not in Q.space.index:
@@ -255,23 +262,29 @@ def certify_survival_comparison(Q: SubGenerator, reference,
     times = np.unique(times)
     if times[0] != 0.0:
         times = np.concatenate(([0.0], times))
-    fine = np.unique(np.concatenate((times, (times[1:] + times[:-1]) / 2.0)))
+    if not all(0 <= t <= times[-1] for t in plateau_times):
+        raise DomainError("plateau times must lie in [0, horizon]")
+    fine = np.unique(np.concatenate((times, (times[1:] + times[:-1]) / 2.0,
+                                     plateau_times)))
 
     ref = Q.space.index[reference]
     alive = np.ones(len(Q.space.states))
     ratios = np.empty(len(fine))
+    plateau = {}
     prev = 0.0
     for i, t in enumerate(fine):
         alive = evolve_function(Q, alive, t - prev)
         prev = t
         ratios[i] = alive[ref] / alive.max()
+        if t in plateau_times:
+            plateau[float(t)] = survival_profile_error(Q, qsd, t, alive)
     coarse = ratios[np.isin(fine, times)]
     k = int(np.argmin(coarse))
     ratio = float(coarse[k])
     return SurvivalComparisonCertificate(
         reference=reference, horizon=float(times[-1]), ratio=ratio,
         worst_time=float(times[k]),
-        reproduction=abs(ratio - float(ratios.min())))
+        reproduction=abs(ratio - float(ratios.min())), plateau=plateau)
 
 
 @dataclass(frozen=True)
@@ -298,12 +311,13 @@ class MixingCertificate:
 
 
 def mixing_certificate(Q: SubGenerator, qsd: QsdResult, t0: float,
-                       horizon: float | None = None,
-                       grid_points: int = 64) -> MixingCertificate:
+                       horizon: float | None = None, grid_points: int = 64,
+                       plateau_times=()) -> MixingCertificate:
     """Build both certificates around the law's modal state.
 
     The survival comparison is scanned on a uniform grid over ``[0,
-    horizon]`` (default ``8 * t0``).  The rate bound is
+    horizon]`` (default ``8 * t0``); its pass also gives the profile
+    error at ``plateau_times``.  The rate bound is
     ``-log(1 - product) / t0``, with ``product`` the return mass times the
     survival ratio, when both certificates are valid and ``product < 1``;
     otherwise nothing is certified and the bound is 0.
@@ -312,7 +326,8 @@ def mixing_certificate(Q: SubGenerator, qsd: QsdResult, t0: float,
         horizon = 8.0 * t0
     minor = certify_minorization(Q, t0, qsd=qsd)
     grid = np.linspace(0.0, horizon, grid_points)
-    comp = certify_survival_comparison(Q, minor.reference, grid)
+    comp = certify_survival_comparison(Q, minor.reference, grid, qsd,
+                                       plateau_times)
     product = minor.mass * comp.ratio
     certified = minor.valid and comp.valid and product < 1
     rate = -math.log1p(-product) / t0 if certified else 0.0

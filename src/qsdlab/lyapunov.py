@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
 from .model import Model, is_absorbed, is_interior
-from .solver import _lex_states
+from .solver import POISSON_TAIL, _lex_states, conditional_moments
 
 PASS = "pass-on-range"
 FAIL = "fail"
@@ -77,6 +77,14 @@ def size_potential(n, eps: float) -> float:
         return 0.0
     size = int(sum(n))
     return float(_potential_table(eps, size)[size])
+
+
+def _potential_lookup(eps: float, size: int):
+    """:func:`size_potential` for ``eps > 0``, read from a list of the
+    sizes up to ``size``."""
+    table = _potential_table(eps, size).tolist()
+    return lambda n: (size_potential(n, eps) if sum(n) > size else
+                      0.0 if is_absorbed(n) else table[sum(n)])
 
 
 def size_potential_bracket(smaller: int, larger: int, eps: float):
@@ -288,10 +296,6 @@ def _nondecreasing(values) -> bool:
     return bool(np.all(values[1:] >= prev - _MONOTONE_SLACK * np.abs(prev)))
 
 
-def _nonincreasing(values) -> bool:
-    return _nondecreasing(-np.asarray(values, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -365,6 +369,8 @@ class ConditionalDriftReport:
     worst_margin: float
     quadrature_error: float
     smallest_constant: float
+    products: int
+    poisson_tail: float
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -377,6 +383,8 @@ class ConditionalDriftReport:
             "worst_margin": self.worst_margin,
             "quadrature_error": self.quadrature_error,
             "smallest_constant": self.smallest_constant,
+            "products": self.products,
+            "poisson_tail": self.poisson_tail,
             "notes": list(self.notes),
         }
 
@@ -689,8 +697,7 @@ def check_drift(model: Model, eps: float, n_check: int = 10000) -> DriftReport:
         bound = model.litter.mean_total_size()
         if bound is not None:
             litter_slack = max(litter_slack, int(math.ceil(bound)) * 4)
-    _potential_table(eps, n_check + litter_slack + 2)
-    potential = lambda n: size_potential(n, eps)
+    potential = _potential_lookup(eps, n_check + litter_slack + 2)
 
     sw = _Sweep(model, n_check)
     sizes = sw.sizes
@@ -739,12 +746,12 @@ def check_drift(model: Model, eps: float, n_check: int = 10000) -> DriftReport:
 # conditioned-moment inequality along a semigroup trajectory
 # ---------------------------------------------------------------------------
 
-def check_conditional_drift(model: Model, space, times, laws,
+def check_conditional_drift(model: Model, Q, mu0, times,
                             eps: float) -> ConditionalDriftReport:
     """Integral form of the drift under conditioning on survival.
 
-    Given conditional laws ``laws[k]`` at uniform grid ``times[k]`` on a
-    truncated space, verifies for every k that
+    Along the conditional laws from ``mu0`` on the truncated space of ``Q``
+    at a uniform grid ``times[k]``, verifies for every k that
 
         mean of V at t_k - mean of V at t_0
             <= integral of [mean of LV - mean of V * mean of (L 1)] ds
@@ -755,6 +762,11 @@ def check_conditional_drift(model: Model, space, times, laws,
     conservative rather than tight.  Also reports the smallest constant C
     that would make the one-sided version with additive slack C + C**2
     hold at every grid point.
+
+    The laws enter only through the means of V, LV and L1, taken from one
+    power sequence by :func:`~qsdlab.solver.conditional_moments`; the report
+    gives its ``products`` and the ``poisson_tail`` discarded per grid time,
+    which does not build up over the grid as the stepped laws' tail did.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 3:
@@ -762,13 +774,11 @@ def check_conditional_drift(model: Model, space, times, laws,
     steps = np.diff(times)
     if (steps <= 0).any() or not np.allclose(steps, steps[0], rtol=1e-9):
         raise DomainError("times must be a uniform increasing grid")
-    laws = np.asarray(laws, dtype=float)
-    if laws.shape != (len(times), len(space.states)):
-        raise DomainError(f"laws must have shape {(len(times), len(space.states))}")
 
+    space = Q.space
     bound = 1.0 + 1.0 / eps
-    potential = lambda n: size_potential(n, eps)
     v = np.array([size_potential(n, eps) for n in space.states])
+    potential = _potential_lookup(eps, space.N + 1)
     drift = np.empty(len(space.states))
     kill = np.empty(len(space.states))
     for i, n in enumerate(space.states):
@@ -780,9 +790,9 @@ def check_conditional_drift(model: Model, space, times, laws,
                 dead += rate
         kill[i] = -dead
 
-    mean_v = laws @ v
-    mean_drift = laws @ drift
-    mean_kill = laws @ kill
+    means, _, products = conditional_moments(
+        Q, mu0, times, np.column_stack((v, drift, kill)))
+    mean_v, mean_drift, mean_kill = means.T
     integrand = mean_drift - mean_v * mean_kill
 
     h = float(steps[0])
@@ -832,7 +842,8 @@ def check_conditional_drift(model: Model, space, times, laws,
         notes.append("margin within quadrature error; refine the grid")
     return ConditionalDriftReport(
         verdict=verdict, eps=eps, times=times, worst_margin=worst,
-        quadrature_error=quad, smallest_constant=smallest, notes=notes)
+        quadrature_error=quad, smallest_constant=smallest, products=products,
+        poisson_tail=POISSON_TAIL, notes=notes)
 
 
 # ---------------------------------------------------------------------------

@@ -259,12 +259,19 @@ def _law_residual(y, law):
     return float(np.abs(y + decay * law).sum())
 
 
-def _poisson_weights(mean: float, tail: float):
-    """Exact Poisson weights on a window carrying all but ``tail`` mass."""
-    sd = math.sqrt(mean)
-    k_hi = int(math.ceil(mean + 10.0 * sd + 30.0))
+def _window_end(mean: float) -> int:
+    """Last index that :func:`_poisson_weights` evaluates."""
+    return int(math.ceil(mean + 10.0 * math.sqrt(mean) + 30.0))
+
+
+def _poisson_weights(mean: float, tail: float, log_factorials=None):
+    """Exact Poisson weights on a window carrying all but ``tail`` mass;
+    ``log k!`` up to :func:`_window_end` may be passed precomputed."""
+    k_hi = _window_end(mean)
     ks = np.arange(0, k_hi + 1, dtype=float)
-    weights = np.exp(-mean + ks * math.log(mean) - gammaln(ks + 1.0))
+    if log_factorials is None:
+        log_factorials = gammaln(ks + 1.0)
+    weights = np.exp(-mean + ks * math.log(mean) - log_factorials[:k_hi + 1])
     cum = np.cumsum(weights)
     total = cum[-1]
     first = int(np.searchsorted(cum, 0.5 * tail, side="right"))
@@ -290,6 +297,18 @@ def _check_block(Q, block, name):
     return block
 
 
+def _powers(mat, lam, p, count):
+    """Yield ``p, P p, ..., P^count p`` for ``P = I + mat/lam``, one product
+    per power: the one uniformized step."""
+    yield p
+    for _ in range(count):
+        step = mat @ p
+        step /= lam
+        step += p
+        p = step
+        yield p
+
+
 def _flow(mat, lam, block, t):
     """Uniformized ``sum_k Poisson(lam t; k) (I + mat/lam)^k block``.
 
@@ -305,16 +324,9 @@ def _flow(mat, lam, block, t):
         return block.copy()
     first, last, weights = _poisson_weights(lam * t, POISSON_TAIL)
     acc = np.zeros_like(block)
-    p = block
-    for k in range(last + 1):
+    for k, p in enumerate(_powers(mat, lam, block, last)):
         if k >= first:
             acc += weights[k] * p
-        if k < last:
-            # p + (mat @ p) / lam, in place on the fresh product
-            step = mat @ p
-            step /= lam
-            step += p
-            p = step
     return acc
 
 
@@ -358,24 +370,31 @@ def transient_conditional(Q: SubGenerator, mu0: np.ndarray, t: float):
     return nu / survival, survival
 
 
+def _check_grid(times):
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) == 0:
+        raise DomainError("times must be a non-empty 1-d grid")
+    if times[0] < 0 or (np.diff(times) <= 0).any():
+        raise DomainError("times must be nonnegative and strictly increasing")
+    return times
+
+
 def conditional_path(Q: SubGenerator, mu0: np.ndarray, times):
     """Conditional laws and survival probabilities along an increasing grid.
 
     Steps the unnormalized measure from grid point to grid point (the flow
-    property makes this exact up to the Poisson tail), so a fine grid costs
-    little more than its largest time.  ``mu0`` is one initial law of shape
-    ``(n,)`` or ``k`` initial laws as the columns of an ``(n, k)`` block,
+    property makes this exact up to the Poisson tail).  Each step pays its
+    own Poisson window, several times the products of one flow to the last
+    time on a fine grid; :func:`conditional_moments` avoids that when only
+    linear functionals of the laws are read.  ``mu0`` is one initial law of
+    shape ``(n,)`` or ``k`` initial laws as the columns of an ``(n, k)`` block,
     which are all stepped together.  Returns ``(laws, survivals)`` with one
     entry per grid time: ``laws[i]`` has the shape of ``mu0`` and
     ``survivals[i]`` is a number per column.  Each column's mass is summed
     on its own, so a column gets the same bits as a run from it alone.
     """
     mu0 = _check_block(Q, mu0, "mu0")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) == 0:
-        raise DomainError("times must be a non-empty 1-d grid")
-    if times[0] < 0 or (np.diff(times) <= 0).any():
-        raise DomainError("times must be nonnegative and strictly increasing")
+    times = _check_grid(times)
     columns = mu0.reshape(len(mu0), -1)
     laws = np.empty((len(times),) + columns.shape)
     survivals = np.empty((len(times), columns.shape[1]))
@@ -394,6 +413,46 @@ def conditional_path(Q: SubGenerator, mu0: np.ndarray, times):
         laws[i] = nu / mass
     shape = (len(times),) + mu0.shape
     return laws.reshape(shape), survivals.reshape(shape[:1] + mu0.shape[1:])
+
+
+def conditional_moments(Q: SubGenerator, mu0: np.ndarray, times, F):
+    """``laws @ F`` for the laws of :func:`conditional_path`, up to
+    rounding, from one sequence of powers and no law.
+
+    ``nu_t . f = sum_k Poisson(Lambda t; k) (mu0 P^k) . f`` at every grid
+    time, each on its own window carrying all but ``POISSON_TAIL``, so the
+    discarded tail does not build up along the grid.  ``mu0`` has shape
+    ``(n,)`` and ``F`` is ``(n, k)``.  Returns the ``(len(times), k)``
+    conditional means, the survival mass per grid time, and the number of
+    matrix-vector products.
+    """
+    mu0 = _check_vector(Q, mu0, "mu0")
+    times = _check_grid(times)
+    F = np.asarray(F, dtype=float)
+    if F.ndim != 2 or F.shape[0] != len(mu0):
+        raise DomainError(f"F has shape {F.shape}, expected ({len(mu0)}, k)")
+    F = np.column_stack((np.ones(len(mu0)), F))
+    log_factorials = gammaln(
+        np.arange(_window_end(Q.lam * times[-1]) + 1) + 1.0)
+    powers = (p @ F for p in _powers(Q.matrix_t, Q.lam, mu0,
+                                     len(log_factorials) - 1))
+    s = np.empty((len(log_factorials), F.shape[1]))  # s[k] = (mu0 P^k) F
+    values = np.empty((len(times), F.shape[1]))
+    filled = 0
+    for i, t in enumerate(times):
+        first, last, weights = (0, 0, np.ones(1)) if t == 0 else \
+            _poisson_weights(Q.lam * t, POISSON_TAIL, log_factorials)
+        for k in range(filled, last + 1):
+            s[k] = next(powers)
+        filled = max(filled, last + 1)
+        values[i] = weights[first:last + 1] @ s[first:last + 1]
+    products = filled - 1
+    survivals = values[:, 0]
+    low = np.flatnonzero(survivals < SURVIVAL_FLOOR)
+    if len(low):
+        raise ConditioningImpossibleError(
+            f"survival mass underflowed at grid time {times[low[0]]}")
+    return values[:, 1:] / survivals[:, None], survivals, products
 
 
 def expected_hitting_time(model: Model, space: TruncatedSpace, goal) -> np.ndarray:
@@ -440,21 +499,3 @@ def qprocess_generator(Q: SubGenerator, qsd: QsdResult) -> sparse.csr_matrix:
     out = sparse.coo_matrix((vals, (mat.row, mat.col)), shape=mat.shape).tocsr()
     out = out + qsd.decay_rate * sparse.identity(mat.shape[0], format="csr")
     return out.tocsr()
-
-
-def truncation_tv(model: Model, N: int, factor: int = 2,
-                  tol: float = 1e-12, max_iter: int = 10 ** 6) -> float:
-    """Total-variation gap between the laws solved at N and at factor*N.
-
-    The small-space law is embedded into the larger space with zero padding;
-    the gap is the standard diagnostic for whether the truncation is generous
-    enough.
-    """
-    small = enumerate_space(model.r, N)
-    big = enumerate_space(model.r, factor * N)
-    qsd_small = solve_qsd(assemble(model, small), tol=tol, max_iter=max_iter)
-    qsd_big = solve_qsd(assemble(model, big), tol=tol, max_iter=max_iter)
-    padded = np.zeros(len(big.states))
-    for state, mass in zip(small.states, qsd_small.law):
-        padded[big.index[state]] = mass
-    return 0.5 * float(np.abs(padded - qsd_big.law).sum())

@@ -50,7 +50,6 @@ from qsdlab.simulate import (
 )
 from qsdlab.solver import (
     assemble,
-    conditional_path,
     enumerate_space,
     evolve_function,
     qprocess_generator,
@@ -273,9 +272,8 @@ def test_criterion_06_potential_drift_machinery(gate, ref2d_system):
     mu0 = np.zeros(len(space.states))
     mu0[space.index[(30, 29)]] = 1.0
     times = np.arange(0.0, 5.0 + 1e-12, 0.01)
-    laws, _ = conditional_path(generator, mu0, times)
     conditioned = check_conditional_drift(
-        model, space, times, laws, eps=PotentialParams.for_model(model).eps)
+        model, generator, mu0, times, eps=PotentialParams.for_model(model).eps)
 
     ok = (bounds_ok and sandwich_ok
           and drift.verdict == "pass-on-range"

@@ -12,10 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qsdlab import convergence
 from qsdlab.cli import main
 from qsdlab.config import load_config
+from qsdlab.convergence import mixing_certificate
 from qsdlab.errors import ValidationError
 from qsdlab.model import build_model
+from qsdlab.solver import assemble, enumerate_space, evolve_function, solve_qsd
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -318,6 +321,36 @@ def test_certify_writes_the_mixing_certificate(tmp_path):
     assert cert["valid"] is True
     assert cert["rate_bound"] > 0
     assert cert["minorization"]["mass"] > 0
+
+
+def test_certify_reads_the_plateau_from_the_comparison_pass(tmp_path,
+                                                            monkeypatch):
+    """The plateau costs no flow of its own: ``certify`` makes exactly the
+    semigroup calls of the mixing certificate alone."""
+    calls = []
+
+    def counting(Q, f, t):
+        calls.append(t)
+        return evolve_function(Q, f, t)
+
+    monkeypatch.setattr(convergence, "evolve_function", counting)
+    cfg = load_config(str(CONFIGS / "logistic1d.cfg"))
+    model = build_model(cfg)
+    Q = assemble(model, enumerate_space(cfg.r, cfg.truncation_n))
+    res = solve_qsd(Q, tol=cfg.tol, max_iter=cfg.max_iter)
+    mixing_certificate(Q, res, t0=1.0, horizon=cfg.t_max)
+    alone = len(calls)
+    calls.clear()
+    out = tmp_path / "out"
+    assert main(["certify", "--config", str(CONFIGS / "logistic1d.cfg"),
+                 "--out", str(out)]) == 0
+    assert len(calls) == alone
+    payload = json.loads((out / "mixing_certificate.json").read_text())
+    plateau = payload["survival_profile_error"]
+    assert sorted(plateau) == ["t=10", "t=5"]
+    for key, t in (("t=5", 5.0), ("t=10", 10.0)):
+        assert plateau[key] == pytest.approx(
+            convergence.survival_profile_error(Q, res, t), abs=1e-10)
 
 
 def test_certify_at_zero_horizon_does_not_certify(tmp_path):

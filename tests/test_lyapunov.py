@@ -25,9 +25,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsdlab.errors import DomainError
+from qsdlab import lyapunov
+from qsdlab.errors import DomainError, ValidationError
 from qsdlab.lyapunov import (
     PotentialParams,
+    _potential_lookup,
     apply_generator,
     check_boundary_pressure,
     check_catastrophes,
@@ -51,7 +53,8 @@ from qsdlab.presets import (
     reference_2d,
     strong_intra_2d,
 )
-from qsdlab.solver import assemble, conditional_path, enumerate_space
+from qsdlab.solver import (POISSON_TAIL, assemble, conditional_path,
+                           enumerate_space)
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +355,15 @@ def _conditional_ingredients(initial, n_max, t_max, h):
     mu0 = np.zeros(len(space.states))
     mu0[space.index[initial]] = 1.0
     times = np.arange(0.0, t_max + 1e-12, h)
-    laws, _ = conditional_path(generator, mu0, times)
-    return model, space, times, laws
+    return model, generator, mu0, times
 
 
 def test_conditional_drift_margin_shrinks_with_the_grid():
     margins = {}
     for h in (0.002, 0.001):
-        model, space, times, laws = _conditional_ingredients((12,), 25, 3.0, h)
-        report = check_conditional_drift(model, space, times, laws, eps=0.5)
+        model, generator, mu0, times = _conditional_ingredients(
+            (12,), 25, 3.0, h)
+        report = check_conditional_drift(model, generator, mu0, times, eps=0.5)
         # interior start: leakage is nil, so the relation is an identity and
         # the honest verdict stays inconclusive at any resolution ...
         assert report.verdict == "inconclusive"
@@ -374,8 +377,7 @@ def test_conditional_drift_passes_with_real_edge_pressure(ref2d_system):
     mu0 = np.zeros(len(space.states))
     mu0[space.index[(30, 29)]] = 1.0
     times = np.arange(0.0, 5.0 + 1e-12, 0.01)
-    laws, _ = conditional_path(generator, mu0, times)
-    report = check_conditional_drift(model, space, times, laws,
+    report = check_conditional_drift(model, generator, mu0, times,
                                      eps=PotentialParams.for_model(model).eps)
     assert report.verdict == "pass-on-range"
     assert report.worst_margin > 0
@@ -383,17 +385,74 @@ def test_conditional_drift_passes_with_real_edge_pressure(ref2d_system):
 
 
 def test_conditional_drift_flags_underresolved_grids():
-    model, space, times, laws = _conditional_ingredients((39,), 40, 1.0, 0.01)
-    report = check_conditional_drift(model, space, times, laws, eps=0.25)
+    model, generator, mu0, times = _conditional_ingredients(
+        (39,), 40, 1.0, 0.01)
+    report = check_conditional_drift(model, generator, mu0, times, eps=0.25)
     assert report.verdict == "inconclusive"
 
 
+def _stepped_moments(Q, mu0, times, F):
+    """The earlier route: conditional laws stepped over the grid, then
+    contracted with ``F``."""
+    laws, survivals = conditional_path(Q, mu0, times)
+    return laws @ F, survivals, 0
+
+
+@pytest.mark.parametrize("case", ["ref2d-edge", "ref2d-corner", "logistic",
+                                  "underresolved"])
+def test_conditional_drift_matches_the_stepped_laws(case, ref2d_system,
+                                                    monkeypatch):
+    if case.startswith("ref2d"):
+        model, space, generator, _ = ref2d_system
+        mu0 = np.zeros(len(space.states))
+        mu0[space.index[(30, 29) if case == "ref2d-edge" else (1, 1)]] = 1.0
+        times = np.arange(0.0, 5.0 + 1e-12, 0.01)
+        eps = PotentialParams.for_model(model).eps
+    elif case == "logistic":
+        model, generator, mu0, times = _conditional_ingredients(
+            (1,), 50, 5.0, 0.01)
+        eps = 0.5
+    else:
+        model, generator, mu0, times = _conditional_ingredients(
+            (39,), 40, 1.0, 0.01)
+        eps = 0.25
+    report = check_conditional_drift(model, generator, mu0, times, eps)
+    monkeypatch.setattr(lyapunov, "conditional_moments", _stepped_moments)
+    stepped = check_conditional_drift(model, generator, mu0, times, eps)
+    assert report.verdict == stepped.verdict
+    assert report.notes == stepped.notes
+    for name in ("worst_margin", "quadrature_error", "smallest_constant"):
+        assert getattr(report, name) == pytest.approx(
+            getattr(stepped, name), rel=1e-12, abs=1e-13)
+    data = report.to_dict()
+    assert list(data) == ["name", "verdict", "eps", "t_max", "grid_points",
+                          "worst_margin", "quadrature_error",
+                          "smallest_constant", "products", "poisson_tail",
+                          "notes"]
+    assert data["poisson_tail"] == POISSON_TAIL
+    lam_t = generator.lam * times[-1]
+    assert 0 < data["products"] <= math.ceil(
+        lam_t + 10.0 * math.sqrt(lam_t) + 30.0)
+
+
+def test_potential_lookup_matches_the_potential():
+    for eps in (0.25, 0.5):
+        potential = _potential_lookup(eps, 60)
+        for n in [(1,), (7,), (61,), (5000,), (0,), (0, 3), (2, 3),
+                  (3000, 2500)]:
+            assert potential(n) == size_potential(n, eps)
+    model, generator, mu0, times = _conditional_ingredients((5,), 10, 0.5, 0.1)
+    with pytest.raises(ValidationError):
+        check_conditional_drift(model, generator, mu0, times, eps=-0.5)
+
+
 def test_conditional_drift_rejects_nonuniform_grids():
-    model, space, times, laws = _conditional_ingredients((5,), 10, 0.5, 0.1)
+    model, generator, mu0, times = _conditional_ingredients(
+        (5,), 10, 0.5, 0.1)
     bad_times = times.copy()
     bad_times[-1] += 0.05
     with pytest.raises(DomainError):
-        check_conditional_drift(model, space, bad_times, laws, eps=0.5)
+        check_conditional_drift(model, generator, mu0, bad_times, eps=0.5)
 
 
 # ---------------------------------------------------------------------------

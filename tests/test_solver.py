@@ -33,6 +33,7 @@ from qsdlab.model import Model
 from qsdlab.presets import logistic_1d, reference_2d
 from qsdlab.solver import (
     assemble,
+    conditional_moments,
     conditional_path,
     enumerate_space,
     evolve_function,
@@ -346,6 +347,80 @@ def test_conditioning_fails_when_survival_underflows(two_state):
     *_, generator = two_state
     with pytest.raises(ConditioningImpossibleError):
         transient_conditional(generator, np.array([1.0, 0.0]), 700.0)
+
+
+# ---------------------------------------------------------------------------
+# conditional moments: every grid time from one sequence of powers
+# ---------------------------------------------------------------------------
+
+
+class _CountingMatrix:
+    """Delegates ``@`` to a sparse matrix and counts the products."""
+
+    def __init__(self, mat):
+        self.mat = mat
+        self.products = 0
+
+    def __matmul__(self, p):
+        self.products += 1
+        return self.mat @ p
+
+
+@pytest.mark.parametrize("model, r, n_max, start", [
+    (reference_2d(), 2, 30, (1, 1)),
+    (logistic_1d(), 1, 50, (1,)),
+], ids=["ref2d", "logistic1d"])
+def test_moments_equal_the_contracted_conditional_path(model, r, n_max, start,
+                                                       delta_start):
+    generator = assemble(model, enumerate_space(r, n_max))
+    mu0 = delta_start(generator.space, start)
+    F = np.random.default_rng(13).normal(size=(len(mu0), 3))
+    times = np.arange(0.0, 5.0 + 1e-12, 0.01)
+    laws, survivals = conditional_path(generator, mu0, times)
+    expected = laws @ F
+    counting = _CountingMatrix(generator.matrix_t)
+    generator.__dict__["matrix_t"] = counting
+    try:
+        means, mass, products = conditional_moments(generator, mu0, times, F)
+    finally:
+        generator.__dict__["matrix_t"] = counting.mat
+    assert means.shape == expected.shape and mass.shape == times.shape
+    scale = np.abs(expected).max(axis=0)
+    assert (np.abs(means - expected).max(axis=0) <= 1e-12 * scale).all()
+    assert np.array_equal(means[0], mu0 @ F) and mass[0] == 1.0
+    assert np.allclose(mass, survivals, rtol=1e-9, atol=0.0)
+    # one product per power beyond the zeroth, up to the largest window end
+    lam_t = generator.lam * times[-1]
+    assert counting.products == products
+    bound = math.ceil(lam_t + 10.0 * math.sqrt(lam_t) + 30.0)
+    assert products + 1 <= bound + 1
+
+
+def test_moments_match_single_shot_flows_on_a_coarse_grid(two_state):
+    """Each grid time is weighted on its own window, as a flow from 0 is."""
+    *_, generator = two_state
+    mu0 = np.array([1.0, 0.0])
+    times = np.array([0.0, 0.5, 1.25, 3.0])
+    F = np.array([[1.0, 2.0], [3.0, -1.0]])
+    means, mass, _ = conditional_moments(generator, mu0, times, F)
+    for k, t in enumerate(times):
+        mu, survival = transient_conditional(generator, mu0, float(t))
+        assert np.abs(means[k] - mu @ F).max() < 1e-14
+        assert mass[k] == pytest.approx(survival, rel=1e-12)
+
+
+def test_moments_reject_bad_inputs_and_underflow(two_state):
+    *_, generator = two_state
+    mu0 = np.array([1.0, 0.0])
+    for bad in (np.ones(2), np.ones((3, 2)), np.ones((2, 2, 1))):
+        with pytest.raises(DomainError):
+            conditional_moments(generator, mu0, [0.5, 1.0], bad)
+    with pytest.raises(DomainError):
+        conditional_moments(generator, mu0, [1.0, 0.5], np.ones((2, 1)))
+    with pytest.raises(DomainError):
+        conditional_moments(generator, np.ones((2, 2)), [1.0], np.ones((2, 1)))
+    with pytest.raises(ConditioningImpossibleError, match="700"):
+        conditional_moments(generator, mu0, [1.0, 700.0], np.ones((2, 1)))
 
 
 # ---------------------------------------------------------------------------
