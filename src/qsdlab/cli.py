@@ -380,8 +380,7 @@ def _cmd_converge(cfg, args, out):
 def _cmd_certify(cfg, args, out):
     overrides = _apply_overrides(cfg, args)
     model, space, Q, res = _solved(cfg)
-    cert = mixing_certificate(Q, res, t0=args.t0, horizon=cfg.t_max,
-                              plateau_times=(cfg.t_max / 2.0, cfg.t_max))
+    cert = mixing_certificate(Q, res, t0=args.t0, horizon=cfg.t_max)
     plateau = {f"t={t:g}": gap for t, gap in cert.comparison.plateau.items()}
     summary = _summary(cfg, overrides, decay_rate=res.decay_rate,
                        certificate=cert.to_dict(),

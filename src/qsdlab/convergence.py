@@ -239,8 +239,8 @@ class SurvivalComparisonCertificate:
 
 
 def certify_survival_comparison(
-        Q: SubGenerator, reference, times, qsd: QsdResult | None = None,
-        plateau_times=()) -> SurvivalComparisonCertificate:
+        Q: SubGenerator, reference, times,
+        qsd: QsdResult | None = None) -> SurvivalComparisonCertificate:
     """Survival from the reference state versus the luckiest start.
 
     Scans ``min_t P_ref(alive at t) / max_x P_x(alive at t)`` over the given
@@ -249,9 +249,9 @@ def certify_survival_comparison(
     is its entry at the reference, so the ratio never exceeds 1.  The pass
     runs on the doubled grid, which adds the midpoints; the certificate is
     the minimum over the given grid points, and the gap to the minimum over
-    the doubled grid is reported as ``reproduction``.  The same pass gives
-    ``plateau``, the :func:`survival_profile_error` of ``qsd`` at each of
-    ``plateau_times``, which join the doubled grid where they are not on it.
+    the doubled grid is reported as ``reproduction``.  Given ``qsd``, the same
+    pass gives ``plateau``, the :func:`survival_profile_error` at half the
+    horizon and at the horizon, which join the doubled grid if off it.
     """
     reference = tuple(int(v) for v in reference)
     if reference not in Q.space.index:
@@ -262,10 +262,9 @@ def certify_survival_comparison(
     times = np.unique(times)
     if times[0] != 0.0:
         times = np.concatenate(([0.0], times))
-    if not all(0 <= t <= times[-1] for t in plateau_times):
-        raise DomainError("plateau times must lie in [0, horizon]")
+    probes = () if qsd is None else (times[-1] / 2.0, times[-1])
     fine = np.unique(np.concatenate((times, (times[1:] + times[:-1]) / 2.0,
-                                     plateau_times)))
+                                     probes)))
 
     ref = Q.space.index[reference]
     alive = np.ones(len(Q.space.states))
@@ -276,7 +275,7 @@ def certify_survival_comparison(
         alive = evolve_function(Q, alive, t - prev)
         prev = t
         ratios[i] = alive[ref] / alive.max()
-        if t in plateau_times:
+        if t in probes:
             plateau[float(t)] = survival_profile_error(Q, qsd, t, alive)
     coarse = ratios[np.isin(fine, times)]
     k = int(np.argmin(coarse))
@@ -311,13 +310,14 @@ class MixingCertificate:
 
 
 def mixing_certificate(Q: SubGenerator, qsd: QsdResult, t0: float,
-                       horizon: float | None = None, grid_points: int = 64,
-                       plateau_times=()) -> MixingCertificate:
+                       horizon: float | None = None,
+                       grid_points: int = 64) -> MixingCertificate:
     """Build both certificates around the law's modal state.
 
     The survival comparison is scanned on a uniform grid over ``[0,
     horizon]`` (default ``8 * t0``); its pass also gives the profile
-    error at ``plateau_times``.  The rate bound is
+    plateau, so a horizon too deep for :func:`survival_profile_error`
+    raises its :class:`NumericalError`.  The rate bound is
     ``-log(1 - product) / t0``, with ``product`` the return mass times the
     survival ratio, when both certificates are valid and ``product < 1``;
     otherwise nothing is certified and the bound is 0.
@@ -326,8 +326,7 @@ def mixing_certificate(Q: SubGenerator, qsd: QsdResult, t0: float,
         horizon = 8.0 * t0
     minor = certify_minorization(Q, t0, qsd=qsd)
     grid = np.linspace(0.0, horizon, grid_points)
-    comp = certify_survival_comparison(Q, minor.reference, grid, qsd,
-                                       plateau_times)
+    comp = certify_survival_comparison(Q, minor.reference, grid, qsd)
     product = minor.mass * comp.ratio
     certified = minor.valid and comp.valid and product < 1
     rate = -math.log1p(-product) / t0 if certified else 0.0

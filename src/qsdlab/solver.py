@@ -416,15 +416,13 @@ def conditional_path(Q: SubGenerator, mu0: np.ndarray, times):
 
 
 def conditional_moments(Q: SubGenerator, mu0: np.ndarray, times, F):
-    """``laws @ F`` for the laws of :func:`conditional_path`, up to
-    rounding, from one sequence of powers and no law.
+    """``laws @ F`` for the laws of :func:`conditional_path`, up to rounding,
+    from the scalars ``(mu0 P^k) F`` of one power sequence and no law.
 
-    ``nu_t . f = sum_k Poisson(Lambda t; k) (mu0 P^k) . f`` at every grid
-    time, each on its own window carrying all but ``POISSON_TAIL``, so the
-    discarded tail does not build up along the grid.  ``mu0`` has shape
-    ``(n,)`` and ``F`` is ``(n, k)``.  Returns the ``(len(times), k)``
-    conditional means, the survival mass per grid time, and the number of
-    matrix-vector products.
+    Each grid time weights them on its own Poisson window, so the discarded
+    ``POISSON_TAIL`` does not build up along the grid.  ``mu0`` is ``(n,)``
+    and ``F`` is ``(n, k)``.  Returns the ``(len(times), k)`` conditional
+    means, the survival mass per grid time and the number of products.
     """
     mu0 = _check_vector(Q, mu0, "mu0")
     times = _check_grid(times)
@@ -432,27 +430,17 @@ def conditional_moments(Q: SubGenerator, mu0: np.ndarray, times, F):
     if F.ndim != 2 or F.shape[0] != len(mu0):
         raise DomainError(f"F has shape {F.shape}, expected ({len(mu0)}, k)")
     F = np.column_stack((np.ones(len(mu0)), F))
-    log_factorials = gammaln(
-        np.arange(_window_end(Q.lam * times[-1]) + 1) + 1.0)
-    powers = (p @ F for p in _powers(Q.matrix_t, Q.lam, mu0,
-                                     len(log_factorials) - 1))
-    s = np.empty((len(log_factorials), F.shape[1]))  # s[k] = (mu0 P^k) F
-    values = np.empty((len(times), F.shape[1]))
-    filled = 0
-    for i, t in enumerate(times):
-        first, last, weights = (0, 0, np.ones(1)) if t == 0 else \
-            _poisson_weights(Q.lam * t, POISSON_TAIL, log_factorials)
-        for k in range(filled, last + 1):
-            s[k] = next(powers)
-        filled = max(filled, last + 1)
-        values[i] = weights[first:last + 1] @ s[first:last + 1]
-    products = filled - 1
-    survivals = values[:, 0]
-    low = np.flatnonzero(survivals < SURVIVAL_FLOOR)
-    if len(low):
+    log_factorials = gammaln(np.arange(_window_end(Q.lam * times[-1]) + 1) + 1.0)
+    window = lambda t: ((0, 0, np.ones(1)) if t == 0 else _poisson_weights(
+        Q.lam * t, POISSON_TAIL, log_factorials))
+    products = window(times[-1])[1]
+    s = np.array([p @ F for p in _powers(Q.matrix_t, Q.lam, mu0, products)])
+    values = np.array([w[a:b + 1] @ s[a:b + 1] for a, b, w in map(window, times)])
+    low = values[:, 0] < SURVIVAL_FLOOR
+    if low.any():
         raise ConditioningImpossibleError(
-            f"survival mass underflowed at grid time {times[low[0]]}")
-    return values[:, 1:] / survivals[:, None], survivals, products
+            f"survival mass underflowed at grid time {times[low.argmax()]}")
+    return values[:, 1:] / values[:, :1], values[:, 0], products
 
 
 def expected_hitting_time(model: Model, space: TruncatedSpace, goal) -> np.ndarray:
