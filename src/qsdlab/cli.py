@@ -197,12 +197,9 @@ def _cmd_solve(cfg, args, out):
     return 0
 
 
-def _simulate_chunk(config_path, trunc, initial, t, seed, first, count):
-    cfg = load_config(config_path)
-    if trunc is not None:
-        cfg.truncation_n = trunc
-    return _survivor_counts(build_model(cfg), initial, t, RngPlan(seed),
-                            first, count)
+def _simulate_chunk(cfg, initial, first, count):
+    return _survivor_counts(build_model(cfg), initial, cfg.t_max,
+                            RngPlan(cfg.seed), first, count)
 
 
 def _cmd_simulate(cfg, args, out):
@@ -217,8 +214,7 @@ def _cmd_simulate(cfg, args, out):
         first = 0
         for w in range(workers):
             count = base + (1 if w < extra else 0)
-            chunks.append((args.config, args.trunc, initial, cfg.t_max,
-                           cfg.seed, first, count))
+            chunks.append((cfg, initial, first, count))
             first += count
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             parts = pool.starmap(_simulate_chunk, chunks)

@@ -686,11 +686,8 @@ def check_drift(model: Model, eps: float, n_check: int = 10000) -> DriftReport:
     re-verifies the witnessed affine bound at every sampled state before
     reporting it.
     """
-    beta2 = model.beta2 if model.beta2 is not None else 0.0
-    high = model.gamma * (1.0 - beta2)
-    if not 0.0 < eps < high:
-        raise DomainError(f"eps {eps} outside the admissible window (0, {high})")
-    exponent = model.gamma - eps - model.gamma * beta2
+    PotentialParams.for_model(model, eps)
+    exponent = model.gamma - eps - model.gamma * (model.beta2 or 0.0)
 
     litter_slack = 8
     if model.litter is not None:

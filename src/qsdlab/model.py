@@ -123,9 +123,11 @@ class Model:
     interaction matrix.  ``beta1``/``beta2`` are the optional growth/decay
     exponents used by the hypothesis checkers.  ``family`` records how the
     model was built ("constant", "power-law", "tabulated" or "callback") and
-    the ``*_coef`` fields keep the raw coefficient data when it exists, so
-    structural checks can inspect it exactly.
+    ``c_coef`` keeps the raw competition matrix when it exists, so the
+    neutral-threshold check can inspect it exactly.
 
+    One kernel turns these callables into the moves out of a state, whatever
+    the family; only callback models have their rates validated per state.
     Every rate callable must be a function of the state alone: the
     simulators evaluate each state's moves once and reuse them for the life
     of the model.
@@ -142,8 +144,6 @@ class Model:
     catastrophe: Callable | None = None
     litter: LitterLaw | None = None
     validate_rates: bool = True
-    b_coef: np.ndarray | None = field(default=None, repr=False)
-    d_coef: np.ndarray | None = field(default=None, repr=False)
     c_coef: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -174,7 +174,7 @@ class Model:
                    birth=lambda n: bv, death=lambda n: dv, competition=lambda n: cm,
                    family="constant", beta1=0.0, beta2=0.0,
                    catastrophe=catastrophe, litter=litter,
-                   b_coef=bv, d_coef=dv, c_coef=cm)
+                   c_coef=cm)
 
     @classmethod
     def power_law(cls, b, d, c, gamma, beta1, beta2, catastrophe=None, litter=None):
@@ -199,7 +199,7 @@ class Model:
         return cls(r=len(b), gamma=float(gamma), birth=birth, death=death,
                    competition=competition, family="power-law",
                    beta1=beta1, beta2=beta2, catastrophe=catastrophe, litter=litter,
-                   b_coef=bv, d_coef=dv, c_coef=cm)
+                   c_coef=cm)
 
     @classmethod
     def tabulated(cls, b_table, d_table, c_table, gamma,
@@ -262,9 +262,7 @@ class Model:
 
     @cached_property
     def _kernel(self):
-        if self.family == "constant" and self.catastrophe is None and self.litter is None:
-            return _constant_kernel(self)
-        return _generic_kernel(self)
+        return _rate_kernel(self)
 
     @cached_property
     def _moves(self):
@@ -312,48 +310,10 @@ def _require_positive_diag(b, c):
                               "chain irreducible on the truncated space)")
 
 
-def _constant_kernel(model):
-    # Pure-float hot path: simulation spends nearly all of its time here.
+def _rate_kernel(model):
     r = model.r
     gamma = model.gamma
-    b = [float(x) for x in model.b_coef]
-    d = [float(x) for x in model.d_coef]
-    c = [[float(x) for x in row] for row in model.c_coef]
-    types = range(r)
-
-    def kernel(n):
-        targets = []
-        rates = []
-        total = 0.0
-        for j in types:
-            nj = n[j]
-            rate = nj * b[j]
-            if rate > 0.0:
-                targets.append(n[:j] + (nj + 1,) + n[j + 1:])
-                rates.append(rate)
-                total += rate
-        for j in types:
-            nj = n[j]
-            cj = c[j]
-            press = 0.0
-            for k in types:
-                press += cj[k] * n[k]
-            rate = nj * (d[j] + press ** gamma)
-            if rate > 0.0:
-                targets.append(n[:j] + (nj - 1,) + n[j + 1:])
-                rates.append(rate)
-                total += rate
-        if not total < math.inf:
-            raise RateOverflowError(f"total rate out of state {n} is not finite")
-        return targets, rates, total
-
-    return kernel
-
-
-def _generic_kernel(model):
-    r = model.r
-    gamma = model.gamma
-    validate = model.validate_rates and model.family in ("callback",)
+    validate = model.validate_rates and model.family == "callback"
     marker = absorbed_marker(r)
     types = range(r)
 
@@ -368,7 +328,7 @@ def _generic_kernel(model):
                 raise ValidationError(f"d(n) and c(n) must be nonnegative at {n}")
             if not (np.diag(cmat) > 0).all():
                 raise ValidationError(f"c_ii(n) must be positive at interior {n}")
-        press = cmat @ np.asarray(n, dtype=float)
+        b, d, c = bvec.tolist(), dvec.tolist(), cmat.tolist()
 
         targets = []
         rates = []
@@ -376,7 +336,7 @@ def _generic_kernel(model):
         litter = model.litter.entries_for(n) if model.litter is not None else None
         for j in types:
             nj = n[j]
-            base = nj * float(bvec[j])
+            base = nj * b[j]
             if base <= 0.0:
                 continue
             if litter is None:
@@ -391,7 +351,11 @@ def _generic_kernel(model):
                     total += rate
         for j in types:
             nj = n[j]
-            rate = nj * (float(dvec[j]) + float(press[j]) ** gamma)
+            # A scalar sum in index order: a matrix product rounds differently.
+            press = 0.0
+            for cjk, nk in zip(c[j], n):
+                press += cjk * nk
+            rate = nj * (d[j] + press ** gamma)
             if rate > 0.0:
                 targets.append(n[:j] + (nj - 1,) + n[j + 1:])
                 rates.append(rate)

@@ -443,8 +443,8 @@ def conditional_moments(Q: SubGenerator, mu0: np.ndarray, times, F):
     return values[:, 1:] / values[:, :1], values[:, 0], products
 
 
-def expected_hitting_time(model: Model, space: TruncatedSpace, goal) -> np.ndarray:
-    """Expected time to reach the set ``goal`` or be absorbed, per start state.
+def expected_hitting_time(Q: SubGenerator, goal) -> np.ndarray:
+    """Expected time to reach the set ``goal`` or be absorbed, per state of ``Q``.
 
     Solves the linear system ``(Q u)(n) = -1`` off ``goal`` with ``u = 0`` on
     it; killing at the truncation edge makes the answer an approximation from
@@ -453,16 +453,13 @@ def expected_hitting_time(model: Model, space: TruncatedSpace, goal) -> np.ndarr
     goal = list(goal)
     if goal and not isinstance(goal[0], tuple):
         goal = [tuple(int(v) for v in goal)]  # a single state was passed
-    goal = set(goal)
+    index = Q.space.index
+    keep = np.ones(len(index), dtype=bool)
     for g in goal:
-        if g not in space.index:
+        if g not in index:
             raise DomainError(f"goal state {g} is not in the truncated space")
-    Q = assemble(model, space)
-    n = len(space.states)
-    keep = np.ones(n, dtype=bool)
-    for g in goal:
-        keep[space.index[g]] = False
-    u = np.zeros(n)
+        keep[index[g]] = False
+    u = np.zeros(len(index))
     if keep.any():
         B = Q.matrix[keep][:, keep].tocsc()
         rhs = -np.ones(int(keep.sum()))

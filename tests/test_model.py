@@ -1,14 +1,16 @@
 """Model construction, validation, and the frozen move-enumeration order."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsdlab.config import load_config
 from qsdlab.errors import ValidationError
-from qsdlab.model import Model, absorbed_marker, is_absorbed
+from qsdlab.model import Model, absorbed_marker, build_model, is_absorbed
 from qsdlab.presets import (
     catastrophe_logistic_1d,
     logistic_1d,
@@ -17,6 +19,7 @@ from qsdlab.presets import (
     reference_2d,
     strong_intra_2d,
 )
+from qsdlab.solver import enumerate_space
 
 
 # ---------------------------------------------------------------------------
@@ -224,3 +227,74 @@ def test_multibirth_moves_jump_by_litter_sizes(size):
     targets, _, _ = model.transition_table((size,))
     ups = [t[0] - size for t in targets if t[0] > size]
     assert ups == [1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# the rate kernel against the scalar constant-family reference
+# ---------------------------------------------------------------------------
+#
+# The reference below is the plain constant-coefficient loop: Python floats,
+# and each pressure summed in index order from 0.0.  Every constant-family
+# output (the configs' CSVs, the benchmark digests) depends on these bits.
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _reference_table(b, d, c, gamma, litter=None, catastrophe=None):
+    r = len(b)
+    b = [float(x) for x in b]
+    d = [float(x) for x in d]
+    c = [[float(x) for x in row] for row in c]
+    entries = sorted((k, float(p)) for k, p in (litter or {}).items() if p > 0)
+
+    def table(n):
+        targets, rates, total = [], [], 0.0
+        for j in range(r):
+            base = n[j] * b[j]
+            unit = tuple(int(i == j) for i in range(r))
+            for k, p in entries or [(unit, 1.0)]:
+                targets.append(tuple(x + y for x, y in zip(n, k)))
+                rates.append(base * p)
+                total += rates[-1]
+        for j in range(r):
+            press = 0.0
+            for k in range(r):
+                press += c[j][k] * n[k]
+            rate = n[j] * (d[j] + press ** gamma)
+            targets.append(n[:j] + (n[j] - 1,) + n[j + 1:])
+            rates.append(rate)
+            total += rate
+        if catastrophe is not None:
+            targets.append((0,) * r)
+            rates.append(float(catastrophe(n)))
+            total += rates[-1]
+        return targets, rates, total
+
+    return table
+
+
+def _assert_tables_identical(model, reference, r, size):
+    for n in enumerate_space(r, size).states:
+        targets, rates, total = model.transition_table(n)
+        expected = reference(n)
+        assert targets == expected[0], n
+        assert [x.hex() for x in rates] == [x.hex() for x in expected[1]], n
+        assert total.hex() == expected[2].hex(), n
+
+
+@pytest.mark.parametrize("name", ["ref2d", "neutral3d", "logistic1d",
+                                  "catastrophe1d", "multibirth1d"])
+def test_config_tables_equal_the_scalar_reference(name):
+    cfg = load_config(CONFIGS / f"{name}.cfg")
+    model = build_model(cfg)
+    reference = _reference_table(cfg.b, cfg.d, cfg.c, cfg.gamma,
+                                 cfg.multibirth, model.catastrophe)
+    _assert_tables_identical(model, reference, cfg.r, 2 * cfg.truncation_n)
+
+
+def test_three_type_constant_table_equals_the_scalar_reference():
+    b = (1.0, 0.7, 1.3)
+    d = (0.1, 0.0, 0.2)
+    c = ((0.3, 0.05, 0.01), (0.02, 0.25, 0.07), (0.03, 0.011, 0.4))
+    model = Model.constant(b=b, d=d, c=c, gamma=1.5)
+    _assert_tables_identical(model, _reference_table(b, d, c, 1.5), 3, 45)

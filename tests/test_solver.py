@@ -429,13 +429,13 @@ def test_moments_reject_bad_inputs_and_underflow(two_state):
 
 
 def test_two_state_hitting_times_by_hand(two_state):
-    model, space, _ = two_state
+    *_, generator = two_state
     # stop on reaching (1,) or on absorption: from (2,) all moves stop the
     # clock, at total rate 6
-    u = expected_hitting_time(model, space, goal=(1,))
+    u = expected_hitting_time(generator, goal=(1,))
     assert u == pytest.approx([0.0, 1.0 / 6.0], abs=1e-14)
     # stop on reaching (2,) or absorption: from (1,) total rate 2
-    u = expected_hitting_time(model, space, goal=(2,))
+    u = expected_hitting_time(generator, goal=(2,))
     assert u == pytest.approx([0.5, 0.0], abs=1e-14)
 
 
@@ -444,7 +444,7 @@ def test_hitting_times_satisfy_the_defining_system():
     space = enumerate_space(2, 12)
     generator = assemble(model, space)
     goal = [(1, 1), (2, 2)]
-    u = expected_hitting_time(model, space, goal)
+    u = expected_hitting_time(generator, goal)
     dense = generator.matrix.toarray()
     residual = dense @ u
     for i, state in enumerate(space.states):
@@ -456,9 +456,9 @@ def test_hitting_times_satisfy_the_defining_system():
 
 
 def test_hitting_time_rejects_states_outside_the_space(two_state):
-    model, space, _ = two_state
+    *_, generator = two_state
     with pytest.raises(DomainError):
-        expected_hitting_time(model, space, goal=(7,))
+        expected_hitting_time(generator, goal=(7,))
 
 
 # ---------------------------------------------------------------------------
