@@ -367,8 +367,8 @@ def load_config(path) -> ConfigDocument:
         _fail("truncation", "n", f"must be >= r = {r} so the space is non-empty")
 
     doc.tol = _parse_float("solver", "tol", get("solver", "tol"))
-    if not doc.tol > 0:
-        _fail("solver", "tol", "must be > 0")
+    if not (doc.tol > 0 and np.isfinite(doc.tol)):
+        _fail("solver", "tol", f"must be a finite number > 0, got {doc.tol}")
     doc.max_iter = _parse_int("solver", "max_iter", get("solver", "max_iter"))
     if doc.max_iter < 1:
         _fail("solver", "max_iter", "must be >= 1")

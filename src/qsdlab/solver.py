@@ -25,11 +25,13 @@ nonincreasing in floating point.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import spsolve
 from scipy.special import gammaln
 
@@ -98,11 +100,14 @@ class SubGenerator:
 
     Immutable and safe to share between threads; the matrix is CSR and must
     not be modified in place.  ``matrix_t`` is the cached CSR transpose, and
-    every forward product ``nu Q`` is computed as ``matrix_t @ nu``: in
+    every forward product ``nu Q`` is computed as ``matrix_t nu``: in
     :func:`solve_qsd` and in the forward semigroup (:func:`evolve_measure`,
-    :func:`conditional_path`).  It gives the same bits as ``nu @ matrix`` at
-    a fraction of the cost, because scipy's row-vector path rebuilds the
-    transpose on every product.
+    :func:`conditional_path`, :func:`conditional_moments`).  It gives the
+    same bits as ``nu @ matrix`` at a fraction of the cost, because scipy's
+    row-vector path rebuilds the transpose on every product.  These products,
+    forward and backward, run through the product kernel
+    :func:`_product`, which has the bits of ``matrix_t @ nu`` without
+    scipy's per-call dispatch.
     """
 
     space: TruncatedSpace
@@ -160,29 +165,47 @@ class QsdResult:
     iterations: int
     tol: float
     space: TruncatedSpace
+    decay_bracket: tuple     # Collatz--Wielandt enclosure (lo, hi) of decay_rate
+
+    @property
+    def edge_mass(self) -> float:
+        """Mass of ``law`` on the truncation edge ``|n| = N``."""
+        edge = [sum(state) == self.space.N for state in self.space.states]
+        return float(self.law[edge].sum())
 
 
 def solve_qsd(Q: SubGenerator, tol: float = 1e-12, max_iter: int = 10 ** 6) -> QsdResult:
     """Power iteration for the quasi-stationary law, decay rate and profile.
 
     Iterates the uniformized kernel ``P = I + Q/Lambda`` from the uniform
-    vector, renormalizing in L1, and stops once successive iterates differ by
-    less than ``tol`` in total variation *and* the eigen-residual is below
-    ``10 * tol``; the adjoint iteration for the survival profile then runs
-    against the converged decay rate and stops on the same pair of tests,
-    with sup-norm differences and a per-row relative residual.
+    vector, renormalizing in L1, and stops at the first step where successive
+    iterates differ by less than ``tol`` in total variation *and* the
+    eigen-residual is below ``10 * tol``; the adjoint iteration for the
+    survival profile then runs against the converged decay rate and stops on
+    the same pair of tests, with sup-norm differences, renormalizing by the
+    max, and a per-row relative residual.
 
-    On each step the successive-difference test is evaluated first, and the
-    eigen-residual only once it holds.  The eigen-residual is the binding
-    test -- the difference test already holds for the last part of the run
-    -- so it decides the stopping step, and the iterates and the stopping
-    step are those of evaluating both tests on every step.  Raises :class:`ConvergenceError`
-    with the residual of the last iterate if ``max_iter`` is hit, and
-    :class:`ReducibleSpaceError` if the converged vectors are not strictly
-    positive.
+    Both iterations run their steps into a block of rows (see
+    :func:`_iterate`) and evaluate the successive-difference test once per
+    block for all its rows, then the eigen-residual, in order, only on the
+    rows that pass it.  Each row has the bits of a step-by-step run, so the
+    stopping step, its iterate, ``decay_rate``, the residuals and
+    ``iterations`` are those of evaluating both tests on every step; the steps
+    computed past the stopping row are discarded.  Raises
+    :class:`ConvergenceError` with the residual of the last iterate if
+    ``max_iter`` is hit, and :class:`ReducibleSpaceError` if the converged
+    vectors are not strictly positive.
+
+    ``decay_bracket`` is the Collatz--Wielandt enclosure of the decay rate
+    read off the converged profile (see :func:`decay_bracket`).
     """
-    if not tol > 0:
-        raise ValidationError(f"tol must be > 0, got {tol}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValidationError(f"tol must be a finite number > 0, got {tol}")
+    try:
+        max_iter = operator.index(max_iter)
+    except TypeError:
+        raise ValidationError(
+            f"max_iter must be an integer, got {max_iter!r}") from None
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     mat = Q.matrix
@@ -190,28 +213,15 @@ def solve_qsd(Q: SubGenerator, tol: float = 1e-12, max_iter: int = 10 ** 6) -> Q
     lam = Q.lam
     n = mat.shape[0]
 
-    law = np.full(n, 1.0 / n)
-    used = 0
-    for it in range(1, max_iter + 1):
-        used = it
-        y = mat_t @ law
-        nxt = law + y / lam
-        # Renormalize by the actual sum rather than the predicted mass-loss
-        # factor 1 - decay/lam: the latter leaves unit mass as an unstable
-        # fixed point, and rounding drift compounds over long iterations.
-        nxt /= nxt.sum()
-        tv = 0.5 * float(np.abs(nxt - law).sum())
-        prev, law = law, nxt
-        if tv < tol and _law_residual(y, prev) < 10.0 * tol:
-            break
-    else:
-        resid1 = _law_residual(y, prev)
-        raise ConvergenceError(
-            f"forward iteration did not converge in {max_iter} steps "
-            f"(last residual {resid1:.3e})", iterations=max_iter, residual=resid1)
+    # Renormalize by the actual sum rather than the predicted mass-loss
+    # factor 1 - decay/lam: the latter leaves unit mass as an unstable
+    # fixed point, and rounding drift compounds over long iterations.
+    law, y, used = _iterate(
+        mat_t, lam, np.full(n, 1.0 / n), np.ndarray.sum,
+        lambda d: 0.5 * d.sum(axis=1), _law_residual, tol, max_iter,
+        "forward iteration")
     decay = -float(y.sum())
 
-    profile = np.ones(n)
     # Per-row relative residual scale: rounding noise in (Q h)_i grows with
     # |q_ii| h_i, so an absolute sup-norm test is unattainable on spaces with
     # very fast states.  Dividing by |q_ii| h_i + decay + 1 makes the floor
@@ -221,21 +231,10 @@ def solve_qsd(Q: SubGenerator, tol: float = 1e-12, max_iter: int = 10 ** 6) -> Q
     def relative_residual(z, h):
         return float((np.abs(z + decay * h) / (diag_abs * h + decay + 1.0)).max())
 
-    for it in range(1, max_iter + 1):
-        used += 1
-        z = mat @ profile
-        nxt = profile + z / lam
-        nxt /= nxt.max()
-        diff = float(np.abs(nxt - profile).max())
-        prev, profile = profile, nxt
-        if diff < tol and relative_residual(z, prev) < 10.0 * tol:
-            break
-    else:
-        resid_rel = relative_residual(z, prev)
-        raise ConvergenceError(
-            f"adjoint iteration did not converge in {max_iter} steps "
-            f"(last relative residual {resid_rel:.3e})",
-            iterations=max_iter, residual=resid_rel)
+    profile, _, steps = _iterate(
+        mat, lam, np.ones(n), np.ndarray.max, lambda d: d.max(axis=1),
+        relative_residual, tol, max_iter, "adjoint iteration")
+    used += steps
 
     if (law <= 0).any() or (profile <= 0).any():
         raise ReducibleSpaceError(
@@ -243,13 +242,64 @@ def solve_qsd(Q: SubGenerator, tol: float = 1e-12, max_iter: int = 10 ** 6) -> Q
             "chain looks reducible")
 
     profile = profile / float(law @ profile)
-    y = mat_t @ law
+    y = _product(mat_t, law, np.empty(n))
     decay = -float(y.sum())
     law_residual = _law_residual(y, law)
-    profile_residual = float(np.abs(mat @ profile + decay * profile).max())
+    z = _product(mat, profile, np.empty(n))
+    profile_residual = float(np.abs(z + decay * profile).max())
     return QsdResult(law=law, decay_rate=decay, survival_profile=profile,
                      law_residual=law_residual, profile_residual=profile_residual,
-                     iterations=used, tol=tol, space=Q.space)
+                     iterations=used, tol=tol, space=Q.space,
+                     decay_bracket=decay_bracket(Q, profile))
+
+
+#: Bytes of each buffer of :func:`_iterate`: a block holds as many rows as
+#: fit, at least one and at most ``_BLOCK_ROWS``.
+_BLOCK_BYTES = 1 << 17
+_BLOCK_ROWS = 64
+
+
+def _iterate(mat, lam, start, norm, difference, residual, tol, max_iter, what):
+    """Normalized uniformized steps ``x <- s / norm(s)``, ``s = x + (mat x)/lam``,
+    from ``start`` until the first step whose successive difference is
+    below ``tol`` and whose previous iterate ``x`` has ``residual(mat x, x)``
+    below ``10 * tol``.
+
+    The steps of a block run back to back into its rows.  After the block,
+    ``difference`` reduces the rows of ``|x_k - x_{k-1}|`` all at once --
+    a reduction over a contiguous row has the bits of the same reduction of
+    one vector -- and ``residual`` runs, in order, on the rows that pass.
+    Returns the iterate at the stopping step, the product ``mat x`` of the
+    iterate before it, and the number of steps.  Raises
+    :class:`ConvergenceError` with the residual of the last iterate once
+    ``max_iter`` steps have run.
+    """
+    n = len(start)
+    rows = max(1, min(_BLOCK_ROWS, max_iter, _BLOCK_BYTES // (8 * n)))
+    x = np.empty((rows + 1, n))  # x[0] is the iterate the block starts from
+    y = np.empty((rows, n))      # y[i] = mat x[i]
+    d = np.empty((rows, n))
+    x[0] = start
+    x_rows, y_rows = list(x), list(y)
+    done = 0
+    while True:
+        k = min(rows, max_iter - done)
+        for i in range(k):
+            step = _step(mat, lam, x_rows[i], x_rows[i + 1], y_rows[i])
+            step /= norm(step)
+        diff = np.subtract(x[1:k + 1], x[:k], out=d[:k])
+        np.abs(diff, out=diff)
+        for i in np.flatnonzero(difference(diff) < tol).tolist():
+            if residual(y[i], x[i]) < 10.0 * tol:
+                return x[i + 1].copy(), y[i].copy(), done + i + 1
+        done += k
+        if done == max_iter:
+            last = residual(y[k - 1], x[k - 1])
+            raise ConvergenceError(
+                f"{what} did not converge in {max_iter} steps "
+                f"(last residual {last:.3e})",
+                iterations=max_iter, residual=last)
+        x[0] = x[k]
 
 
 def _law_residual(y, law):
@@ -257,6 +307,26 @@ def _law_residual(y, law):
     decay rate read off the mass-loss identity ``decay = -y . 1``."""
     decay = -float(y.sum())
     return float(np.abs(y + decay * law).sum())
+
+
+def decay_bracket(Q: SubGenerator, h: np.ndarray):
+    """Collatz--Wielandt enclosure ``[lo, hi]`` of the decay rate.
+
+    For any positive ``h``, the decay rate of the killed chain
+    lies between the least and the largest ``-(Q h)_i / h_i`` (Collatz 1942;
+    Wielandt 1950).  Each ratio is widened by twice ``m_i eps (|Q| h)_i /
+    h_i``, ``m_i`` the terms summed in row ``i``, which bounds the rounding
+    of the computed ``(Q h)_i`` (Higham, *Accuracy and Stability*, 3.1).
+    """
+    mat = Q.matrix
+    n = mat.shape[0]
+    qh = _product(mat, h, np.empty(n))
+    abs_mat = sparse.csr_matrix((np.abs(mat.data), mat.indices, mat.indptr),
+                                shape=mat.shape)
+    margin = (2.0 * np.finfo(float).eps * np.diff(mat.indptr)
+              * _product(abs_mat, h, np.empty(n)) / h)
+    ratio = -qh / h
+    return float((ratio - margin).min()), float((ratio + margin).max())
 
 
 def _window_end(mean: float) -> int:
@@ -297,15 +367,44 @@ def _check_block(Q, block, name):
     return block
 
 
+def _product(mat, x, out):
+    """``mat @ x`` for a CSR ``mat`` into the C-contiguous ``out``, with its bits.
+
+    This is the call scipy's ``mat @ x`` makes after its dispatch: zero the
+    output, then ``csr_matvec`` for a vector or a single column and
+    ``csr_matvecs`` for an ``(n, k)`` block.  Skipping the dispatch saves a
+    few microseconds per product, which is most of a step on small spaces.
+    """
+    out.fill(0.0)
+    n, m = mat.shape
+    if x.ndim == 1:
+        _sparsetools.csr_matvec(n, m, mat.indptr, mat.indices, mat.data, x, out)
+    elif x.shape[1] == 1:
+        _sparsetools.csr_matvec(n, m, mat.indptr, mat.indices, mat.data,
+                                x.ravel(), out.ravel())
+    else:
+        _sparsetools.csr_matvecs(n, m, x.shape[1], mat.indptr, mat.indices,
+                                 mat.data, x.ravel(), out.ravel())
+    return out
+
+
+def _step(mat, lam, p, out, y):
+    """The uniformized step ``out = p + (mat p)/lam``, leaving ``y = mat p``;
+    ``y`` may be ``out`` itself when the product is not read."""
+    np.divide(_product(mat, p, y), lam, out=out)
+    out += p
+    return out
+
+
 def _powers(mat, lam, p, count):
-    """Yield ``p, P p, ..., P^count p`` for ``P = I + mat/lam``, one product
-    per power: the one uniformized step."""
+    """Yield ``p, P p, ..., P^count p`` for ``P = I + mat/lam``, one
+    :func:`_step` per power.  Two buffers take turns, so a yielded power is
+    overwritten two steps later: read it before asking for the next."""
     yield p
-    for _ in range(count):
-        step = mat @ p
-        step /= lam
-        step += p
-        p = step
+    buffers = [np.empty(p.shape), np.empty(p.shape)]
+    for k in range(count):
+        out = buffers[k % 2]
+        p = _step(mat, lam, p, out, out)
         yield p
 
 

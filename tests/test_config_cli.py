@@ -189,6 +189,9 @@ def test_solve_writes_law_and_summary(tmp_path):
     summary = json.loads((out / "solve_summary.json").read_text())
     assert summary["decay_rate"] > 0
     assert summary["iterations"] > 0
+    lo, hi = summary["decay_bracket"]
+    assert lo <= summary["decay_rate"] <= hi
+    assert summary["edge_mass"] == float(masses[-1])  # the state (25,)
 
 
 def test_tabulated_summary_reproduces_its_run(tmp_path):
@@ -383,6 +386,15 @@ def test_missing_config_exits_one(tmp_path):
 def test_invalid_config_exits_one(tmp_path):
     cfg = write_cfg(tmp_path, MINIMAL.replace("gamma = 1.0", "gamma = -1"))
     assert main(["solve", "--config", cfg]) == 1
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0"])
+def test_non_finite_tolerance_exits_one(tmp_path, capsys, tol):
+    cfg = write_cfg(tmp_path, MINIMAL + f"\n[solver]\ntol = {tol}\n")
+    with pytest.raises(ValidationError, match=r"\[solver\] tol"):
+        load_config(cfg)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "[solver] tol" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_two(tmp_path):

@@ -23,14 +23,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsdlab
+from qsdlab import solver
+from qsdlab.config import load_config
 from qsdlab.errors import (
     ConditioningImpossibleError,
     ConvergenceError,
     DomainError,
     ValidationError,
 )
-from qsdlab.model import Model
-from qsdlab.presets import logistic_1d, reference_2d
+from qsdlab.model import Model, build_model
+from qsdlab.presets import (catastrophe_logistic_1d, logistic_1d,
+                            mixed_dominance_2d, multibirth_uniform_1d, neutral,
+                            reference_2d, strong_intra_2d)
 from qsdlab.solver import (
     assemble,
     conditional_moments,
@@ -45,6 +49,7 @@ from qsdlab.solver import (
 )
 
 SQRT2 = math.sqrt(2.0)
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def dense_left_eigen(generator):
@@ -178,6 +183,30 @@ def test_reference_decay_is_stable():
     assert result.decay_rate == pytest.approx(0.07947538404522052, abs=1e-12)
 
 
+@pytest.mark.parametrize("model, r, n_max", [
+    (logistic_1d(), 1, 30),
+    (reference_2d(), 2, 20),
+    (neutral(), 3, 9),
+], ids=["logistic1d", "ref2d", "neutral3d"])
+def test_decay_bracket_encloses_the_dense_decay_rate(model, r, n_max):
+    generator = assemble(model, enumerate_space(r, n_max))
+    result = solve_qsd(generator)
+    _, decay = dense_left_eigen(generator)
+    lo, hi = result.decay_bracket
+    assert lo <= decay <= hi and lo <= result.decay_rate <= hi
+    assert hi - lo < 1e-8 * decay
+    # any positive vector encloses it, however crude
+    assert solver.decay_bracket(generator, np.ones(len(generator.space)))[0] \
+        <= decay <= solver.decay_bracket(generator,
+                                         np.ones(len(generator.space)))[1]
+
+
+def test_edge_mass_is_the_law_on_the_truncation_edge(two_state):
+    *_, generator = two_state
+    result = solve_qsd(generator, tol=1e-15)
+    assert result.edge_mass == result.law[1]  # the state (2,) has |n| = N
+
+
 def test_truncation_is_converged_where_mass_lives():
     small = solve_qsd(assemble(logistic_1d(), enumerate_space(1, 30)))
     large = solve_qsd(assemble(logistic_1d(), enumerate_space(1, 45)))
@@ -189,10 +218,13 @@ def test_truncation_is_converged_where_mass_lives():
 
 def test_solve_rejects_bad_tolerances(two_state):
     *_, generator = two_state
-    with pytest.raises(ValidationError):
-        solve_qsd(generator, tol=0.0)
-    with pytest.raises(ValidationError):
-        solve_qsd(generator, max_iter=0)
+    for tol in (0.0, -1e-12, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="tol"):
+            solve_qsd(generator, tol=tol)
+    for max_iter in (0, -3, 2.5, 1e6, "10"):
+        with pytest.raises(ValidationError, match="max_iter"):
+            solve_qsd(generator, max_iter=max_iter)
+    assert solve_qsd(generator, max_iter=np.int64(100)).iterations > 0
 
 
 def test_exhausted_iteration_reports_the_last_residual():
@@ -204,6 +236,160 @@ def test_exhausted_iteration_reports_the_last_residual():
         solve_qsd(generator, max_iter=3)
     assert info.value.iterations == 3
     assert info.value.residual == 46.47250510002439
+
+
+# ---------------------------------------------------------------------------
+# the product kernel and the blocked power iteration, against plain loops
+# ---------------------------------------------------------------------------
+
+
+def _law_residual(y, law):
+    decay = -float(y.sum())
+    return float(np.abs(y + decay * law).sum())
+
+
+def reference_solve(Q, tol=1e-12, max_iter=10 ** 6):
+    """The power iteration as two plain loops: ``@`` products and both tests
+    on every step, as before the steps were blocked.  Returns the fields of
+    the result and the number of forward steps."""
+    mat, mat_t, lam = Q.matrix, Q.matrix_t, Q.lam
+    n = mat.shape[0]
+    law = np.full(n, 1.0 / n)
+    for forward in range(1, max_iter + 1):
+        y = mat_t @ law
+        nxt = law + y / lam
+        nxt /= nxt.sum()
+        tv = 0.5 * float(np.abs(nxt - law).sum())
+        prev, law = law, nxt
+        if tv < tol and _law_residual(y, prev) < 10.0 * tol:
+            break
+    else:
+        raise ConvergenceError("forward", iterations=max_iter,
+                               residual=_law_residual(y, prev))
+    decay = -float(y.sum())
+    profile = np.ones(n)
+    diag_abs = np.abs(mat.diagonal())
+
+    def relative_residual(z, h):
+        return float((np.abs(z + decay * h) / (diag_abs * h + decay + 1.0)).max())
+
+    for adjoint in range(1, max_iter + 1):
+        z = mat @ profile
+        nxt = profile + z / lam
+        nxt /= nxt.max()
+        diff = float(np.abs(nxt - profile).max())
+        prev, profile = profile, nxt
+        if diff < tol and relative_residual(z, prev) < 10.0 * tol:
+            break
+    else:
+        raise ConvergenceError("adjoint", iterations=max_iter,
+                               residual=relative_residual(z, prev))
+    profile = profile / float(law @ profile)
+    y = mat_t @ law
+    decay = -float(y.sum())
+    fields = {"law": law, "survival_profile": profile, "decay_rate": decay,
+              "law_residual": _law_residual(y, law),
+              "profile_residual": float(
+                  np.abs(mat @ profile + decay * profile).max()),
+              "iterations": forward + adjoint}
+    return fields, forward
+
+
+def assert_same_solve(result, fields):
+    for name, want in fields.items():
+        got = getattr(result, name)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want), name
+        else:
+            assert got == want, name
+
+
+def outcome(solve, *args, **kwargs):
+    """The result of a solve, or the iterations and residual it raised."""
+    try:
+        return solve(*args, **kwargs)
+    except ConvergenceError as exc:
+        return ("ConvergenceError", exc.iterations, exc.residual)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (3,)], ids=["vector", "column", "block"])
+def test_product_kernel_has_the_bits_of_matmul(ref2d_30, shape):
+    rng = np.random.default_rng(21)
+    n = len(ref2d_30.space)
+    for mat in (ref2d_30.matrix, ref2d_30.matrix_t):
+        x = rng.normal(size=(n,) + shape)
+        out = np.full(x.shape, np.nan)  # stale contents must not leak
+        assert solver._product(mat, x, out) is out
+        assert np.array_equal(out, mat @ x)
+        # strided and Fortran-ordered operands, as slices of callers' arrays
+        wide = rng.normal(size=(n, 2) + shape)
+        for view in (wide[:, 1], np.asfortranarray(x)):
+            assert np.array_equal(solver._product(mat, view, np.empty(x.shape)),
+                                  mat @ view)
+
+
+@pytest.mark.parametrize("name, n_max", [
+    ("ref2d", 30), ("neutral3d", 15), ("logistic1d", None),
+    ("catastrophe1d", None), ("multibirth1d", None)])
+def test_blocked_solve_equals_the_plain_loops_on_the_configs(name, n_max):
+    cfg = load_config(str(CONFIGS / f"{name}.cfg"))
+    generator = assemble(build_model(cfg),
+                         enumerate_space(cfg.r, n_max or cfg.truncation_n))
+    fields, _ = reference_solve(generator, cfg.tol, cfg.max_iter)
+    assert_same_solve(solve_qsd(generator, cfg.tol, cfg.max_iter), fields)
+
+
+@pytest.mark.parametrize("model, r, n_max", [
+    (logistic_1d(), 1, 2), (logistic_1d(), 1, 20), (reference_2d(), 2, 8),
+    (strong_intra_2d(), 2, 8), (neutral(), 3, 6),
+    (catastrophe_logistic_1d(), 1, 10), (multibirth_uniform_1d(), 1, 10),
+    (mixed_dominance_2d(), 2, 8),
+], ids=["two-state", "logistic1d", "ref2d", "strong-intra", "neutral3d",
+        "catastrophe", "multibirth", "mixed-dominance"])
+def test_blocked_solve_equals_the_plain_loops_at_a_tight_tolerance(model, r,
+                                                                   n_max):
+    generator = assemble(model, enumerate_space(r, n_max))
+    fields, _ = reference_solve(generator, tol=1e-15)
+    assert_same_solve(solve_qsd(generator, tol=1e-15), fields)
+
+
+def test_blocked_solve_stops_on_the_first_and_the_last_row_of_a_block(
+        monkeypatch):
+    generator = assemble(neutral(), enumerate_space(3, 6))
+    fields, forward = reference_solve(generator)
+    adjoint = fields["iterations"] - forward
+    assert forward != adjoint
+    # a block of `steps - 1` rows stops on the first row of the second
+    # block, one of `steps` rows on the last row of the first
+    for rows in (forward - 1, forward, adjoint - 1, adjoint):
+        monkeypatch.setattr(solver, "_BLOCK_ROWS", rows)
+        assert_same_solve(solve_qsd(generator), fields)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 7, 8, 9])
+def test_exhausted_budget_reports_the_residual_of_the_plain_loops(
+        monkeypatch, max_iter):
+    monkeypatch.setattr(solver, "_BLOCK_ROWS", 8)
+    model = Model.constant([1.0], [0.0], [[1.0]], 1.0)
+    generator = assemble(model, enumerate_space(1, 25))
+    got = outcome(solve_qsd, generator, max_iter=max_iter)
+    assert got[0] == "ConvergenceError" and got[1] == max_iter
+    assert got == outcome(lambda *a, **k: reference_solve(*a, **k)[0],
+                          generator, max_iter=max_iter)
+
+
+def test_exhausted_adjoint_reports_the_residual_of_the_plain_loops(
+        monkeypatch):
+    generator = assemble(reference_2d(), enumerate_space(2, 8))
+    fields, forward = reference_solve(generator)
+    assert fields["iterations"] - forward > forward + 2
+    for rows in (1, 2, 64):
+        monkeypatch.setattr(solver, "_BLOCK_ROWS", rows)
+        for max_iter in (forward, forward + 1, forward + 2):
+            got = outcome(solve_qsd, generator, max_iter=max_iter)
+            assert got[0] == "ConvergenceError"
+            assert got == outcome(lambda *a, **k: reference_solve(*a, **k)[0],
+                                  generator, max_iter=max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +540,16 @@ def test_conditioning_fails_when_survival_underflows(two_state):
 # ---------------------------------------------------------------------------
 
 
-class _CountingMatrix:
-    """Delegates ``@`` to a sparse matrix and counts the products."""
+class _CountingKernel:
+    """Wraps the solver's product kernel and counts the products."""
 
-    def __init__(self, mat):
-        self.mat = mat
+    def __init__(self, kernel):
+        self.kernel = kernel
         self.products = 0
 
-    def __matmul__(self, p):
+    def __call__(self, mat, x, out):
         self.products += 1
-        return self.mat @ p
+        return self.kernel(mat, x, out)
 
 
 @pytest.mark.parametrize("model, r, n_max, start", [
@@ -371,19 +557,16 @@ class _CountingMatrix:
     (logistic_1d(), 1, 50, (1,)),
 ], ids=["ref2d", "logistic1d"])
 def test_moments_equal_the_contracted_conditional_path(model, r, n_max, start,
-                                                       delta_start):
+                                                       delta_start, monkeypatch):
     generator = assemble(model, enumerate_space(r, n_max))
     mu0 = delta_start(generator.space, start)
     F = np.random.default_rng(13).normal(size=(len(mu0), 3))
     times = np.arange(0.0, 5.0 + 1e-12, 0.01)
     laws, survivals = conditional_path(generator, mu0, times)
     expected = laws @ F
-    counting = _CountingMatrix(generator.matrix_t)
-    generator.__dict__["matrix_t"] = counting
-    try:
-        means, mass, products = conditional_moments(generator, mu0, times, F)
-    finally:
-        generator.__dict__["matrix_t"] = counting.mat
+    counting = _CountingKernel(solver._product)
+    monkeypatch.setattr(solver, "_product", counting)
+    means, mass, products = conditional_moments(generator, mu0, times, F)
     assert means.shape == expected.shape and mass.shape == times.shape
     scale = np.abs(expected).max(axis=0)
     assert (np.abs(means - expected).max(axis=0) <= 1e-12 * scale).all()
