@@ -186,7 +186,7 @@ def _cmd_solve(cfg, args, out):
         cfg, overrides, decay_rate=res.decay_rate,
         law_residual=res.law_residual, profile_residual=res.profile_residual,
         iterations=res.iterations, states=len(space.states),
-        uniformization_rate=Q.lam, decay_bracket=list(res.decay_bracket),
+        uniformization_rate=Q.lam, decay_bracket=res.decay_bracket,
         edge_mass=res.edge_mass)
     summary_path = os.path.join(out, "solve_summary.json")
     _write_json(summary_path, summary)

@@ -197,7 +197,7 @@ def solve_qsd(Q: SubGenerator, tol: float = 1e-12, max_iter: int = 10 ** 6) -> Q
     vectors are not strictly positive.
 
     ``decay_bracket`` is the Collatz--Wielandt enclosure of the decay rate
-    read off the converged profile (see :func:`decay_bracket`).
+    read off the converged profile (see :func:`_decay_bracket`).
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValidationError(f"tol must be a finite number > 0, got {tol}")
@@ -250,7 +250,7 @@ def solve_qsd(Q: SubGenerator, tol: float = 1e-12, max_iter: int = 10 ** 6) -> Q
     return QsdResult(law=law, decay_rate=decay, survival_profile=profile,
                      law_residual=law_residual, profile_residual=profile_residual,
                      iterations=used, tol=tol, space=Q.space,
-                     decay_bracket=decay_bracket(Q, profile))
+                     decay_bracket=_decay_bracket(Q, profile))
 
 
 #: Bytes of each buffer of :func:`_iterate`: a block holds as many rows as
@@ -309,7 +309,7 @@ def _law_residual(y, law):
     return float(np.abs(y + decay * law).sum())
 
 
-def decay_bracket(Q: SubGenerator, h: np.ndarray):
+def _decay_bracket(Q: SubGenerator, h: np.ndarray):
     """Collatz--Wielandt enclosure ``[lo, hi]`` of the decay rate.
 
     For any positive ``h``, the decay rate of the killed chain

@@ -196,9 +196,9 @@ def test_decay_bracket_encloses_the_dense_decay_rate(model, r, n_max):
     assert lo <= decay <= hi and lo <= result.decay_rate <= hi
     assert hi - lo < 1e-8 * decay
     # any positive vector encloses it, however crude
-    assert solver.decay_bracket(generator, np.ones(len(generator.space)))[0] \
-        <= decay <= solver.decay_bracket(generator,
-                                         np.ones(len(generator.space)))[1]
+    crude_lo, crude_hi = solver._decay_bracket(generator,
+                                               np.ones(len(generator.space)))
+    assert crude_lo <= decay <= crude_hi
 
 
 def test_edge_mass_is_the_law_on_the_truncation_edge(two_state):
@@ -304,12 +304,16 @@ def assert_same_solve(result, fields):
             assert got == want, name
 
 
-def outcome(solve, *args, **kwargs):
+def outcome(solve, Q, max_iter):
     """The result of a solve, or the iterations and residual it raised."""
     try:
-        return solve(*args, **kwargs)
+        return solve(Q, max_iter=max_iter)
     except ConvergenceError as exc:
         return ("ConvergenceError", exc.iterations, exc.residual)
+
+
+def reference_fields(Q, **kwargs):
+    return reference_solve(Q, **kwargs)[0]
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (3,)], ids=["vector", "column", "block"])
@@ -372,10 +376,9 @@ def test_exhausted_budget_reports_the_residual_of_the_plain_loops(
     monkeypatch.setattr(solver, "_BLOCK_ROWS", 8)
     model = Model.constant([1.0], [0.0], [[1.0]], 1.0)
     generator = assemble(model, enumerate_space(1, 25))
-    got = outcome(solve_qsd, generator, max_iter=max_iter)
+    got = outcome(solve_qsd, generator, max_iter)
     assert got[0] == "ConvergenceError" and got[1] == max_iter
-    assert got == outcome(lambda *a, **k: reference_solve(*a, **k)[0],
-                          generator, max_iter=max_iter)
+    assert got == outcome(reference_fields, generator, max_iter)
 
 
 def test_exhausted_adjoint_reports_the_residual_of_the_plain_loops(
@@ -386,10 +389,9 @@ def test_exhausted_adjoint_reports_the_residual_of_the_plain_loops(
     for rows in (1, 2, 64):
         monkeypatch.setattr(solver, "_BLOCK_ROWS", rows)
         for max_iter in (forward, forward + 1, forward + 2):
-            got = outcome(solve_qsd, generator, max_iter=max_iter)
+            got = outcome(solve_qsd, generator, max_iter)
             assert got[0] == "ConvergenceError"
-            assert got == outcome(lambda *a, **k: reference_solve(*a, **k)[0],
-                                  generator, max_iter=max_iter)
+            assert got == outcome(reference_fields, generator, max_iter)
 
 
 # ---------------------------------------------------------------------------
