@@ -124,21 +124,15 @@ def _summary(cfg, overrides, **extra) -> dict:
     return payload
 
 
+#: Command-line overrides and the config keys they set.
+_OVERRIDES = (("trunc", "truncation.n"), ("t", "simulation.t_max"),
+              ("traj", "simulation.trajectories"), ("seed", "simulation.seed"))
+
+
 def _apply_overrides(cfg, args) -> dict:
-    overrides = {}
-    if args.trunc is not None:
-        cfg.truncation_n = args.trunc
-        overrides["truncation.n"] = args.trunc
-    if args.t is not None:
-        cfg.t_max = args.t
-        overrides["simulation.t_max"] = args.t
-    if args.traj is not None:
-        cfg.trajectories = args.traj
-        overrides["simulation.trajectories"] = args.traj
-    if args.seed is not None:
-        cfg.seed = args.seed
-        overrides["simulation.seed"] = args.seed
-    return overrides
+    """Set each given override through its config key's parser and bound."""
+    return {name: cfg.override(name, getattr(args, flag))
+            for flag, name in _OVERRIDES if getattr(args, flag) is not None}
 
 
 def _initials(cfg):
@@ -174,8 +168,7 @@ def _empirical_rows(r, columns):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_solve(cfg, args, out):
-    overrides = _apply_overrides(cfg, args)
+def _cmd_solve(cfg, args, out, overrides):
     model, space, Q, res = _solved(cfg)
     rows = [list(state) + [res.law[i], res.survival_profile[i]]
             for i, state in enumerate(space.states)]
@@ -203,8 +196,7 @@ def _simulate_chunk(cfg, initial, first, count):
                             RngPlan(cfg.seed), first, count)
 
 
-def _cmd_simulate(cfg, args, out):
-    overrides = _apply_overrides(cfg, args)
+def _cmd_simulate(cfg, args, out, overrides):
     model = build_model(cfg)
     initial = _initials(cfg)[0]
     total = cfg.trajectories
@@ -242,8 +234,7 @@ def _cmd_simulate(cfg, args, out):
     return 0
 
 
-def _cmd_fv(cfg, args, out):
-    overrides = _apply_overrides(cfg, args)
+def _cmd_fv(cfg, args, out, overrides):
     model, space, Q, res = _solved(cfg)
     initial = _initials(cfg)[0]
     plan = RngPlan(cfg.seed)
@@ -270,8 +261,7 @@ def _cmd_fv(cfg, args, out):
     return 0
 
 
-def _cmd_qprocess(cfg, args, out):
-    overrides = _apply_overrides(cfg, args)
+def _cmd_qprocess(cfg, args, out, overrides):
     model, space, Q, res = _solved(cfg)
     initial = _initials(cfg)[0]
     plan = RngPlan(cfg.seed)
@@ -300,8 +290,7 @@ def _cmd_qprocess(cfg, args, out):
     return 0
 
 
-def _cmd_check(cfg, args, out):
-    overrides = _apply_overrides(cfg, args)
+def _cmd_check(cfg, args, out, overrides):
     model = build_model(cfg)
     n_check = cfg.n_check
     eps = cfg.eps if cfg.eps is not None else PotentialParams.for_model(model).eps
@@ -331,8 +320,7 @@ def _cmd_check(cfg, args, out):
     return 0
 
 
-def _cmd_converge(cfg, args, out):
-    overrides = _apply_overrides(cfg, args)
+def _cmd_converge(cfg, args, out, overrides):
     model, space, Q, res = _solved(cfg)
     grid = cfg.time_grid()
     times = grid[grid > 0]
@@ -374,8 +362,7 @@ def _cmd_converge(cfg, args, out):
     return 0
 
 
-def _cmd_certify(cfg, args, out):
-    overrides = _apply_overrides(cfg, args)
+def _cmd_certify(cfg, args, out, overrides):
     model, space, Q, res = _solved(cfg)
     cert = mixing_certificate(Q, res, t0=args.t0, horizon=cfg.t_max)
     plateau = {f"t={t:g}": gap for t, gap in cert.comparison.plateau.items()}
@@ -414,8 +401,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = load_config(args.config)
+        overrides = _apply_overrides(cfg, args)
         out = _out_dir(args)
-        return _COMMANDS[args.command](cfg, args, out)
+        return _COMMANDS[args.command](cfg, args, out, overrides)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

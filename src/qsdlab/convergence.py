@@ -179,8 +179,8 @@ def certify_minorization(Q: SubGenerator, t0: float, reference=None,
     certificate mass.  ``t0 = 0`` is allowed but yields mass 0 — an invalid
     certificate — because the indicator of the reference has zeros.
     """
-    if t0 < 0:
-        raise DomainError(f"t0 must be nonnegative, got {t0}")
+    if not 0 <= t0 < math.inf:
+        raise DomainError(f"t0 must be finite and nonnegative, got {t0}")
     if reference is None:
         if qsd is None:
             raise ValidationError("need a reference state or a solved law "
@@ -257,8 +257,9 @@ def certify_survival_comparison(
     if reference not in Q.space.index:
         raise DomainError(f"reference state {reference} is outside the space")
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) == 0 or (times < 0).any():
-        raise DomainError("times must be a nonnegative 1-d grid")
+    if times.ndim != 1 or len(times) == 0 or not (
+            (times >= 0) & (times < np.inf)).all():
+        raise DomainError("times must be a finite, nonnegative 1-d grid")
     times = np.unique(times)
     if times[0] != 0.0:
         times = np.concatenate(([0.0], times))

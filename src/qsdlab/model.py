@@ -225,7 +225,7 @@ class Model:
                 f"c_table shape {c_table.shape}, expected {box + (r, r)}")
         if not (b_table > 0).all():
             raise ValidationError("tabulated b must be positive everywhere")
-        if (d_table < 0).any() or (c_table < 0).any():
+        if not ((d_table >= 0).all() and (c_table >= 0).all()):
             raise ValidationError("tabulated d and c must be nonnegative")
         diag = c_table.reshape(-1, r, r)[:, np.arange(r), np.arange(r)]
         if not (diag > 0).all():
@@ -324,7 +324,7 @@ def _rate_kernel(model):
         if validate:
             if not (bvec > 0).all():
                 raise ValidationError(f"b(n) must be positive at interior {n}")
-            if (dvec < 0).any() or (cmat < 0).any():
+            if not ((dvec >= 0).all() and (cmat >= 0).all()):
                 raise ValidationError(f"d(n) and c(n) must be nonnegative at {n}")
             if not (np.diag(cmat) > 0).all():
                 raise ValidationError(f"c_ii(n) must be positive at interior {n}")
@@ -362,8 +362,9 @@ def _rate_kernel(model):
                 total += rate
         if model.catastrophe is not None:
             rate = float(model.catastrophe(n))
-            if rate < 0:
-                raise ValidationError(f"catastrophe rate a({n}) = {rate} is negative")
+            if not rate >= 0:
+                raise ValidationError(
+                    f"catastrophe rate a({n}) = {rate} is not a number >= 0")
             if rate > 0.0:
                 targets.append(marker)
                 rates.append(rate)

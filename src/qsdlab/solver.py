@@ -55,9 +55,6 @@ class TruncatedSpace:
     N: int
     states: tuple
     index: dict = field(repr=False)
-    boundary: np.ndarray = field(repr=False)
-    # boundary flags the states with a jump out of the truncation: births are
-    # always possible, so |n| = N qualifies, as does any coordinate at 1.
 
     def __len__(self):
         return len(self.states)
@@ -79,9 +76,7 @@ def enumerate_space(r: int, N: int) -> TruncatedSpace:
             f"truncation N = {N} leaves no interior state for r = {r}")
     states = tuple(_lex_states(r, N))
     index = {n: i for i, n in enumerate(states)}
-    boundary = np.fromiter(
-        ((sum(n) == N or min(n) == 1) for n in states), dtype=bool, count=len(states))
-    return TruncatedSpace(r=r, N=N, states=states, index=index, boundary=boundary)
+    return TruncatedSpace(r=r, N=N, states=states, index=index)
 
 
 def _lex_states(r, N):
@@ -417,8 +412,8 @@ def _flow(mat, lam, block, t):
     Forward flows pass the transpose ``Q.matrix_t``, backward flows
     ``Q.matrix``.
     """
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"t must be finite and >= 0, got {t}")
     if t == 0:
         return block.copy()
     first, last, weights = _poisson_weights(lam * t, POISSON_TAIL)
@@ -473,8 +468,8 @@ def _check_grid(times):
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise DomainError("times must be a non-empty 1-d grid")
-    if times[0] < 0 or (np.diff(times) <= 0).any():
-        raise DomainError("times must be nonnegative and strictly increasing")
+    if not (times[0] >= 0 and np.isfinite(times).all()) or (np.diff(times) <= 0).any():
+        raise DomainError("times must be finite, nonnegative and strictly increasing")
     return times
 
 

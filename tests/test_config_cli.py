@@ -7,12 +7,13 @@ written files are observed exactly as a shell would see them.
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qsdlab import convergence
+from qsdlab import config, convergence
 from qsdlab.cli import main
 from qsdlab.config import load_config
 from qsdlab.convergence import mixing_certificate
@@ -148,6 +149,12 @@ def test_multibirth_allows_zero_components_per_type(tmp_path):
     assert (5, 3) in targets and (3, 4) in targets
 
 
+def test_multibirth_rejects_negative_probabilities(tmp_path):
+    text = MINIMAL + "\n[extensions]\nmultibirth = 1:1.5, 2:-0.5\n"
+    with pytest.raises(ValidationError, match=r"\[extensions\] multibirth"):
+        load_config(write_cfg(tmp_path, text))
+
+
 def test_multibirth_rejects_the_empty_litter(tmp_path):
     text = MINIMAL + "\n[extensions]\nmultibirth = 0:1.0\n"
     with pytest.raises(ValidationError):
@@ -161,6 +168,80 @@ def test_catastrophe_spec_parses_linear_form(tmp_path):
     targets, rates, _ = model.transition_table((4,))
     assert targets[-1] == (0,)
     assert rates[-1] == pytest.approx(2.0)
+
+
+FULL = {
+    "model": {"r": "1", "gamma": "1.0", "family": "constant", "b": "1.0",
+              "d": "0.0", "c": "1.0"},
+    "truncation": {"n": "25"},
+}
+
+#: Every numeric key: how a number is written into it, and one number
+#: outside its bound.  The tables are written under the constant family,
+#: which does not read them: a written key is checked all the same.
+NUMERIC_KEYS = {
+    "model.r": ("{}", "0"),
+    "model.gamma": ("{}", "0"),
+    "model.b": ("{}", "0"),
+    "model.d": ("{}", "-1"),
+    "model.c": ("{}", "-1"),
+    "model.beta1": ("{}", "-1"),
+    "model.beta2": ("{}", "1"),
+    "model.b_table": ("1.0, {}", "0"),
+    "model.d_table": ("0.0, {}", "-1"),
+    "model.c_table": ("1.0, {}", "-1"),
+    "extensions.catastrophe": ("constant {}", "-1"),
+    "extensions.multibirth": ("1:{}", "0.5"),
+    "truncation.n": ("{}", "0"),
+    "solver.tol": ("{}", "0"),
+    "solver.max_iter": ("{}", "0"),
+    "simulation.seed": ("{}", "-1"),
+    "simulation.trajectories": ("{}", "0"),
+    "simulation.particles": ("{}", "1"),
+    "simulation.t_max": ("{}", "-1"),
+    "check.n_check": ("{}", "0"),
+    "check.eps": ("{}", "0"),
+    "check.c_r": ("{}", "0"),
+    "converge.initials": ("({})", "0"),
+    "converge.t_grid": ("0:{}:0.1", "0"),
+}
+
+
+def render(sections):
+    return "".join(f"[{section}]\n" + "".join(
+        f"{key} = {value}\n" for key, value in keys.items()) + "\n"
+        for section, keys in sections.items())
+
+
+def test_every_key_but_the_family_is_numeric():
+    assert set(NUMERIC_KEYS) == set(config._SCHEMA) - {"model.family"}
+
+
+@pytest.mark.parametrize("name,bad", [
+    (name, bad) for name, (_, outside) in NUMERIC_KEYS.items()
+    for bad in ("nan", "inf", outside)])
+def test_non_finite_and_out_of_bound_numbers_name_their_key(
+        tmp_path, capsys, name, bad):
+    section, key = name.split(".")
+    form, _ = NUMERIC_KEYS[name]
+    sections = {s: dict(keys) for s, keys in FULL.items()}
+    sections.setdefault(section, {})[key] = form.format(bad)
+    cfg = write_cfg(tmp_path, render(sections))
+    label = f"[{section}] {key}"
+    with pytest.raises(ValidationError, match=re.escape(label)):
+        load_config(cfg)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert label in capsys.readouterr().err
+
+
+def test_defaults_applied_are_those_of_the_schema():
+    # An [extensions] "none" default is recorded only when the section is
+    # written: multibirth1d has one, ref2d has none.
+    assert load_config(CONFIGS / "multibirth1d.cfg").defaults_applied == {
+        "extensions.catastrophe": "none", "solver.tol": "1e-12",
+        "solver.max_iter": "1000000"}
+    assert load_config(CONFIGS / "ref2d.cfg").defaults_applied == {
+        "solver.max_iter": "1000000"}
 
 
 def test_missing_file_is_a_validation_problem():
@@ -395,6 +476,23 @@ def test_non_finite_tolerance_exits_one(tmp_path, capsys, tol):
         load_config(cfg)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "[solver] tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flags,label", [
+    ("solve", ["--trunc", "0"], "[truncation] n"),
+    ("simulate", ["--t", "nan"], "[simulation] t_max"),
+    ("certify", ["--t", "inf"], "[simulation] t_max"),
+    ("simulate", ["--traj", "0"], "[simulation] trajectories"),
+    ("simulate", ["--traj", "-5", "--threads", "2"], "[simulation] trajectories"),
+    ("simulate", ["--seed", "-1"], "[simulation] seed"),
+    ("certify", ["--t0", "nan"], "t0"),
+])
+def test_bad_overrides_exit_one_naming_the_key(tmp_path, capsys, command,
+                                               flags, label):
+    cfg = write_cfg(tmp_path, MINIMAL)
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), *flags]
+    assert main(argv) == 1
+    assert label in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_two(tmp_path):

@@ -25,7 +25,7 @@ from qsdlab.convergence import (
     survival_profile_error,
     tv_distance,
 )
-from qsdlab.errors import NoFitError
+from qsdlab.errors import DomainError, NoFitError
 from qsdlab.presets import reference_2d
 from qsdlab.solver import (assemble, conditional_path, enumerate_space,
                            evolve_function, evolve_measure, solve_qsd)
@@ -209,6 +209,15 @@ def test_minorization_at_zero_horizon_is_not_a_certificate(logistic30_system):
 # ---------------------------------------------------------------------------
 # survival-ratio certificate
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_certificates_reject_non_finite_times(logistic30_system, t):
+    _, space, generator, qsd = logistic30_system
+    with pytest.raises(DomainError, match="t0"):
+        certify_minorization(generator, t, qsd=qsd)
+    with pytest.raises(DomainError):
+        certify_survival_comparison(generator, (1,), [1.0, t])
 
 
 def test_survival_comparison_bounds_and_reproduces(logistic30_system):

@@ -165,6 +165,36 @@ def test_rate_callbacks_receive_integer_tuples():
     assert all(isinstance(x, int) for s in seen for x in s)
 
 
+NAN_RATE_MODELS = {
+    "death callback": lambda: Model.from_callbacks(
+        r=1, gamma=1.0, birth=lambda n: (1.0,), death=lambda n: (math.nan,),
+        competition=lambda n: ((1.0,),)),
+    "competition callback": lambda: Model.from_callbacks(
+        r=2, gamma=1.0, birth=lambda n: (1.0, 1.0), death=lambda n: (0.0, 0.0),
+        competition=lambda n: ((1.0, math.nan), (0.0, 1.0))),
+    "catastrophe": lambda: Model.constant(
+        b=(1.0,), d=(0.0,), c=((1.0,),), gamma=1.0,
+        catastrophe=lambda n: math.nan),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NAN_RATE_MODELS))
+def test_nan_rates_raise_instead_of_dropping_a_move(kind):
+    model = NAN_RATE_MODELS[kind]()
+    state = (3,) * model.r
+    with pytest.raises(ValidationError):
+        model.transition_table(state)
+
+
+def test_tabulated_rejects_nan_entries():
+    b, d, c = [[1.0], [1.0]], [[0.0], [0.5]], [[[1.0]], [[1.0]]]
+    Model.tabulated(b, d, c, gamma=1.0)
+    with pytest.raises(ValidationError):
+        Model.tabulated(b, [[0.0], [math.nan]], c, gamma=1.0)
+    with pytest.raises(ValidationError):
+        Model.tabulated([[1.0], [math.nan]], d, c, gamma=1.0)
+
+
 # ---------------------------------------------------------------------------
 # presets
 # ---------------------------------------------------------------------------

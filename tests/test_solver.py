@@ -475,6 +475,20 @@ def test_semigroup_rejects_misshapen_blocks(two_state):
             evolve_function(generator, bad, 1.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_semigroup_rejects_times_outside_zero_to_infinity(two_state, t):
+    *_, generator = two_state
+    with pytest.raises(DomainError):
+        evolve_measure(generator, np.array([1.0, 0.0]), t)
+    with pytest.raises(DomainError):
+        evolve_function(generator, np.ones(2), t)
+    with pytest.raises(DomainError):
+        conditional_path(generator, np.array([1.0, 0.0]), [0.5, t])
+    with pytest.raises(DomainError):
+        conditional_moments(generator, np.array([1.0, 0.0]), [0.5, t],
+                            np.ones((2, 1)))
+
+
 def test_no_forward_product_steps_through_the_row_vector_path():
     """Every ``nu Q`` in the package is computed as ``matrix_t @ nu``: no
     product has the generator's matrix as its right operand."""
