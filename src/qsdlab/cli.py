@@ -224,7 +224,9 @@ def _cmd_simulate(cfg, args, out, overrides):
     law_path = os.path.join(out, "conditional_law.csv")
     _write_csv(law_path, header, rows)
     summary = _summary(cfg, overrides, initial=list(initial),
-                       survival=survival, survivors=survivors,
+                       survival=survival,
+                       survival_stderr=est.survival_stderr,
+                       survivors=survivors,
                        trajectories=total, t=cfg.t_max, threads=args.threads)
     summary_path = os.path.join(out, "simulate_summary.json")
     _write_json(summary_path, summary)

@@ -232,6 +232,20 @@ def _distribution(law, r):
         f"litter probabilities sum to {total!r}, expected 1 within 1e-12")
 
 
+#: Most points a ``t_grid`` may have; the example configs have 201 to 401.
+_GRID_POINTS = 100_000
+
+
+def _time_grid(grid, r):
+    start, stop, step = grid
+    if not (0 <= start < stop and step > 0):
+        return "need 0 <= start < stop and step > 0"
+    # ``time_grid()`` has ceil(points) points; inf when step underflows.
+    points = (stop + 0.5 * step - start) / step
+    return points <= _GRID_POINTS or (
+        f"about {points:.4g} points, more than the {_GRID_POINTS} allowed")
+
+
 _SCHEMA = {
     "model.r": _Key("r", _int, _at_least(1), required=True),
     "model.gamma": _Key("gamma", _float, _positive, required=True),
@@ -272,9 +286,7 @@ _SCHEMA = {
     "converge.initials": _Key(
         "initials", _states,
         lambda v, r: len(v) > 0 or "at least one initial state is required"),
-    "converge.t_grid": _Key(
-        "t_grid", _grid, lambda g, r: 0 <= g[0] < g[1] and g[2] > 0
-        or "need 0 <= start < stop and step > 0", "0:20:0.05"),
+    "converge.t_grid": _Key("t_grid", _grid, _time_grid, "0:20:0.05"),
 }
 
 

@@ -11,6 +11,12 @@ uniform, so a simulated path is determined entirely by its stream.  Each
 state's moves are computed once and looked up afterwards, and each stream
 is drawn in blocks of ``_BLOCK`` uniforms, which are the same floats that
 single draws would give.
+
+Consumers that use their streams one after another (the paths of a
+conditioned estimate) share one generator, re-keyed in place from one stream
+to the next by ``RngPlan.streams``; consumers that are live at once (the
+walkers of the particle system) each own a generator from ``RngPlan.stream``.
+Either way a stream draws the same values.
 """
 
 import bisect
@@ -19,7 +25,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -55,6 +61,41 @@ class RngPlan:
             raise ValidationError(f"master seed must fit in 64 bits, got {seed}")
 
     def stream(self, index: int) -> np.random.Generator:
+        key = np.array([self.master_seed, self._index(index)], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
+    def streams(self, first: int, count: int):
+        """One generator for streams ``first`` ... ``first + count - 1`` in turn.
+
+        Each step yields the same generator, re-keyed in place to the next
+        stream: its Philox state is set to the one ``stream(k)`` starts
+        from, so it draws what ``stream(k)`` draws, at a fraction of the
+        cost of a new ``Philox``.  Re-keying discards the previous stream's
+        state, so finish with one stream before asking for the next.  Both
+        ends of the range are checked before anything is yielded.
+        """
+        first = self._index(first)
+        if count > 0:
+            self._index(first + count - 1)
+        return self._rekeyed(first, count)
+
+    def _rekeyed(self, first, count):
+        if count < 1:
+            return
+        rng = self.stream(first)
+        bits = rng.bit_generator
+        # The state of a fresh Philox: counter 0, empty buffer, no spare
+        # 32-bit half.  Only the stream half of its key changes.
+        fresh = bits.state
+        key = fresh["state"]["key"]
+        yield rng
+        for k in range(first + 1, first + count):
+            key[1] = k
+            bits.state = fresh
+            yield rng
+
+    @staticmethod
+    def _index(index) -> int:
         try:
             index = operator.index(index)
         except TypeError:
@@ -62,8 +103,7 @@ class RngPlan:
                               f"{index!r}") from None
         if not 0 <= index < 2 ** 64:
             raise DomainError(f"stream index must lie in [0, 2**64), got {index}")
-        key = np.array([self.master_seed, index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return index
 
 
 def _uniforms(rng: np.random.Generator):
@@ -134,22 +174,24 @@ def _jump_path(moves, n, t_max: float, rng: np.random.Generator) -> Trajectory:
     left, or on entering an absorbed state.
     """
     draw = _uniforms(rng).__next__
+    bisect_right, log1p = bisect.bisect_right, math.log1p
     times = [0.0]
     states = [n]
+    add_time, add_state = times.append, states.append
     t = 0.0
     for _ in range(_EVENT_BUDGET):
         targets, cum, total, dead = moves(n)
         if total <= 0.0:
             return Trajectory(tuple(times), tuple(states), t_max, False)
-        t += -math.log1p(-draw()) / total
+        t += -log1p(-draw()) / total
         if t >= t_max:
             return Trajectory(tuple(times), tuple(states), t_max, False)
         # The first move whose running sum exceeds u * total; the last move
         # when rounding leaves none.
-        i = bisect.bisect_right(cum, draw() * total, 0, len(cum) - 1)
+        i = bisect_right(cum, draw() * total, 0, len(cum) - 1)
         n = targets[i]
-        times.append(t)
-        states.append(n)
+        add_time(t)
+        add_state(n)
         if dead[i]:
             return Trajectory(tuple(times), tuple(states), t, True)
     raise NumericalError(f"event budget {_EVENT_BUDGET} exhausted before "
@@ -247,11 +289,15 @@ def occupation_measure(trajectory: Trajectory,
     if not 0.0 <= t_start < trajectory.t_end:
         raise DomainError(f"t_start = {t_start} outside [0, {trajectory.t_end})")
     weights: Counter = Counter()
-    ends = list(trajectory.times[1:]) + [trajectory.t_end]
-    states = trajectory.states
-    if trajectory.absorbed:
-        states = states[:-1]
-    for start, end, state in zip(trajectory.times, ends, states):
+    times, states = trajectory.times, trajectory.states
+    # The interval that holds t_start; every earlier one ends by t_start.
+    # The intervals are read in place, without copying the path.
+    first = bisect.bisect_right(times, t_start, 1) - 1
+    ends = chain(islice(times, first + 1, None), (trajectory.t_end,))
+    # An absorbed path's last state is the absorption, not an interval.
+    stop = len(states) - trajectory.absorbed
+    for start, end, state in zip(islice(times, first, None), ends,
+                                  islice(states, first, stop)):
         lo = max(start, t_start)
         if end > lo:
             weights[state] += end - lo
@@ -274,6 +320,12 @@ class ConditionalEstimate:
     survivors: int
     t: float
 
+    @property
+    def survival_stderr(self) -> float:
+        """Binomial standard error of ``survival``, sqrt(p (1 - p) / n)."""
+        p = self.survival
+        return math.sqrt(p * (1.0 - p) / self.trajectories)
+
 
 def estimate_conditional(model: Model, initial, t: float, trajectories: int,
                          plan: RngPlan, first_stream: int = 0) -> ConditionalEstimate:
@@ -294,8 +346,8 @@ def _survivor_counts(model: Model, initial, t: float, plan: RngPlan,
                      first: int, count: int) -> Counter:
     """Final states at t of the surviving paths on streams ``first`` on."""
     counts: Counter = Counter()
-    for k in range(first, first + count):
-        path = simulate_path(model, initial, t, plan.stream(k))
+    for rng in plan.streams(first, count):
+        path = simulate_path(model, initial, t, rng)
         if not path.absorbed:
             counts[path.final_state] += 1
     return counts
@@ -360,58 +412,62 @@ def fleming_viot(model: Model, initial, particles: int, t_max: float,
         raise DomainError(f"initial state {start} is not interior")
 
     moves = model._moves
+    heappop, heapreplace = heapq.heappop, heapq.heapreplace
+    bisect_right, log1p = bisect.bisect_right, math.log1p
     states = [start] * particles
     draws = [_uniforms(plan.stream(i)).__next__ for i in range(particles)]
     resample = _uniforms(plan.stream(particles)).__next__
-    tables = [None] * particles
+    tables = [moves(start)] * particles
     since = [0.0] * particles
     occupation: Counter = Counter()
-    heap = []
-    pushes = 0
-
-    def schedule(i, now):
-        nonlocal pushes
-        table = moves(states[i])
-        tables[i] = table
-        total = table[2]
-        if total > 0.0:
-            heapq.heappush(heap, (now + -math.log1p(-draws[i]()) / total,
-                                  pushes, i))
-            pushes += 1
-
-    def settle(i, now):
-        lo = max(since[i], occupation_from)
-        if now > lo:
-            occupation[states[i]] += now - lo
-        since[i] = now
-
-    for i in range(particles):
-        schedule(i, 0.0)
+    # Events are keyed (time, push count, walker), so no two keys tie and
+    # the heap's layout never decides the order of events.
+    total = tables[0][2]
+    heap = [(0.0 + -log1p(-draw()) / total, i, i)
+            for i, draw in enumerate(draws)] if total > 0.0 else []
+    heapq.heapify(heap)
+    pushes = len(heap)
+    others = particles - 1
     deaths = 0
     events = 0
     for _ in range(_EVENT_BUDGET):
         if not heap or heap[0][0] >= t_max:
             break
-        t, _, i = heapq.heappop(heap)
+        t, _, i = heap[0]
+        draw = draws[i]
         targets, cum, total, dead = tables[i]
         # The pick of ``_jump_path``.
-        k = bisect.bisect_right(cum, draws[i]() * total, 0, len(cum) - 1)
+        k = bisect_right(cum, draw() * total, 0, len(cum) - 1)
         events += 1
-        settle(i, t)
+        # Walker i's occupation since its last event, from occupation_from.
+        lo = max(since[i], occupation_from)
+        if t > lo:
+            occupation[states[i]] += t - lo
+        since[i] = t
         if dead[k]:
             deaths += 1
-            j = int(resample() * (particles - 1))
+            j = int(resample() * others)
             if j >= i:
                 j += 1
-            states[i] = states[j]
+            n = states[j]
         else:
-            states[i] = targets[k]
-        schedule(i, t)
+            n = targets[k]
+        states[i] = n
+        table = tables[i] = moves(n)
+        total = table[2]
+        # Walker i's next event replaces its current one at the top.
+        if total > 0.0:
+            heapreplace(heap, (t + -log1p(-draw()) / total, pushes, i))
+            pushes += 1
+        else:
+            heappop(heap)
     else:
         raise NumericalError(f"event budget {_EVENT_BUDGET} exhausted before "
                              f"t_max = {t_max}")
     for i in range(particles):
-        settle(i, t_max)
+        lo = max(since[i], occupation_from)
+        if t_max > lo:
+            occupation[states[i]] += t_max - lo
     return ParticleResult(
         law=EmpiricalLaw.from_counts(Counter(states)),
         occupation=EmpiricalLaw.from_counts(occupation),

@@ -234,6 +234,25 @@ def test_non_finite_and_out_of_bound_numbers_name_their_key(
     assert label in capsys.readouterr().err
 
 
+def test_time_grid_point_count_is_bounded(tmp_path, capsys, monkeypatch):
+    # 0:99999:1 has 100,000 points, the most allowed; one step more is not.
+    edge = load_config(write_cfg(tmp_path, MINIMAL + "\n[converge]\n"
+                                 "t_grid = 0:99999:1\n"))
+    assert len(edge.time_grid()) == 100_000
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid must not be built")
+
+    monkeypatch.setattr(np, "arange", no_grid)
+    for grid in ("0:100000:1", "0:1e9:1e-9", "0:1:1e-320"):
+        cfg = write_cfg(tmp_path, MINIMAL + f"\n[converge]\nt_grid = {grid}\n")
+        with pytest.raises(ValidationError, match=re.escape(
+                "[converge] t_grid: about")):
+            load_config(cfg)
+        assert main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "[converge] t_grid" in capsys.readouterr().err
+
+
 def test_defaults_applied_are_those_of_the_schema():
     # An [extensions] "none" default is recorded only when the section is
     # written: multibirth1d has one, ref2d has none.
@@ -327,6 +346,8 @@ def test_simulate_writes_conditional_law(tmp_path):
                  "--t", "1.0"]) == 0
     summary = json.loads((out / "simulate_summary.json").read_text())
     assert 0 < summary["survival"] <= 1.0
+    p, n = summary["survival"], summary["trajectories"]
+    assert summary["survival_stderr"] == math.sqrt(p * (1.0 - p) / n)
     rows = read_csv(out / "conditional_law.csv")
     assert len(rows) > 1
 

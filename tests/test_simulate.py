@@ -7,17 +7,20 @@ event loop, the move enumeration, or the stream layout will break them
 loudly rather than drift silently.
 """
 
+import bisect
 import heapq
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsdlab.config import load_config
 from qsdlab.errors import DomainError, NoSurvivorsError, ValidationError
-from qsdlab.model import LitterLaw, Model, _memo_moves, is_absorbed
+from qsdlab.model import LitterLaw, Model, _memo_moves, build_model, is_absorbed
 from qsdlab.presets import (catastrophe_logistic_1d, logistic_1d,
                             multibirth_uniform_1d, reference_2d)
 from qsdlab.simulate import (
@@ -25,6 +28,7 @@ from qsdlab.simulate import (
     RngPlan,
     Trajectory,
     _jump_path,
+    _uniforms,
     estimate_conditional,
     fleming_viot,
     occupation_measure,
@@ -34,6 +38,8 @@ from qsdlab.simulate import (
 )
 from qsdlab.solver import (assemble, enumerate_space, solve_qsd,
                            transient_conditional)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 FROZEN_FIRST_EVENTS = [
     (0.0, (4, 4)),
@@ -83,6 +89,51 @@ def test_plan_accepts_numpy_integers_and_the_largest_index():
     assert (a == RngPlan(5).stream(3).random(4)).all()
     last = RngPlan(2 ** 64 - 1).stream(2 ** 64 - 1).random(4)
     assert not (last == RngPlan(0).stream(0).random(4)).all()
+
+
+def _random_blocks(rng, k):
+    """Draws in ``random(32)`` blocks, as the simulators take them."""
+    return [rng.random(32) for _ in range(1 + k % 3)]
+
+
+def _odd_integers(rng, k):
+    """32-bit integers, an odd count of them, then doubles: this leaves a
+    spare 32-bit half (``has_uint32``) and a part-used buffer behind."""
+    return [rng.integers(0, 2 ** 32, size=1 + 2 * (k % 3), dtype=np.uint32),
+            rng.random(1 + k % 4)]
+
+
+@pytest.mark.parametrize("consume", [_random_blocks, _odd_integers])
+def test_rekeyed_streams_draw_what_fresh_streams_draw(consume):
+    # 300 keys, at both ends of the seed and of the index range.
+    ranges = [(RngPlan(0), 0, 150), (RngPlan(2 ** 64 - 1), 2 ** 64 - 150, 150)]
+    keys = spare_halves = 0
+    for plan, first, count in ranges:
+        for k, rng in zip(range(first, first + count),
+                          plan.streams(first, count)):
+            got = consume(rng, k)
+            want = consume(plan.stream(k), k)
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            # Each next stream is re-keyed from a part-used generator.
+            state = rng.bit_generator.state
+            assert state["state"]["counter"].any()
+            spare_halves += state["has_uint32"] and state["buffer_pos"] < 4
+            keys += 1
+    assert keys == 300
+    assert (spare_halves > 0) == (consume is _odd_integers)
+
+
+def test_rekeyed_streams_check_the_whole_range_before_yielding():
+    plan = RngPlan(3)
+    with pytest.raises(DomainError):
+        plan.streams(2 ** 64 - 2, 5)
+    for first in (-1, 1.0, "0"):
+        with pytest.raises(DomainError):
+            plan.streams(first, 2)
+    last = list(plan.streams(2 ** 64 - 2, 2))
+    assert len(last) == 2
+    assert list(plan.streams(5, 0)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -607,3 +658,139 @@ def test_moves_are_computed_once_per_visited_state():
         visited.update(s for s in path.states if not is_absorbed(s))
     assert visited == set(calls)
     assert set(calls.values()) == {1}
+
+
+# ---------------------------------------------------------------------------
+# the flat particle loop and the occupation pass against their former code
+# ---------------------------------------------------------------------------
+#
+# Plain copies of ``fleming_viot``'s closure-based event loop and of the
+# occupation pass that visits every interval.  The current code must give
+# the same floats, added in the same order.
+
+
+def _closure_fleming_viot(model, start, particles, t_max, plan):
+    occupation_from = t_max / 2.0
+    moves = model._moves
+    states = [start] * particles
+    draws = [_uniforms(plan.stream(i)).__next__ for i in range(particles)]
+    resample = _uniforms(plan.stream(particles)).__next__
+    tables = [None] * particles
+    since = [0.0] * particles
+    occupation = Counter()
+    heap = []
+    pushes = 0
+
+    def schedule(i, now):
+        nonlocal pushes
+        table = moves(states[i])
+        tables[i] = table
+        total = table[2]
+        if total > 0.0:
+            heapq.heappush(heap, (now + -math.log1p(-draws[i]()) / total,
+                                  pushes, i))
+            pushes += 1
+
+    def settle(i, now):
+        lo = max(since[i], occupation_from)
+        if now > lo:
+            occupation[states[i]] += now - lo
+        since[i] = now
+
+    for i in range(particles):
+        schedule(i, 0.0)
+    deaths = 0
+    events = 0
+    while heap and heap[0][0] < t_max:
+        t, _, i = heapq.heappop(heap)
+        targets, cum, total, dead = tables[i]
+        k = bisect.bisect_right(cum, draws[i]() * total, 0, len(cum) - 1)
+        events += 1
+        settle(i, t)
+        if dead[k]:
+            deaths += 1
+            j = int(resample() * (particles - 1))
+            if j >= i:
+                j += 1
+            states[i] = states[j]
+        else:
+            states[i] = targets[k]
+        schedule(i, t)
+    for i in range(particles):
+        settle(i, t_max)
+    return (EmpiricalLaw.from_counts(Counter(states)),
+            EmpiricalLaw.from_counts(occupation), deaths, events)
+
+
+def _every_interval_occupation(trajectory, t_start):
+    weights = Counter()
+    ends = list(trajectory.times[1:]) + [trajectory.t_end]
+    states = trajectory.states
+    if trajectory.absorbed:
+        states = states[:-1]
+    for start, end, state in zip(trajectory.times, ends, states):
+        lo = max(start, t_start)
+        if end > lo:
+            weights[state] += end - lo
+    return EmpiricalLaw.from_counts(weights)
+
+
+def _config_model(name):
+    cfg = load_config(CONFIGS / f"{name}.cfg")
+    return cfg, build_model(cfg)
+
+
+@pytest.mark.parametrize("name,start,t_max", [("ref2d", (1, 1), 10.0),
+                                              ("multibirth1d", (1,), 5.0)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_particles_equal_the_closure_loop(name, start, t_max, seed):
+    cfg, model = _config_model(name)
+    particles = 300
+    result = fleming_viot(model, start, particles, t_max, RngPlan(seed))
+    law, occupation, deaths, events = _closure_fleming_viot(
+        model, start, particles, t_max, RngPlan(seed))
+    assert (result.deaths, result.events) == (deaths, events)
+    assert deaths > 0
+    # Same floats in the same order: equal as ordered item lists.
+    assert list(result.law.weights.items()) == list(law.weights.items())
+    assert list(result.occupation.weights.items()) == list(
+        occupation.weights.items())
+
+
+def _burn_ins(path):
+    """Burn-ins at 0, on event times, between them and near the end."""
+    times, t_end = path.times, path.t_end
+    picks = {0.0, times[len(times) // 2], times[-1] if times[-1] < t_end
+             else times[-2], 0.5 * t_end, math.nextafter(t_end, 0.0)}
+    return sorted(t for t in picks if 0.0 <= t < t_end)
+
+
+def _assert_occupation_matches(path):
+    for t_start in _burn_ins(path):
+        got = occupation_measure(path, t_start).weights
+        want = _every_interval_occupation(path, t_start).weights
+        assert list(got.items()) == list(want.items())
+
+
+@pytest.fixture(scope="module")
+def ref2d_30():
+    cfg, model = _config_model("ref2d")
+    space = enumerate_space(2, 30)
+    return model, solve_qsd(assemble(model, space), tol=cfg.tol)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_occupation_skips_the_burn_in_without_moving_a_bit(ref2d_30, seed):
+    model, qsd = ref2d_30
+    # q-process paths on ref2d at N = 30 never end absorbed.
+    path = simulate_qprocess(model, qsd, (1, 1), 500.0, RngPlan(seed).stream(0))
+    assert not path.absorbed and len(path.times) > 1000
+    _assert_occupation_matches(path)
+    # Plain paths on multibirth1d end either way.
+    _, model = _config_model("multibirth1d")
+    ends = Counter()
+    for rng in RngPlan(seed).streams(0, 40):
+        path = simulate_path(model, (3,), 5.0, rng)
+        ends[path.absorbed] += 1
+        _assert_occupation_matches(path)
+    assert ends[True] > 0 and ends[False] > 0
