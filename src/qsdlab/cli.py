@@ -201,7 +201,7 @@ def _cmd_simulate(cfg, args, out, overrides):
     initial = _initials(cfg)[0]
     total = cfg.trajectories
     if args.threads > 1:
-        workers = min(args.threads, total)
+        workers = min(args.threads, total, len(os.sched_getaffinity(0)))
         base, extra = divmod(total, workers)
         chunks = []
         first = 0
@@ -212,9 +212,10 @@ def _cmd_simulate(cfg, args, out, overrides):
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             parts = pool.starmap(_simulate_chunk, chunks)
         counts = Counter()
-        for part in parts:
+        for part, _ in parts:
             counts.update(part)
-        est = _conditional_estimate(counts, total, cfg.t_max)
+        est = _conditional_estimate(counts, total, cfg.t_max,
+                                    sum(events for _, events in parts))
     else:
         est = estimate_conditional(model, initial, cfg.t_max, total,
                                    RngPlan(cfg.seed))
@@ -227,7 +228,8 @@ def _cmd_simulate(cfg, args, out, overrides):
                        survival=survival,
                        survival_stderr=est.survival_stderr,
                        survivors=survivors,
-                       trajectories=total, t=cfg.t_max, threads=args.threads)
+                       trajectories=total, t=cfg.t_max, threads=args.threads,
+                       events=est.events)
     summary_path = os.path.join(out, "simulate_summary.json")
     _write_json(summary_path, summary)
     print(f"survival {survival:.6g} ({survivors}/{total} paths) "

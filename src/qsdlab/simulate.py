@@ -12,10 +12,14 @@ state's moves are computed once and looked up afterwards, and each stream
 is drawn in blocks of ``_BLOCK`` uniforms, which are the same floats that
 single draws would give.
 
-Consumers that use their streams one after another (the paths of a
-conditioned estimate) share one generator, re-keyed in place from one stream
-to the next by ``RngPlan.streams``; consumers that are live at once (the
-walkers of the particle system) each own a generator from ``RngPlan.stream``.
+The paths of a conditioned estimate advance in lockstep batches, one event
+per numpy step, each on its own stream: every live path of a batch sits at
+the same stream position, and its buffer row is refilled from one
+generator re-keyed in place to the path's stream and position.  The waits
+still take ``math.log1p`` per uniform, because ``np.log1p`` differs from it
+in the last bit on some inputs.  The walkers of the particle system are
+live at once and add up their occupation in global event order, so each
+owns a generator from ``RngPlan.stream`` and moves one event at a time.
 Either way a stream draws the same values.
 """
 
@@ -38,6 +42,13 @@ _EVENT_BUDGET = 10 ** 7
 
 #: Uniforms drawn per call on a stream; 32 beat 8, and 128 was no better.
 _BLOCK = 32
+
+#: Paths that a conditioned estimate advances in lockstep.
+_BATCH = 4096
+
+#: Uniforms per refill of a lockstep path's buffer row, a multiple of the
+#: four doubles of one Philox block.
+_REFILL = 64
 
 
 @dataclass(frozen=True)
@@ -64,35 +75,31 @@ class RngPlan:
         key = np.array([self.master_seed, self._index(index)], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def streams(self, first: int, count: int):
-        """One generator for streams ``first`` ... ``first + count - 1`` in turn.
+    def _rekeyer(self, first, count):
+        """Check streams ``first`` ... ``first + count - 1``; return ``first``
+        and ``rekey(k, pos=0)``, which sets one generator in place, at a
+        fraction of the cost of a new one, to the state of ``stream(k)``
+        after ``pos`` uniforms, and returns it.
 
-        Each step yields the same generator, re-keyed in place to the next
-        stream: its Philox state is set to the one ``stream(k)`` starts
-        from, so it draws what ``stream(k)`` draws, at a fraction of the
-        cost of a new ``Philox``.  Re-keying discards the previous stream's
-        state, so finish with one stream before asking for the next.  Both
-        ends of the range are checked before anything is yielded.
+        ``pos`` must be a multiple of 4: after ``pos`` doubles, four to a
+        Philox block, the state is the fresh one (empty buffer, no spare
+        32-bit half) with counter ``pos // 4``.
         """
         first = self._index(first)
         if count > 0:
             self._index(first + count - 1)
-        return self._rekeyed(first, count)
-
-    def _rekeyed(self, first, count):
-        if count < 1:
-            return
         rng = self.stream(first)
         bits = rng.bit_generator
-        # The state of a fresh Philox: counter 0, empty buffer, no spare
-        # 32-bit half.  Only the stream half of its key changes.
         fresh = bits.state
-        key = fresh["state"]["key"]
-        yield rng
-        for k in range(first + 1, first + count):
+        key, counter = fresh["state"]["key"], fresh["state"]["counter"]
+
+        def rekey(k, pos=0):
             key[1] = k
+            counter[0] = pos // 4
             bits.state = fresh
-            yield rng
+            return rng
+
+        return first, rekey
 
     @staticmethod
     def _index(index) -> int:
@@ -158,12 +165,17 @@ def simulate_path(model: Model, initial, t_max: float,
     generator the caller shares unspecified after the call: use one stream
     per path.
     """
+    return _jump_path(model._moves, _start(model, initial, t_max), t_max, rng)
+
+
+def _start(model: Model, initial, t_max: float) -> tuple:
+    """The initial state as a tuple of ints, once it and ``t_max`` pass."""
     n = tuple(int(v) for v in initial)
     if len(n) != model.r or not is_interior(n):
         raise DomainError(f"initial state {n} is not interior for r = {model.r}")
     if t_max <= 0:
         raise DomainError(f"t_max must be positive, got {t_max}")
-    return _jump_path(model._moves, n, t_max, rng)
+    return n
 
 
 def _jump_path(moves, n, t_max: float, rng: np.random.Generator) -> Trajectory:
@@ -319,6 +331,8 @@ class ConditionalEstimate:
     trajectories: int
     survivors: int
     t: float
+    #: Jumps over all the paths, absorbing ones included.
+    events: int
 
     @property
     def survival_stderr(self) -> float:
@@ -337,25 +351,121 @@ def estimate_conditional(model: Model, initial, t: float, trajectories: int,
     """
     if trajectories < 1:
         raise DomainError(f"need at least one trajectory, got {trajectories}")
-    counts = _survivor_counts(model, initial, t, plan, first_stream,
-                              trajectories)
-    return _conditional_estimate(counts, trajectories, t)
+    counts, events = _survivor_counts(model, initial, t, plan, first_stream,
+                                      trajectories)
+    return _conditional_estimate(counts, trajectories, t, events)
 
 
 def _survivor_counts(model: Model, initial, t: float, plan: RngPlan,
-                     first: int, count: int) -> Counter:
-    """Final states at t of the surviving paths on streams ``first`` on."""
+                     first: int, count: int):
+    """Final states at t of the surviving paths on streams ``first`` on, and
+    the events of all the paths.
+
+    Batches of ``_BATCH`` paths advance in lockstep, one event per step.  At
+    event j a path reads uniforms 2j and 2j + 1 of its stream, as
+    ``_jump_path`` does, from a buffer row refilled every ``_REFILL``
+    uniforms, so it makes the moves ``simulate_path`` makes on that stream.
+    """
+    n = _start(model, initial, t)
+    first, rekey = plan._rekeyer(first, count)
+    table = _MoveTable(model._moves, n)
     counts: Counter = Counter()
-    for rng in plan.streams(first, count):
-        path = simulate_path(model, initial, t, rng)
-        if not path.absorbed:
-            counts[path.final_state] += 1
-    return counts
+    events = 0
+    buffer = np.empty((min(count, _BATCH), _REFILL))
+    flat = buffer.reshape(-1)
+    log1p = math.log1p
+    for lo in range(first, first + count, _BATCH):
+        size = min(_BATCH, first + count - lo)
+        rows = np.arange(size)              # buffer rows of the live paths
+        s = np.zeros(size, dtype=np.intp)   # their state ids
+        clock = np.zeros(size)
+        final = np.zeros(size, dtype=np.intp)  # last state ids; -1 absorbed
+        for step in range(_EVENT_BUDGET):
+            col = 2 * step % _REFILL
+            if col == 0:
+                for row in rows.tolist():
+                    rekey(lo + row, 2 * step).random(out=buffer[row])
+            total = table.totals(s)
+            at = rows * _REFILL + col
+            # ``math.log1p``: ``np.log1p`` differs in the last bit on some u.
+            logs = np.fromiter(map(log1p, (-flat.take(at)).tolist()), float,
+                               len(at))
+            # A state without moves (total 0) keeps its path to t.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                clock += -logs / total
+            stay = (total <= 0.0) | (clock >= t)
+            # The pick of ``_jump_path``: the count of running sums but the
+            # last that are <= u * total.
+            x = flat.take(at + 1) * total
+            pick = (table.cum[s] <= x[:, None]).sum(axis=1)
+            moved = table.target.take(s * table.target.shape[1] + pick)
+            s = np.where(stay, s, moved)
+            final[rows] = s
+            events += len(rows) - int(np.count_nonzero(stay))
+            go = ~stay & (s >= 0)
+            rows, s, clock = rows[go], s[go], clock[go]
+            if not len(rows):
+                break
+        else:
+            raise NumericalError(f"event budget {_EVENT_BUDGET} exhausted "
+                                 f"before t_max = {t}; the model may explode")
+        counts.update(map(table.states.__getitem__,
+                          final[final >= 0].tolist()))
+    return counts, events
 
 
-def _conditional_estimate(counts: Counter, trajectories: int,
-                          t: float) -> ConditionalEstimate:
-    """The estimate from the survivor counts of ``trajectories`` paths."""
+class _MoveTable:
+    """The moves of the states the paths visit, as arrays over state ids.
+
+    Row ``s`` holds ``total[s]``, the running sums but the last in ``cum[s]``
+    (padded with +inf, so that counting the entries <= u * total is the
+    pick) and the target ids in ``target[s]``, -1 for an absorbed target.
+    A state gets an id when it first appears as a live target, and its row
+    from ``moves`` (the model's memo) when a path first stands on it; until
+    then its total is NaN.
+    """
+
+    def __init__(self, moves, start):
+        self.moves = moves
+        self.ids = {start: 0}
+        self.states = [start]
+        self.total = np.full(1, math.nan)
+        self.cum = np.zeros((1, 0))
+        self.target = np.zeros((1, 1), dtype=np.intp)
+
+    def totals(self, s):
+        """``total[s]``, once the rows of the ids in ``s`` are filled."""
+        total = self.total.take(s)
+        todo = s[np.isnan(total)]
+        if not len(todo):
+            return total
+        for i in np.unique(todo).tolist():
+            targets, cum, rate, dead = self.moves(self.states[i])
+            ids = [-1 if gone else self.ids.setdefault(target, len(self.ids))
+                   for target, gone in zip(targets, dead)]
+            # The states that just got ids, in id order.
+            self.states.extend(islice(self.ids, len(self.states), None))
+            self._grow(len(self.states), len(ids))
+            self.total[i] = rate
+            self.cum[i, :max(len(ids) - 1, 0)] = cum[:-1]
+            self.target[i, :len(ids)] = ids
+        return self.total.take(s)
+
+    def _grow(self, rows, width):
+        """Room for ``rows`` states with up to ``width`` moves each."""
+        have, wide = self.target.shape
+        if rows > have or width > wide:
+            grow = ((0, 2 * rows - have if rows > have else 0),
+                    (0, max(0, width - wide)))
+            self.total = np.pad(self.total, grow[:1], constant_values=math.nan)
+            self.cum = np.pad(self.cum, grow, constant_values=math.inf)
+            self.target = np.pad(self.target, grow)
+
+
+def _conditional_estimate(counts: Counter, trajectories: int, t: float,
+                          events: int) -> ConditionalEstimate:
+    """The estimate from the survivor counts and events of ``trajectories``
+    paths."""
     survivors = sum(counts.values())
     if survivors == 0:
         raise NoSurvivorsError(
@@ -364,7 +474,7 @@ def _conditional_estimate(counts: Counter, trajectories: int,
     return ConditionalEstimate(law=EmpiricalLaw.from_counts(counts),
                                survival=survivors / trajectories,
                                trajectories=trajectories,
-                               survivors=survivors, t=t)
+                               survivors=survivors, t=t, events=events)
 
 
 # ---------------------------------------------------------------------------
@@ -400,16 +510,12 @@ def fleming_viot(model: Model, initial, particles: int, t_max: float,
     """
     if particles < 2:
         raise DomainError(f"need at least two particles, got {particles}")
-    if t_max <= 0:
-        raise DomainError(f"t_max must be positive, got {t_max}")
+    start = _start(model, initial, t_max)
     if occupation_from is None:
         occupation_from = t_max / 2.0
     if not 0.0 <= occupation_from < t_max:
         raise DomainError(f"occupation_from = {occupation_from} outside "
                           f"[0, {t_max})")
-    start = tuple(int(v) for v in initial)
-    if len(start) != model.r or not is_interior(start):
-        raise DomainError(f"initial state {start} is not interior")
 
     moves = model._moves
     heappop, heapreplace = heapq.heappop, heapq.heapreplace

@@ -331,12 +331,18 @@ def _window_end(mean: float) -> int:
 
 def _poisson_weights(mean: float, tail: float, log_factorials=None):
     """Exact Poisson weights on a window carrying all but ``tail`` mass;
-    ``log k!`` up to :func:`_window_end` may be passed precomputed."""
+    ``log k!`` up to :func:`_window_end` may be passed precomputed.  The
+    weights below ``mean - 40 sqrt(mean)`` are set to 0 unevaluated: by the
+    lower-tail bound ``exp(-x^2 / (2 mean))`` each is below ``exp(-800)``,
+    which ``exp`` rounds to 0."""
     k_hi = _window_end(mean)
-    ks = np.arange(0, k_hi + 1, dtype=float)
+    k_lo = max(0, math.floor(mean - 40.0 * math.sqrt(mean)))
+    ks = np.arange(k_lo, k_hi + 1, dtype=float)
     if log_factorials is None:
-        log_factorials = gammaln(ks + 1.0)
-    weights = np.exp(-mean + ks * math.log(mean) - log_factorials[:k_hi + 1])
+        log_factorials = gammaln(np.arange(k_hi + 1) + 1.0)
+    weights = np.zeros(k_hi + 1)
+    weights[k_lo:] = np.exp(-mean + ks * math.log(mean)
+                            - log_factorials[k_lo:k_hi + 1])
     cum = np.cumsum(weights)
     total = cum[-1]
     first = int(np.searchsorted(cum, 0.5 * tail, side="right"))

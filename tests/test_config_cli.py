@@ -6,6 +6,7 @@ written files are observed exactly as a shell would see them.
 
 import csv
 import json
+import itertools
 import math
 import re
 from pathlib import Path
@@ -13,12 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsdlab import config, convergence
+from qsdlab import cli, config, convergence
 from qsdlab.cli import main
 from qsdlab.config import load_config
 from qsdlab.convergence import mixing_certificate
 from qsdlab.errors import ValidationError
 from qsdlab.model import build_model
+from qsdlab.simulate import RngPlan, estimate_conditional
 from qsdlab.solver import assemble, enumerate_space, evolve_function, solve_qsd
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -362,6 +364,65 @@ def test_simulate_threads_do_not_change_the_answer(tmp_path):
                  "--t", "1.0", "--threads", "3"]) == 0
     assert (out_a / "conditional_law.csv").read_bytes() == \
         (out_b / "conditional_law.csv").read_bytes()
+
+
+class _FakeContext:
+    """A ``get_context`` stand-in whose pool records its size and runs its
+    tasks in this process."""
+
+    def __init__(self):
+        self.workers = []
+
+    def Pool(self, workers):
+        self.workers.append(workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, func, tasks):
+        return list(itertools.starmap(func, tasks))
+
+
+@pytest.mark.parametrize("threads,cores,traj,workers",
+                         [(5000, 3, 40, 3), (2, 3, 40, 2), (8, 64, 5, 5)])
+def test_simulate_pool_is_capped_at_the_usable_cores(tmp_path, monkeypatch,
+                                                     threads, cores, traj,
+                                                     workers):
+    context = _FakeContext()
+    monkeypatch.setattr(cli.multiprocessing, "get_context",
+                        lambda method: context)
+    monkeypatch.setattr(cli.os, "sched_getaffinity",
+                        lambda pid: set(range(cores)))
+    cfg = write_cfg(tmp_path, TWO_TYPE)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--t", "1.0",
+                 "--traj", str(traj), "--threads", str(threads)]) == 0
+    assert context.workers == [workers]
+    summary = json.loads((out / "simulate_summary.json").read_text())
+    assert summary["threads"] == threads
+
+
+def test_simulate_summary_counts_the_events_of_every_chunk(tmp_path):
+    cfg = write_cfg(tmp_path, TWO_TYPE)
+    summaries = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     "--t", "1.0", "--threads", threads]) == 0
+        summaries.append(
+            json.loads((out / "simulate_summary.json").read_text()))
+    serial, forked = summaries
+    loaded = load_config(cfg)
+    estimate = estimate_conditional(build_model(loaded), (1, 1), 1.0,
+                                    serial["trajectories"],
+                                    RngPlan(loaded.seed))
+    assert serial["events"] == forked["events"] == estimate.events > 0
+    assert {k: v for k, v in serial.items() if k != "threads"} == \
+        {k: v for k, v in forked.items() if k != "threads"}
 
 
 def test_simulate_without_survivors_exits_two_on_every_path(tmp_path, capsys):

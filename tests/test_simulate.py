@@ -12,14 +12,17 @@ import heapq
 import math
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsdlab import simulate
 from qsdlab.config import load_config
-from qsdlab.errors import DomainError, NoSurvivorsError, ValidationError
+from qsdlab.errors import (DomainError, NoSurvivorsError, NumericalError,
+                           ValidationError)
 from qsdlab.model import LitterLaw, Model, _memo_moves, build_model, is_absorbed
 from qsdlab.presets import (catastrophe_logistic_1d, logistic_1d,
                             multibirth_uniform_1d, reference_2d)
@@ -28,6 +31,7 @@ from qsdlab.simulate import (
     RngPlan,
     Trajectory,
     _jump_path,
+    _survivor_counts,
     _uniforms,
     estimate_conditional,
     fleming_viot,
@@ -105,14 +109,20 @@ def _odd_integers(rng, k):
 
 @pytest.mark.parametrize("consume", [_random_blocks, _odd_integers])
 def test_rekeyed_streams_draw_what_fresh_streams_draw(consume):
-    # 300 keys, at both ends of the seed and of the index range.
+    # 300 keys, at both ends of the seed and of the index range, each at a
+    # stream position that is a multiple of 4.
     ranges = [(RngPlan(0), 0, 150), (RngPlan(2 ** 64 - 1), 2 ** 64 - 150, 150)]
     keys = spare_halves = 0
     for plan, first, count in ranges:
-        for k, rng in zip(range(first, first + count),
-                          plan.streams(first, count)):
+        start, rekey = plan._rekeyer(first, count)
+        assert start == first
+        for k in range(first, first + count):
+            pos = 4 * (k % 5)
+            rng = rekey(k, pos)
             got = consume(rng, k)
-            want = consume(plan.stream(k), k)
+            fresh = plan.stream(k)
+            fresh.random(pos)
+            want = consume(fresh, k)
             assert len(got) == len(want)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
             # Each next stream is re-keyed from a part-used generator.
@@ -127,13 +137,15 @@ def test_rekeyed_streams_draw_what_fresh_streams_draw(consume):
 def test_rekeyed_streams_check_the_whole_range_before_yielding():
     plan = RngPlan(3)
     with pytest.raises(DomainError):
-        plan.streams(2 ** 64 - 2, 5)
+        plan._rekeyer(2 ** 64 - 2, 5)
     for first in (-1, 1.0, "0"):
         with pytest.raises(DomainError):
-            plan.streams(first, 2)
-    last = list(plan.streams(2 ** 64 - 2, 2))
-    assert len(last) == 2
-    assert list(plan.streams(5, 0)) == []
+            plan._rekeyer(first, 2)
+    first, rekey = plan._rekeyer(2 ** 64 - 2, 2)
+    assert first == 2 ** 64 - 2
+    assert np.array_equal(rekey(2 ** 64 - 1).random(4),
+                          plan.stream(2 ** 64 - 1).random(4))
+    assert plan._rekeyer(np.uint64(5), 0)[0] == 5
 
 
 # ---------------------------------------------------------------------------
@@ -789,8 +801,174 @@ def test_occupation_skips_the_burn_in_without_moving_a_bit(ref2d_30, seed):
     # Plain paths on multibirth1d end either way.
     _, model = _config_model("multibirth1d")
     ends = Counter()
-    for rng in RngPlan(seed).streams(0, 40):
-        path = simulate_path(model, (3,), 5.0, rng)
+    for k in range(40):
+        path = simulate_path(model, (3,), 5.0, RngPlan(seed).stream(k))
         ends[path.absorbed] += 1
         _assert_occupation_matches(path)
     assert ends[True] > 0 and ends[False] > 0
+
+
+# ---------------------------------------------------------------------------
+# the lockstep survivor tally against one path at a time
+# ---------------------------------------------------------------------------
+
+
+def _plain_tally(model, start, t, plan, first, count):
+    """Survivor counts, events and the longest path's events of
+    ``simulate_path`` on each stream in turn."""
+    counts = Counter()
+    events = longest = 0
+    for k in range(first, first + count):
+        path = simulate_path(model, start, t, plan.stream(k))
+        events += len(path.times) - 1
+        longest = max(longest, len(path.times) - 1)
+        if not path.absorbed:
+            counts[path.final_state] += 1
+    return counts, events, longest
+
+
+def _assert_tally_matches(model, start, t, plan, first, count):
+    counts, events = _survivor_counts(model, start, t, plan, first, count)
+    want, want_events, longest = _plain_tally(model, start, t, plan, first,
+                                              count)
+    assert counts == want and events == want_events
+    # The same insertion order, so every sum over the law adds alike.
+    assert list(counts) == list(want)
+    return counts, events, longest
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_lockstep_tally_equals_one_path_at_a_time(name):
+    make, start, t_max = MODELS[name]
+    counts, events, _ = _assert_tally_matches(make(), start, t_max,
+                                              RngPlan(31), 0, 200)
+    assert counts
+    estimate = estimate_conditional(make(), start, t_max, 200, RngPlan(31))
+    assert (estimate.survivors, estimate.events) == \
+        (sum(counts.values()), events)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_lockstep_tally_across_batches_and_refills(monkeypatch, name):
+    make, start, t_max = MODELS[name]
+    monkeypatch.setattr(simulate, "_BATCH", 64)
+    monkeypatch.setattr(simulate, "_REFILL", 8)
+    # 150 paths from stream 1000: two full batches and a part-filled one.
+    *_, longest = _assert_tally_matches(make(), start, t_max, RngPlan(9),
+                                        1000, 150)
+    # Some path drew past its third buffer refill.
+    assert longest > 3 * simulate._REFILL // 2
+
+
+def test_lockstep_tally_over_more_than_one_batch():
+    make, start, t_max = MODELS["catastrophe"]
+    count = simulate._BATCH + 150
+    counts, *_ = _assert_tally_matches(make(), start, t_max, RngPlan(2), 777,
+                                       count)
+    assert 0 < sum(counts.values()) < count
+
+
+def test_lockstep_tally_refills_on_a_long_horizon():
+    make, start, t_max = MODELS["constant"]
+    counts, _, longest = _assert_tally_matches(make(), start, 8 * t_max,
+                                               RngPlan(4), 0, 60)
+    assert counts and longest > 3 * simulate._REFILL // 2
+
+
+def test_lockstep_tally_keeps_paths_in_states_without_moves():
+    # From (3,) and (4,) nothing moves; (2,) can be left only towards them,
+    # or to (1,) and on to the boundary, by moves of unequal counts.
+    def table(n):
+        if n[0] >= 3:
+            return [], [], 0.0
+        return [(n[0] + 1,), (n[0] - 1,)], [1.5, 1.0], 2.5
+
+    model = SimpleNamespace(r=1, _moves=_memo_moves(table))
+    counts, *_ = _assert_tally_matches(model, (2,), 3.0, RngPlan(6), 0, 300)
+    assert set(counts) >= {(3,)}
+
+
+class _ScriptedPlan:
+    """Stand-in plan whose stream k hands out ``scripts[k]``, then 0.5."""
+
+    def __init__(self, scripts):
+        self.scripts = scripts
+
+    def _rekeyer(self, first, count):
+        def rekey(k, pos=0):
+            values = self.scripts[k][pos:]
+
+            def random(out):
+                out[:] = 0.5
+                out[:len(values[:len(out)])] = values[:len(out)]
+            return SimpleNamespace(random=random)
+        return first, rekey
+
+
+def _wait_where_numpy_log1p_rounds_down():
+    """A uniform whose wait ``-log1p(-u)`` is shorter by ``np.log1p``."""
+    for u in RngPlan(0).stream(0).random(1000).tolist():
+        if np.log1p(-u) > math.log1p(-u):
+            return u
+    raise AssertionError("no such uniform among 1000")
+
+
+def _boundary_cases():
+    long_wait = _LAST_BELOW_ONE
+    u = _wait_where_numpy_log1p_rounds_down()
+    return {
+        # u * total is the first running sum: the next move is taken.
+        "pick on a sum": (_fixed_table([(6,), (7,), (4,)], [1.0, 1.0, 2.0]),
+                          1.0, [0.5, 0.25, long_wait]),
+        # u * total rounds up onto the last running sum: the last move.
+        "pick rounded up": (_fixed_table([(6,), (0,)], [1.0, 2.0],
+                                         math.nextafter(3.0, 4.0)),
+                            1.0, [0.5, _LAST_BELOW_ONE]),
+        # The first wait ends exactly at t: the path stays where it is.
+        "wait ends at t": (_fixed_table([(6,)], [1.0]), -math.log1p(-0.5),
+                           [0.5, 0.5, long_wait]),
+        # Ends at t by ``math.log1p``, an ulp before it by ``np.log1p``.
+        "wait rounding": (_fixed_table([(6,)], [1.0]), -math.log1p(-u),
+                          [u, 0.5, long_wait]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_boundary_cases()))
+def test_lockstep_tally_on_scripted_boundaries(case):
+    table, t, script = _boundary_cases()[case]
+    model = SimpleNamespace(r=1, _moves=_memo_moves(table))
+    counts, events = _survivor_counts(model, (5,), t,
+                                      _ScriptedPlan({0: script}), 0, 1)
+    path = _jump_path(_memo_moves(table), (5,), t, _Scripted(script))
+    want = Counter() if path.absorbed else Counter([path.final_state])
+    assert (counts, events) == (want, len(path.times) - 1)
+    if case.startswith("wait"):
+        assert counts == Counter([(5,)])
+
+
+def test_lockstep_tally_checks_its_arguments():
+    model = reference_2d()
+    for start, t in (((0, 3), 1.0), ((3,), 1.0), ((3, 3), 0.0)):
+        with pytest.raises(DomainError):
+            _survivor_counts(model, start, t, RngPlan(0), 0, 5)
+    with pytest.raises(DomainError):
+        _survivor_counts(model, (3, 3), 1.0, RngPlan(0), 2 ** 64 - 3, 5)
+
+
+def test_lockstep_tally_keeps_the_event_budget(monkeypatch):
+    make, start, t_max = MODELS["constant"]
+    _, _, longest = _plain_tally(make(), start, t_max, RngPlan(3), 0, 40)
+    # A path that makes its budget's last move unabsorbed raises, in both
+    # loops, even when its next wait would pass t.
+    raised = []
+    for budget in (5, longest - 1, longest, longest + 1):
+        monkeypatch.setattr(simulate, "_EVENT_BUDGET", budget)
+        try:
+            _plain_tally(make(), start, t_max, RngPlan(3), 0, 40)
+        except NumericalError:
+            with pytest.raises(NumericalError, match="event budget"):
+                _survivor_counts(make(), start, t_max, RngPlan(3), 0, 40)
+            raised.append(budget)
+        else:
+            _assert_tally_matches(make(), start, t_max, RngPlan(3), 0, 40)
+    assert raised[:2] == [5, longest - 1] and longest + 1 not in raised

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sps
+from scipy.special import gammaln
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -444,6 +445,36 @@ def test_block_flow_equals_its_columns_bit_for_bit(ref2d_30, flow):
     assert out.shape == block.shape
     for j in range(block.shape[1]):
         assert np.array_equal(out[:, j], flow(ref2d_30, block[:, j], 0.8))
+
+
+def _every_poisson_weight(mean, tail, log_factorials=None):
+    """Poisson weights evaluated from k = 0, the window rule unchanged."""
+    k_hi = solver._window_end(mean)
+    ks = np.arange(0, k_hi + 1, dtype=float)
+    if log_factorials is None:
+        log_factorials = gammaln(ks + 1.0)
+    weights = np.exp(-mean + ks * math.log(mean) - log_factorials[:k_hi + 1])
+    cum = np.cumsum(weights)
+    first = int(np.searchsorted(cum, 0.5 * tail, side="right"))
+    last = int(np.argmax((cum[-1] - cum) <= 0.5 * tail))
+    return first, last, weights
+
+
+def test_poisson_weights_skip_only_exact_zeros():
+    means = np.concatenate([np.geomspace(1e-3, 2e5, 160),
+                            [1599.5, 1600.0, 1600.5, 14576.0, 3.5e5]])
+    shared = gammaln(np.arange(solver._window_end(means.max()) + 1) + 1.0)
+    skipped = 0
+    for mean in means:
+        for log_factorials in (None, shared):
+            first, last, weights = solver._poisson_weights(
+                mean, solver.POISSON_TAIL, log_factorials)
+            want = _every_poisson_weight(mean, solver.POISSON_TAIL,
+                                         log_factorials)
+            assert (first, last) == want[:2]
+            assert weights.tobytes() == want[2].tobytes()
+        skipped = max(skipped, math.floor(mean - 40.0 * math.sqrt(mean)))
+    assert skipped > 10 ** 5
 
 
 def test_forward_products_have_the_bits_of_the_row_vector_path(ref2d_30):
