@@ -19,26 +19,22 @@ failure; 3 usage error.
 import argparse
 import csv
 import json
-import math
-import multiprocessing
 import os
 import sys
-from collections import Counter
 
 import numpy as np
 
 from .config import load_config
 from .convergence import convergence_curves, fit_rate, mixing_certificate
-from .errors import NoFitError, NumericalError, QsdlabError, ValidationError
+from .errors import NoFitError, NumericalError, ValidationError
 from .lyapunov import (PotentialParams, check_boundary_pressure,
                        check_catastrophes, check_competition_dominance,
                        check_conditional_drift, check_drift,
                        check_growth_envelope, check_multibirth,
                        check_neutral_threshold)
 from .model import build_model
-from .simulate import (RngPlan, _conditional_estimate, _survivor_counts,
-                       estimate_conditional, fleming_viot, occupation_measure,
-                       simulate_qprocess)
+from .simulate import (RngPlan, estimate_conditional, fleming_viot,
+                       occupation_measure, simulate_qprocess)
 from .solver import assemble, enumerate_space, solve_qsd
 
 _CONDITIONAL_CHECK_CAP = 20000
@@ -69,7 +65,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="INI configuration file")
         p.add_argument("--out", default=None,
                        help="output directory (default $QSDLAB_OUT or .)")
-        p.add_argument("--trunc", "--nmax", dest="trunc", type=int, default=None,
+        p.add_argument("--trunc", type=int, default=None,
                        help="override the truncation size")
         p.add_argument("--t", type=float, default=None,
                        help="override the time horizon")
@@ -77,10 +73,9 @@ def _build_parser() -> _Parser:
                        help="override the trajectory count")
         p.add_argument("--seed", type=int, default=None,
                        help="override the master seed")
-        p.add_argument("--t0", type=float, default=1.0,
-                       help="return-time for the mixing certificate")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker processes for path simulation")
+    sub.choices["certify"].add_argument(
+        "--t0", type=float, default=1.0,
+        help="return-time for the mixing certificate")
     return parser
 
 
@@ -191,48 +186,22 @@ def _cmd_solve(cfg, args, out, overrides):
     return 0
 
 
-def _simulate_chunk(cfg, initial, first, count):
-    return _survivor_counts(build_model(cfg), initial, cfg.t_max,
-                            RngPlan(cfg.seed), first, count)
-
-
 def _cmd_simulate(cfg, args, out, overrides):
-    model = build_model(cfg)
     initial = _initials(cfg)[0]
     total = cfg.trajectories
-    if args.threads > 1:
-        workers = min(args.threads, total, len(os.sched_getaffinity(0)))
-        base, extra = divmod(total, workers)
-        chunks = []
-        first = 0
-        for w in range(workers):
-            count = base + (1 if w < extra else 0)
-            chunks.append((cfg, initial, first, count))
-            first += count
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            parts = pool.starmap(_simulate_chunk, chunks)
-        counts = Counter()
-        for part, _ in parts:
-            counts.update(part)
-        est = _conditional_estimate(counts, total, cfg.t_max,
-                                    sum(events for _, events in parts))
-    else:
-        est = estimate_conditional(model, initial, cfg.t_max, total,
-                                   RngPlan(cfg.seed))
-    law, survival, survivors = est.law, est.survival, est.survivors
-
-    header, rows = _empirical_rows(cfg.r, [("mass", law)])
+    est = estimate_conditional(build_model(cfg), initial, cfg.t_max, total,
+                               RngPlan(cfg.seed))
+    header, rows = _empirical_rows(cfg.r, [("mass", est.law)])
     law_path = os.path.join(out, "conditional_law.csv")
     _write_csv(law_path, header, rows)
     summary = _summary(cfg, overrides, initial=list(initial),
-                       survival=survival,
+                       survival=est.survival,
                        survival_stderr=est.survival_stderr,
-                       survivors=survivors,
-                       trajectories=total, t=cfg.t_max, threads=args.threads,
-                       events=est.events)
+                       survivors=est.survivors, trajectories=total,
+                       t=cfg.t_max, events=est.events)
     summary_path = os.path.join(out, "simulate_summary.json")
     _write_json(summary_path, summary)
-    print(f"survival {survival:.6g} ({survivors}/{total} paths) "
+    print(f"survival {est.survival:.6g} ({est.survivors}/{total} paths) "
           f"at t = {cfg.t_max:g} from {initial}")
     print(f"wrote {law_path} and {summary_path}")
     return 0

@@ -173,9 +173,21 @@ def _start(model: Model, initial, t_max: float) -> tuple:
     n = tuple(int(v) for v in initial)
     if len(n) != model.r or not is_interior(n):
         raise DomainError(f"initial state {n} is not interior for r = {model.r}")
-    if t_max <= 0:
-        raise DomainError(f"t_max must be positive, got {t_max}")
+    if not 0 < t_max < math.inf:
+        raise DomainError(f"t_max must be positive and finite, got {t_max}")
     return n
+
+
+def _count(value, name: str, least: int) -> int:
+    """``value`` as an int of at least ``least``; else a ``DomainError``
+    that names it."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def _jump_path(moves, n, t_max: float, rng: np.random.Generator) -> Trajectory:
@@ -346,14 +358,23 @@ def estimate_conditional(model: Model, initial, t: float, trajectories: int,
     """Estimate the law at time t conditioned on survival, by many paths.
 
     Trajectory k draws from stream ``first_stream + k`` of the plan, so any
-    contiguous batch of indices reproduces exactly.  Raises when every path
-    was absorbed by t.
+    contiguous batch of indices reproduces exactly: runs over streams
+    ``[0, a)`` and ``[a, n)``, in one process or two, have between them the
+    survivor counts and events of one run over ``[0, n)``.  Raises when
+    every path was absorbed by t.
     """
-    if trajectories < 1:
-        raise DomainError(f"need at least one trajectory, got {trajectories}")
+    trajectories = _count(trajectories, "trajectories", 1)
     counts, events = _survivor_counts(model, initial, t, plan, first_stream,
                                       trajectories)
-    return _conditional_estimate(counts, trajectories, t, events)
+    survivors = sum(counts.values())
+    if survivors == 0:
+        raise NoSurvivorsError(
+            f"all {trajectories} paths were absorbed before t = {t}",
+            survival_estimate=0.0)
+    return ConditionalEstimate(law=EmpiricalLaw.from_counts(counts),
+                               survival=survivors / trajectories,
+                               trajectories=trajectories,
+                               survivors=survivors, t=t, events=events)
 
 
 def _survivor_counts(model: Model, initial, t: float, plan: RngPlan,
@@ -462,21 +483,6 @@ class _MoveTable:
             self.target = np.pad(self.target, grow)
 
 
-def _conditional_estimate(counts: Counter, trajectories: int, t: float,
-                          events: int) -> ConditionalEstimate:
-    """The estimate from the survivor counts and events of ``trajectories``
-    paths."""
-    survivors = sum(counts.values())
-    if survivors == 0:
-        raise NoSurvivorsError(
-            f"all {trajectories} paths were absorbed before t = {t}",
-            survival_estimate=0.0)
-    return ConditionalEstimate(law=EmpiricalLaw.from_counts(counts),
-                               survival=survivors / trajectories,
-                               trajectories=trajectories,
-                               survivors=survivors, t=t, events=events)
-
-
 # ---------------------------------------------------------------------------
 # particle approximation of the conditioned law
 # ---------------------------------------------------------------------------
@@ -508,8 +514,7 @@ def fleming_viot(model: Model, initial, particles: int, t_max: float,
     draw from stream ``particles``.  The occupation law time-averages all
     walkers from ``occupation_from`` (default ``t_max / 2``) to the horizon.
     """
-    if particles < 2:
-        raise DomainError(f"need at least two particles, got {particles}")
+    particles = _count(particles, "particles", 2)
     start = _start(model, initial, t_max)
     if occupation_from is None:
         occupation_from = t_max / 2.0
@@ -595,11 +600,9 @@ def simulate_qprocess(model: Model, qsd: QsdResult, initial, t_max: float,
     and ``rng`` is consumed in blocks: use one stream per path.
     """
     space, h = qsd.space, qsd.survival_profile
-    n = tuple(int(v) for v in initial)
+    n = _start(model, initial, t_max)
     if n not in space.index:
         raise DomainError(f"initial state {n} is outside the solved space")
-    if t_max <= 0:
-        raise DomainError(f"t_max must be positive, got {t_max}")
 
     def table(n):
         targets, rates, _ = model.transition_table(n)

@@ -6,7 +6,6 @@ written files are observed exactly as a shell would see them.
 
 import csv
 import json
-import itertools
 import math
 import re
 from pathlib import Path
@@ -14,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsdlab import cli, config, convergence
+from qsdlab import config, convergence
 from qsdlab.cli import main
 from qsdlab.config import load_config
 from qsdlab.convergence import mixing_certificate
@@ -354,86 +353,26 @@ def test_simulate_writes_conditional_law(tmp_path):
     assert len(rows) > 1
 
 
-def test_simulate_threads_do_not_change_the_answer(tmp_path):
-    cfg = write_cfg(tmp_path, TWO_TYPE)
-    out_a = tmp_path / "serial"
-    out_b = tmp_path / "forked"
-    assert main(["simulate", "--config", cfg, "--out", str(out_a),
-                 "--t", "1.0", "--threads", "1"]) == 0
-    assert main(["simulate", "--config", cfg, "--out", str(out_b),
-                 "--t", "1.0", "--threads", "3"]) == 0
-    assert (out_a / "conditional_law.csv").read_bytes() == \
-        (out_b / "conditional_law.csv").read_bytes()
-
-
-class _FakeContext:
-    """A ``get_context`` stand-in whose pool records its size and runs its
-    tasks in this process."""
-
-    def __init__(self):
-        self.workers = []
-
-    def Pool(self, workers):
-        self.workers.append(workers)
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def starmap(self, func, tasks):
-        return list(itertools.starmap(func, tasks))
-
-
-@pytest.mark.parametrize("threads,cores,traj,workers",
-                         [(5000, 3, 40, 3), (2, 3, 40, 2), (8, 64, 5, 5)])
-def test_simulate_pool_is_capped_at_the_usable_cores(tmp_path, monkeypatch,
-                                                     threads, cores, traj,
-                                                     workers):
-    context = _FakeContext()
-    monkeypatch.setattr(cli.multiprocessing, "get_context",
-                        lambda method: context)
-    monkeypatch.setattr(cli.os, "sched_getaffinity",
-                        lambda pid: set(range(cores)))
-    cfg = write_cfg(tmp_path, TWO_TYPE)
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", cfg, "--out", str(out), "--t", "1.0",
-                 "--traj", str(traj), "--threads", str(threads)]) == 0
-    assert context.workers == [workers]
-    summary = json.loads((out / "simulate_summary.json").read_text())
-    assert summary["threads"] == threads
-
-
 def test_simulate_summary_counts_the_events_of_every_chunk(tmp_path):
     cfg = write_cfg(tmp_path, TWO_TYPE)
-    summaries = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        assert main(["simulate", "--config", cfg, "--out", str(out),
-                     "--t", "1.0", "--threads", threads]) == 0
-        summaries.append(
-            json.loads((out / "simulate_summary.json").read_text()))
-    serial, forked = summaries
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--t", "1.0"]) == 0
+    summary = json.loads((out / "simulate_summary.json").read_text())
     loaded = load_config(cfg)
     estimate = estimate_conditional(build_model(loaded), (1, 1), 1.0,
-                                    serial["trajectories"],
+                                    summary["trajectories"],
                                     RngPlan(loaded.seed))
-    assert serial["events"] == forked["events"] == estimate.events > 0
-    assert {k: v for k, v in serial.items() if k != "threads"} == \
-        {k: v for k, v in forked.items() if k != "threads"}
+    assert summary["events"] == estimate.events > 0
+    assert "threads" not in summary
 
 
 def test_simulate_without_survivors_exits_two_on_every_path(tmp_path, capsys):
     cfg = str(CONFIGS / "neutral3d.cfg")
-    messages = []
-    for threads in ("1", "2"):
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path),
-                     "--traj", "50", "--threads", threads]) == 2
-        messages.append(capsys.readouterr().err)
-    assert messages[0] == messages[1]
-    assert "all 50 paths were absorbed before t = 5.0" in messages[0]
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path),
+                 "--traj", "50"]) == 2
+    assert "all 50 paths were absorbed before t = 5.0" in \
+        capsys.readouterr().err
 
 
 def test_fv_writes_particle_law(tmp_path):
@@ -565,7 +504,7 @@ def test_non_finite_tolerance_exits_one(tmp_path, capsys, tol):
     ("simulate", ["--t", "nan"], "[simulation] t_max"),
     ("certify", ["--t", "inf"], "[simulation] t_max"),
     ("simulate", ["--traj", "0"], "[simulation] trajectories"),
-    ("simulate", ["--traj", "-5", "--threads", "2"], "[simulation] trajectories"),
+    ("simulate", ["--traj", "-5"], "[simulation] trajectories"),
     ("simulate", ["--seed", "-1"], "[simulation] seed"),
     ("certify", ["--t0", "nan"], "t0"),
 ])
@@ -588,3 +527,7 @@ def test_usage_errors_exit_three(tmp_path):
     assert main([]) == 3
     cfg = write_cfg(tmp_path, MINIMAL)
     assert main(["solve", "--config", cfg, "--no-such-flag"]) == 3
+    # Options that no command reads any more, and --t0 off certify.
+    assert main(["simulate", "--config", cfg, "--threads", "2"]) == 3
+    assert main(["solve", "--config", cfg, "--nmax", "30"]) == 3
+    assert main(["solve", "--config", cfg, "--t0", "1"]) == 3

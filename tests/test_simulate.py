@@ -290,7 +290,8 @@ def test_conditional_estimate_agrees_with_the_exact_law(logistic30_system):
     assert estimate.survival == pytest.approx(estimate.survivors / 20000)
 
 
-def test_conditional_estimate_is_batch_independent(logistic30_system):
+def test_conditional_estimate_is_batch_independent(logistic30_system,
+                                                  monkeypatch):
     model, *_ = logistic30_system
     whole = estimate_conditional(model, (2,), 0.7, 60, RngPlan(5))
     first = estimate_conditional(model, (2,), 0.7, 25, RngPlan(5))
@@ -305,6 +306,14 @@ def test_conditional_estimate_is_batch_independent(logistic30_system):
     for state, mass in combined.items():
         assert mass / whole.survivors == pytest.approx(
             whole.law.mass_at(state), rel=1e-12)
+    # Streams [0, 25) and [25, 60) in batches of 16: the split falls inside
+    # the batch [16, 32) of the whole run.
+    monkeypatch.setattr(simulate, "_BATCH", 16)
+    counts, events = _survivor_counts(model, (2,), 0.7, RngPlan(5), 0, 60)
+    head, head_events = _survivor_counts(model, (2,), 0.7, RngPlan(5), 0, 25)
+    tail, tail_events = _survivor_counts(model, (2,), 0.7, RngPlan(5), 25, 35)
+    assert head + tail == counts and head_events + tail_events == events
+    assert sum(counts.values()) == whole.survivors and events == whole.events
 
 
 def test_no_survivors_is_an_error(logistic30_system):
@@ -341,6 +350,11 @@ def test_particle_count_must_allow_teleporting(logistic30_system):
     model, *_ = logistic30_system
     with pytest.raises(ValidationError):
         fleming_viot(model, (5,), 1, 1.0, RngPlan(0))
+    with pytest.raises(DomainError, match="particles must be an integer"):
+        fleming_viot(model, (5,), 2.5, 1.0, RngPlan(0))
+    for t_max in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="t_max"):
+            fleming_viot(model, (5,), 10, t_max, RngPlan(0))
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +372,15 @@ def test_qprocess_never_dies_and_matches_its_stationary_law(two_state_qsd):
     target = result.law * result.survival_profile
     got = np.array([occupation.mass_at(s) for s in space.states])
     assert 0.5 * np.abs(got - target).sum() < 0.05
+
+
+def test_qprocess_checks_its_arguments(two_state_qsd):
+    model, _, result = two_state_qsd
+    for start, t_max in (((3,), 1.0), ((1,), 0.0), ((1,), math.nan),
+                         ((1,), math.inf)):
+        with pytest.raises(DomainError):
+            simulate_qprocess(model, result, start, t_max,
+                              RngPlan(0).stream(0))
 
 
 def test_qprocess_is_reproducible(two_state_qsd):
@@ -948,11 +971,16 @@ def test_lockstep_tally_on_scripted_boundaries(case):
 
 def test_lockstep_tally_checks_its_arguments():
     model = reference_2d()
-    for start, t in (((0, 3), 1.0), ((3,), 1.0), ((3, 3), 0.0)):
+    for start, t in (((0, 3), 1.0), ((3,), 1.0), ((3, 3), 0.0),
+                     ((3, 3), math.nan), ((3, 3), math.inf)):
         with pytest.raises(DomainError):
             _survivor_counts(model, start, t, RngPlan(0), 0, 5)
     with pytest.raises(DomainError):
         _survivor_counts(model, (3, 3), 1.0, RngPlan(0), 2 ** 64 - 3, 5)
+    with pytest.raises(DomainError, match="t_max"):
+        estimate_conditional(model, (4, 4), math.nan, 100, RngPlan(0))
+    with pytest.raises(DomainError, match="trajectories must be an integer"):
+        estimate_conditional(model, (4, 4), 1.0, 2.5, RngPlan(0))
 
 
 def test_lockstep_tally_keeps_the_event_budget(monkeypatch):
