@@ -503,6 +503,8 @@ def test_non_finite_tolerance_exits_one(tmp_path, capsys, tol):
     ("solve", ["--trunc", "0"], "[truncation] n"),
     ("simulate", ["--t", "nan"], "[simulation] t_max"),
     ("certify", ["--t", "inf"], "[simulation] t_max"),
+    ("fv", ["--t", "nan"], "[simulation] t_max"),
+    ("qprocess", ["--t", "inf"], "[simulation] t_max"),
     ("simulate", ["--traj", "0"], "[simulation] trajectories"),
     ("simulate", ["--traj", "-5"], "[simulation] trajectories"),
     ("simulate", ["--seed", "-1"], "[simulation] seed"),

@@ -374,13 +374,12 @@ def test_qprocess_never_dies_and_matches_its_stationary_law(two_state_qsd):
     assert 0.5 * np.abs(got - target).sum() < 0.05
 
 
-def test_qprocess_checks_its_arguments(two_state_qsd):
+@pytest.mark.parametrize("start,t_max", [((3,), 1.0), ((1,), 0.0),
+                                         ((1,), math.nan), ((1,), math.inf)])
+def test_qprocess_checks_its_arguments(two_state_qsd, start, t_max):
     model, _, result = two_state_qsd
-    for start, t_max in (((3,), 1.0), ((1,), 0.0), ((1,), math.nan),
-                         ((1,), math.inf)):
-        with pytest.raises(DomainError):
-            simulate_qprocess(model, result, start, t_max,
-                              RngPlan(0).stream(0))
+    with pytest.raises(DomainError):
+        simulate_qprocess(model, result, start, t_max, RngPlan(0).stream(0))
 
 
 def test_qprocess_is_reproducible(two_state_qsd):
