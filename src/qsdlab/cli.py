@@ -48,31 +48,43 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+#: Command-line overrides: the config key each sets, its type and help.
+_OVERRIDES = {
+    "trunc": ("truncation.n", int, "override the truncation size"),
+    "t": ("simulation.t_max", float, "override the time horizon"),
+    "traj": ("simulation.trajectories", int, "override the trajectory count"),
+    "seed": ("simulation.seed", int, "override the master seed"),
+}
+
+#: Each subcommand, its help, and the overrides whose keys it reads.
+_SUBCOMMANDS = (
+    ("solve", "long-run conditioned law on a truncated space", ("trunc",)),
+    ("simulate", "conditioned law at a fixed time by many paths",
+     ("t", "traj", "seed")),
+    ("fv", "conditioned law by an interacting particle system",
+     ("trunc", "t", "seed")),
+    ("qprocess", "occupation statistics of the conditioned chain",
+     ("trunc", "t", "seed")),
+    ("check", "finite-range hypothesis reports", ("trunc",)),
+    ("converge", "distance-to-limit curves and rate fits", ("trunc",)),
+    ("certify", "mixing certificates and profile plateau", ("trunc", "t")),
+)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qsdlab",
                      description="Long-run conditioned behavior of "
                                  "competitive birth-death populations.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("solve", "long-run conditioned law on a truncated space"),
-            ("simulate", "conditioned law at a fixed time by many paths"),
-            ("fv", "conditioned law by an interacting particle system"),
-            ("qprocess", "occupation statistics of the conditioned chain"),
-            ("check", "finite-range hypothesis reports"),
-            ("converge", "distance-to-limit curves and rate fits"),
-            ("certify", "mixing certificates and profile plateau")):
-        p = sub.add_parser(name, help=help_text)
+    for name, help_text, flags in _SUBCOMMANDS:
+        # No abbreviations: ``--t`` must not stand for ``--trunc``.
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", required=True, help="INI configuration file")
         p.add_argument("--out", default=None,
                        help="output directory (default $QSDLAB_OUT or .)")
-        p.add_argument("--trunc", type=int, default=None,
-                       help="override the truncation size")
-        p.add_argument("--t", type=float, default=None,
-                       help="override the time horizon")
-        p.add_argument("--traj", type=int, default=None,
-                       help="override the trajectory count")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the master seed")
+        for flag in flags:
+            _, kind, text = _OVERRIDES[flag]
+            p.add_argument(f"--{flag}", type=kind, default=None, help=text)
     sub.choices["certify"].add_argument(
         "--t0", type=float, default=1.0,
         help="return-time for the mixing certificate")
@@ -119,15 +131,11 @@ def _summary(cfg, overrides, **extra) -> dict:
     return payload
 
 
-#: Command-line overrides and the config keys they set.
-_OVERRIDES = (("trunc", "truncation.n"), ("t", "simulation.t_max"),
-              ("traj", "simulation.trajectories"), ("seed", "simulation.seed"))
-
-
 def _apply_overrides(cfg, args) -> dict:
     """Set each given override through its config key's parser and bound."""
     return {name: cfg.override(name, getattr(args, flag))
-            for flag, name in _OVERRIDES if getattr(args, flag) is not None}
+            for flag, (name, _, _) in _OVERRIDES.items()
+            if getattr(args, flag, None) is not None}
 
 
 def _initials(cfg):

@@ -12,15 +12,18 @@ state's moves are computed once and looked up afterwards, and each stream
 is drawn in blocks of ``_BLOCK`` uniforms, which are the same floats that
 single draws would give.
 
-The paths of a conditioned estimate advance in lockstep batches, one event
-per numpy step, each on its own stream: every live path of a batch sits at
-the same stream position, and its buffer row is refilled from one
-generator re-keyed in place to the path's stream and position.  The waits
+The paths of a conditioned estimate and the walkers of the particle system
+share one event loop, ``_Lockstep``, which moves many of them at once, one
+event per numpy step, each reading its own stream from a buffer row.  A
+conditioned estimate refills the rows from one generator re-keyed in place
+to each path's stream and position, a walker from its own
+``RngPlan.stream``; either way a stream draws the same values.  The waits
 still take ``math.log1p`` per uniform, because ``np.log1p`` differs from it
-in the last bit on some inputs.  The walkers of the particle system are
-live at once and add up their occupation in global event order, so each
-owns a generator from ``RngPlan.stream`` and moves one event at a time.
-Either way a stream draws the same values.
+in the last bit on some inputs.  The walkers advance through time windows:
+each moves on its own to the window's end or its absorption, and the
+absorptions, the only moments at which walkers interact, are then resolved
+one at a time in event order.  Each window's occupation is added in global
+event order, so every output keeps its bits whatever the windows.
 """
 
 import bisect
@@ -49,6 +52,10 @@ _BATCH = 4096
 #: Uniforms per refill of a lockstep path's buffer row, a multiple of the
 #: four doubles of one Philox block.
 _REFILL = 64
+
+#: Events per walker in a time window of the particle system, on average at
+#: the walkers' total rates when the window opens.
+_WINDOW = 4
 
 
 @dataclass(frozen=True)
@@ -382,56 +389,34 @@ def _survivor_counts(model: Model, initial, t: float, plan: RngPlan,
     """Final states at t of the surviving paths on streams ``first`` on, and
     the events of all the paths.
 
-    Batches of ``_BATCH`` paths advance in lockstep, one event per step.  At
-    event j a path reads uniforms 2j and 2j + 1 of its stream, as
-    ``_jump_path`` does, from a buffer row refilled every ``_REFILL``
-    uniforms, so it makes the moves ``simulate_path`` makes on that stream.
+    Batches of ``_BATCH`` paths advance in lockstep, one event per step.  Each
+    path reads its stream in order, refilled by a generator re-keyed to the
+    path's stream and position, so it makes the moves ``simulate_path``
+    makes on that stream.
     """
     n = _start(model, initial, t)
     first, rekey = plan._rekeyer(first, count)
     table = _MoveTable(model._moves, n)
     counts: Counter = Counter()
     events = 0
-    buffer = np.empty((min(count, _BATCH), _REFILL))
-    flat = buffer.reshape(-1)
-    log1p = math.log1p
+
+    def fill(rows, drawn, buffer):
+        for k, pos in zip(rows, drawn):
+            rekey(lo + k, pos).random(out=buffer[k, 1:])
+
     for lo in range(first, first + count, _BATCH):
         size = min(_BATCH, first + count - lo)
-        rows = np.arange(size)              # buffer rows of the live paths
-        s = np.zeros(size, dtype=np.intp)   # their state ids
-        clock = np.zeros(size)
-        final = np.zeros(size, dtype=np.intp)  # last state ids; -1 absorbed
-        for step in range(_EVENT_BUDGET):
-            col = 2 * step % _REFILL
-            if col == 0:
-                for row in rows.tolist():
-                    rekey(lo + row, 2 * step).random(out=buffer[row])
-            total = table.totals(s)
-            at = rows * _REFILL + col
-            # ``math.log1p``: ``np.log1p`` differs in the last bit on some u.
-            logs = np.fromiter(map(log1p, (-flat.take(at)).tolist()), float,
-                               len(at))
-            # A state without moves (total 0) keeps its path to t.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                clock += -logs / total
-            stay = (total <= 0.0) | (clock >= t)
-            # The pick of ``_jump_path``: the count of running sums but the
-            # last that are <= u * total.
-            x = flat.take(at + 1) * total
-            pick = (table.cum[s] <= x[:, None]).sum(axis=1)
-            moved = table.target.take(s * table.target.shape[1] + pick)
-            s = np.where(stay, s, moved)
-            final[rows] = s
-            events += len(rows) - int(np.count_nonzero(stay))
-            go = ~stay & (s >= 0)
-            rows, s, clock = rows[go], s[go], clock[go]
-            if not len(rows):
-                break
-        else:
-            raise NumericalError(f"event budget {_EVENT_BUDGET} exhausted "
-                                 f"before t_max = {t}; the model may explode")
-        counts.update(map(table.states.__getitem__,
-                          final[final >= 0].tolist()))
+        paths = _Lockstep(table, size, fill)
+        rows = paths.start(np.arange(size), t)
+        for step, (rows, s, _) in enumerate(paths.run(rows, t), 1):
+            events += len(rows)
+            # A path that makes its budget's last move unabsorbed raises.
+            if step == _EVENT_BUDGET and (s >= 0).any():
+                raise NumericalError(f"event budget {_EVENT_BUDGET} exhausted "
+                                     f"before t_max = {t}; the model may "
+                                     "explode")
+        final = paths.state
+        counts.update(map(table.states.__getitem__, final[final >= 0].tolist()))
     return counts, events
 
 
@@ -451,6 +436,7 @@ class _MoveTable:
         self.ids = {start: 0}
         self.states = [start]
         self.total = np.full(1, math.nan)
+        self.loss = np.zeros(1)
         self.cum = np.zeros((1, 0))
         self.target = np.zeros((1, 1), dtype=np.intp)
 
@@ -468,6 +454,8 @@ class _MoveTable:
             self.states.extend(islice(self.ids, len(self.states), None))
             self._grow(len(self.states), len(ids))
             self.total[i] = rate
+            self.loss[i] = sum(b - a for a, b, gone
+                               in zip([0.0, *cum], cum, dead) if gone)
             self.cum[i, :max(len(ids) - 1, 0)] = cum[:-1]
             self.target[i, :len(ids)] = ids
         return self.total.take(s)
@@ -479,8 +467,95 @@ class _MoveTable:
             grow = ((0, 2 * rows - have if rows > have else 0),
                     (0, max(0, width - wide)))
             self.total = np.pad(self.total, grow[:1], constant_values=math.nan)
+            self.loss = np.pad(self.loss, grow[:1])
             self.cum = np.pad(self.cum, grow, constant_values=math.inf)
             self.target = np.pad(self.target, grow)
+
+
+class _Lockstep:
+    """Paths on the rows of a buffer of uniforms, moved one event per step.
+
+    Row k holds a path's state id in ``state[k]`` (-1 once absorbed) and
+    the time of its next event in ``clock[k]`` (+inf in a state without
+    moves).  A step draws each moving path's pick and the uniform after it
+    as a pair, so each path reads its stream in order, as ``_jump_path``
+    does.  ``fill(rows, drawn, buffer)`` writes into ``buffer[k, 1:]``, for
+    each row k in ``rows``, the uniforms of its stream that follow the first
+    ``drawn[k]``.
+    """
+
+    def __init__(self, table, rows, fill):
+        self.table = table
+        self.fill = fill
+        self.state = np.zeros(rows, dtype=np.intp)
+        self.clock = np.zeros(rows)
+        # Row k holds its unread uniforms in columns pos[k] to _REFILL.
+        self.buffer = np.empty((rows, _REFILL + 1))
+        self.flat = self.buffer.reshape(-1)
+        self.pos = np.full(rows, _REFILL + 1)
+        self.drawn = np.zeros(rows, dtype=np.int64)
+
+    def _take(self, rows, k):
+        """Where in ``flat`` the next k uniforms of each row in ``rows``
+        start.  A row with fewer left keeps its last one in column 0 and
+        refills columns 1 on."""
+        pos = self.pos.take(rows)
+        short = pos > _REFILL + 1 - k
+        if np.count_nonzero(short):
+            refill = rows[short]
+            self.buffer[refill, 0] = self.buffer[refill, _REFILL]
+            self.fill(refill.tolist(), self.drawn[refill].tolist(),
+                      self.buffer)
+            self.drawn[refill] += _REFILL
+            pos[short] -= _REFILL
+        self.pos[rows] = pos + k
+        return rows * (_REFILL + 1) + pos
+
+    def _logs(self, at):
+        """``log1p(-u)`` of the uniforms u at ``at`` in ``flat``."""
+        # ``math.log1p``: ``np.log1p`` differs in the last bit on some u.
+        return np.fromiter(map(math.log1p, (-self.flat.take(at)).tolist()),
+                           float, len(at))
+
+    def start(self, rows, end):
+        """Draw the first event time of each row in ``rows``; return the
+        rows due before ``end``."""
+        return self._wait(rows, self._logs(self._take(rows, 1)), end)
+
+    def _wait(self, rows, logs, end):
+        """Move the clock of each row in ``rows`` on by the wait that
+        ``logs`` gives it; return the rows due before ``end``."""
+        total = self.table.totals(self.state.take(rows))
+        stuck = total <= 0.0
+        if np.count_nonzero(stuck):
+            self.clock[rows[stuck]] = math.inf
+            keep = ~stuck
+            rows, logs, total = rows[keep], logs[keep], total[keep]
+        # The wait ``-log1p(-u) / total`` of ``_jump_path``.
+        clock = self.clock.take(rows) - logs / total
+        self.clock[rows] = clock
+        return rows[clock < end]
+
+    def run(self, rows, end):
+        """Move ``rows``, each due before ``end``, one event per step until
+        each one is due at or after ``end``, absorbed or stuck.  Yield, per
+        step, the rows that moved, their new state ids, and the ``log1p(-u)``
+        of the uniform each drew after its pick: for an absorbed row, that
+        of the wait after its teleport."""
+        table = self.table
+        while len(rows):
+            s = self.state.take(rows)
+            at = self._take(rows, 2)
+            # The pick of ``_jump_path``: the count of running sums but the
+            # last that are <= u * total.
+            x = self.flat.take(at) * table.total.take(s)
+            pick = (table.cum[s] <= x[:, None]).sum(axis=1)
+            s = table.target.take(s * table.target.shape[1] + pick)
+            self.state[rows] = s
+            logs = self._logs(at + 1)
+            yield rows, s, logs
+            alive = s >= 0
+            rows = self._wait(rows[alive], logs[alive], end)
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +585,18 @@ def fleming_viot(model: Model, initial, particles: int, t_max: float,
 
     ``particles`` walkers move independently by the model's rates; a walker
     that would be absorbed instead teleports onto a uniformly chosen other
-    walker.  Walker k draws from stream k, in blocks; the teleport choices
-    draw from stream ``particles``.  The occupation law time-averages all
-    walkers from ``occupation_from`` (default ``t_max / 2``) to the horizon.
+    walker.  Walker k draws from stream k; the teleport choices draw from
+    stream ``particles``.  The occupation law time-averages all walkers from
+    ``occupation_from`` (default ``t_max / 2``) to the horizon.
+
+    The walkers advance through time windows.  In each window they all move
+    at once, one event per numpy step, until each one reaches the window's
+    end or is absorbed.  The absorptions are then resolved in time order:
+    each draws its teleport choice, takes the chosen walker's state just
+    before that time, and moves on to the window's end.  Events count in
+    the order of their times and, at equal times, of the events after which
+    they were drawn, so every result is that of one event at a time in that
+    order, bit for bit, whatever the windows.
     """
     particles = _count(particles, "particles", 2)
     start = _start(model, initial, t_max)
@@ -522,67 +606,196 @@ def fleming_viot(model: Model, initial, particles: int, t_max: float,
         raise DomainError(f"occupation_from = {occupation_from} outside "
                           f"[0, {t_max})")
 
-    moves = model._moves
-    heappop, heapreplace = heapq.heappop, heapq.heapreplace
-    bisect_right, log1p = bisect.bisect_right, math.log1p
-    states = [start] * particles
-    draws = [_uniforms(plan.stream(i)).__next__ for i in range(particles)]
+    table = _MoveTable(model._moves, start)
+    streams = [plan.stream(k) for k in range(particles)]
     resample = _uniforms(plan.stream(particles)).__next__
-    tables = [moves(start)] * particles
-    since = [0.0] * particles
-    occupation: Counter = Counter()
-    # Events are keyed (time, push count, walker), so no two keys tie and
-    # the heap's layout never decides the order of events.
-    total = tables[0][2]
-    heap = [(0.0 + -log1p(-draw()) / total, i, i)
-            for i, draw in enumerate(draws)] if total > 0.0 else []
-    heapq.heapify(heap)
-    pushes = len(heap)
+
+    def fill(rows, drawn, buffer):
+        for k in rows:
+            buffer[k, 1:] = streams[k].random(_REFILL)
+
+    walkers = _Lockstep(table, particles, fill)
+    walkers.start(np.arange(particles), math.inf)
+    window = _Window(walkers)
+    occupation = np.zeros(0)
+    order = {}      # state ids in the order of their first occupation
+
+    def occupy(s, span):
+        """Add each positive ``span`` to the occupation of ``s``, in order."""
+        nonlocal occupation
+        keep = span > 0.0
+        s, span = s[keep], span[keep]
+        grow = len(table.states) - len(occupation)
+        occupation = np.pad(occupation, (0, grow))
+        np.add.at(occupation, s, span)
+        first = np.sort(np.unique(s, return_index=True)[1])
+        order.update(dict.fromkeys(s[first].tolist()))
+
+    def advance(rows, end):
+        nonlocal events
+        for step in walkers.run(rows, end):
+            events += len(step[0])
+            if events >= _EVENT_BUDGET:
+                raise NumericalError(f"event budget {_EVENT_BUDGET} exhausted "
+                                     f"before t_max = {t_max}")
+            window.record(*step)
+
     others = particles - 1
-    deaths = 0
-    events = 0
-    for _ in range(_EVENT_BUDGET):
-        if not heap or heap[0][0] >= t_max:
+    deaths = events = 0
+    while True:
+        clock = walkers.clock
+        due = clock.min()
+        if not due < t_max:
             break
-        t, _, i = heap[0]
-        draw = draws[i]
-        targets, cum, total, dead = tables[i]
-        # The pick of ``_jump_path``.
-        k = bisect_right(cum, draw() * total, 0, len(cum) - 1)
-        events += 1
-        # Walker i's occupation since its last event, from occupation_from.
-        lo = max(since[i], occupation_from)
-        if t > lo:
-            occupation[states[i]] += t - lo
-        since[i] = t
-        if dead[k]:
+        moving = walkers.state[clock < math.inf]
+        rate = table.total.take(moving).sum()
+        loss = table.loss.take(moving).sum()
+        # About _WINDOW events per walker, fewer when absorptions are
+        # frequent: teleported walkers move on in small batches, whose steps
+        # grow with the window.  The divisor is the root of the absorptions
+        # expected in one event per walker.
+        per = _WINDOW / max(1.0, math.sqrt(len(moving) * loss / rate))
+        end = min(t_max, max(due + per * len(moving) / rate,
+                              math.nextafter(due, math.inf)))
+        first = events
+        window.open()
+        advance(np.flatnonzero(clock < end), end)
+        # Teleported walkers due before the window's end, which move on to
+        # it together once one of them is due before the next absorption.
+        restarted = []
+        soonest = math.inf
+        while window.deaths or restarted:
+            if restarted and (not window.deaths
+                              or soonest <= window.deaths[0][0]):
+                advance(np.array(restarted), end)
+                restarted, soonest = [], math.inf
+                continue
+            t, m, i = window.pop()
             deaths += 1
             j = int(resample() * others)
             if j >= i:
                 j += 1
-            n = states[j]
-        else:
-            n = targets[k]
-        states[i] = n
-        table = tables[i] = moves(n)
-        total = table[2]
-        # Walker i's next event replaces its current one at the top.
-        if total > 0.0:
-            heapreplace(heap, (t + -log1p(-draw()) / total, pushes, i))
-            pushes += 1
-        else:
-            heappop(heap)
-    else:
-        raise NumericalError(f"event budget {_EVENT_BUDGET} exhausted before "
-                             f"t_max = {t_max}")
-    for i in range(particles):
-        lo = max(since[i], occupation_from)
-        if t_max > lo:
-            occupation[states[i]] += t_max - lo
+            n = window.into[m, i] = walkers.state[i] = window.state_at(j, m, i)
+            # ``_Lockstep._wait`` for one walker.
+            total = table.total[n]
+            next_t = walkers.clock[i] = (t - window.spare[i] / total
+                                         if total > 0.0 else math.inf)
+            if next_t < end:
+                restarted.append(i)
+                soonest = min(soonest, next_t)
+        occupy(*window.close(first, occupation_from))
+    occupy(walkers.state, t_max - np.maximum(window.since, occupation_from))
+    states = table.states
     return ParticleResult(
-        law=EmpiricalLaw.from_counts(Counter(states)),
-        occupation=EmpiricalLaw.from_counts(occupation),
+        law=EmpiricalLaw.from_counts(Counter(map(states.__getitem__,
+                                                 walkers.state.tolist()))),
+        occupation=EmpiricalLaw.from_counts(dict(zip(
+            map(states.__getitem__, order), occupation[list(order)].tolist()))),
         particles=particles, deaths=deaths, events=events, t_max=t_max)
+
+
+class _Window:
+    """The events of the particle walkers in one time window.
+
+    Walker w's m-th event in the window, for ``m < count[w]``, comes at
+    ``when[m, w]`` and leads to state id ``into[m, w]``: -1 for an
+    absorption not yet resolved, whose ``(when[m, w], m, w)`` waits on the
+    heap ``deaths``, and ``spare[w]`` holds the ``log1p(-u)`` of the
+    walker's wait after its teleport.  Before the window, the walker was in
+    state ``begin[w]`` since its last event at ``since[w]``, and ``rank[w]``
+    is the walker's index or, once it has moved, ``particles`` plus the
+    number of events that came before its last one.
+    """
+
+    def __init__(self, walkers):
+        self.walkers = walkers
+        size = len(walkers.state)
+        self.when = np.zeros((1, size))
+        self.into = np.zeros((1, size), dtype=np.intp)
+        self.count = np.zeros(size, dtype=np.intp)
+        self.since = np.zeros(size)
+        self.rank = np.arange(size)
+        self.spare = np.zeros(size)
+        self.deaths = []
+
+    def open(self):
+        self.begin = self.walkers.state.copy()
+        self.count[:] = 0
+
+    def record(self, rows, s, logs):
+        """Add one step of ``_Lockstep.run``: ``rows`` moved to ``s``."""
+        t = self.walkers.clock.take(rows)
+        m = self.count.take(rows)
+        try:
+            self.when[m, rows] = t
+        except IndexError:
+            more = ((0, len(self.when)), (0, 0))
+            self.when = np.pad(self.when, more)
+            self.into = np.pad(self.into, more)
+            self.when[m, rows] = t
+        self.into[m, rows] = s
+        self.count[rows] = m + 1
+        dead = s < 0
+        if np.count_nonzero(dead):
+            self.spare[rows[dead]] = logs[dead]
+            for death in zip(t[dead].tolist(), m[dead].tolist(),
+                             rows[dead].tolist()):
+                heapq.heappush(self.deaths, death)
+
+    def key(self, m, w):
+        """The order of walker w's m-th event among the window's events.
+
+        Events go by time and, at equal times, by the order of the events
+        after which they were drawn: the times of the walker's events back
+        to the window's start, then -1.0, below every time, and the rank of
+        the event before the window.
+        """
+        return (*self.when[m::-1, w].tolist(), -1.0, int(self.rank[w]))
+
+    def pop(self):
+        """The first absorption on the heap, by ``key``: ``(t, m, w)``."""
+        first = heapq.heappop(self.deaths)
+        if self.deaths and self.deaths[0][0] == first[0]:
+            tied = [first]
+            while self.deaths and self.deaths[0][0] == first[0]:
+                tied.append(heapq.heappop(self.deaths))
+            tied.sort(key=lambda death: self.key(*death[1:]))
+            first = tied.pop(0)
+            for death in tied:
+                heapq.heappush(self.deaths, death)
+        return first
+
+    def state_at(self, j, m, i):
+        """Walker j's state just before walker i's m-th event."""
+        count = int(self.count[j])
+        t = self.when[m, i]
+        when = self.when[:count, j]
+        # The events of walker j before t: most often all of them.
+        k = count if not count or when[-1] < t else int(when.searchsorted(t))
+        while k < count and when[k] == t and self.key(k, j) < self.key(m, i):
+            k += 1
+        return self.into[k - 1, j] if k else self.begin[j]
+
+    def close(self, first, occupation_from):
+        """The state and occupation span ending at each event, in event
+        order; ``first`` is the number of events before the window."""
+        m, w = np.nonzero(np.arange(len(self.when))[:, None] < self.count)
+        t = self.when[m, w]
+        start = m == 0
+        before = np.where(start, self.begin[w], self.into[m - 1, w])
+        since = np.where(start, self.since[w], self.when[m - 1, w])
+        order = np.argsort(t, kind="stable")
+        ts = t[order]
+        if (ts[1:] == ts[:-1]).any():
+            order = np.array(sorted(order.tolist(),
+                                    key=lambda e: self.key(m[e], w[e])))
+        last = m == self.count[w] - 1
+        place = np.empty_like(order)
+        place[order] = np.arange(len(order))
+        self.rank[w[last]] = len(self.rank) + first + place[last]
+        self.since[w[last]] = t[last]
+        span = t - np.maximum(since, occupation_from)
+        return before[order], span[order]
 
 
 # ---------------------------------------------------------------------------

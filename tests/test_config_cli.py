@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qsdlab import config, convergence
-from qsdlab.cli import main
+from qsdlab.cli import _build_parser, main
 from qsdlab.config import load_config
 from qsdlab.convergence import mixing_certificate
 from qsdlab.errors import ValidationError
@@ -533,3 +533,25 @@ def test_usage_errors_exit_three(tmp_path):
     assert main(["simulate", "--config", cfg, "--threads", "2"]) == 3
     assert main(["solve", "--config", cfg, "--nmax", "30"]) == 3
     assert main(["solve", "--config", cfg, "--t0", "1"]) == 3
+
+
+#: The overrides each command reads; it rejects every other one.
+READS = {"solve": ("--trunc",), "simulate": ("--t", "--traj", "--seed"),
+         "fv": ("--trunc", "--t", "--seed"),
+         "qprocess": ("--trunc", "--t", "--seed"), "check": ("--trunc",),
+         "converge": ("--trunc",), "certify": ("--trunc", "--t")}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_each_command_takes_only_the_overrides_it_reads(tmp_path, capsys,
+                                                        command):
+    cfg = write_cfg(tmp_path, MINIMAL)
+    parser = _build_parser()
+    for flag in ("--trunc", "--t", "--traj", "--seed"):
+        argv = [command, "--config", cfg, "--out", str(tmp_path), flag, "3"]
+        if flag in READS[command]:
+            assert getattr(parser.parse_args(argv), flag[2:]) == 3
+        else:
+            assert main(argv) == 3
+            assert f"unrecognized arguments: {flag} 3" in \
+                capsys.readouterr().err

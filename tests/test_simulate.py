@@ -999,3 +999,163 @@ def test_lockstep_tally_keeps_the_event_budget(monkeypatch):
         else:
             _assert_tally_matches(make(), start, t_max, RngPlan(3), 0, 40)
     assert raised[:2] == [5, longest - 1] and longest + 1 not in raised
+
+
+# ---------------------------------------------------------------------------
+# the windowed particle system against the one-event-at-a-time reference
+# ---------------------------------------------------------------------------
+#
+# The scripted cases below make what the windows resolve after the fact
+# happen inside one window: teleports onto walkers teleported earlier,
+# repeated absorptions, and events at exactly equal times, which go in the
+# reference heap's order (time, push count, walker).
+
+
+class _StreamsOnly:
+    """Stand-in plan with ``stream`` alone: stream k hands out
+    ``scripts[k]``, then 0.5 forever."""
+
+    def __init__(self, scripts):
+        self.scripts = scripts
+
+    def stream(self, k):
+        return _Scripted(self.scripts.get(k, ()))
+
+
+def _unit_walk():
+    """A walk on n >= 1 with total rate 1: up for u < 1/2, else down; (0,)
+    absorbs.  Each wait is ``-log1p(-u)``."""
+    def table(n):
+        return [(n[0] + 1,), (n[0] - 1,)], [0.5, 0.5], 1.0
+
+    return SimpleNamespace(r=1, _moves=_memo_moves(table),
+                           transition_table=table)
+
+
+def _assert_particles_match(model, start, particles, t_max, plan):
+    result = fleming_viot(model, start, particles, t_max, plan)
+    law, occupation, deaths, events = _reference_fleming_viot(
+        model, start, particles, t_max, plan)
+    assert (result.deaths, result.events) == (deaths, events)
+    # Same floats in the same order: equal as ordered item lists.
+    assert list(result.law.weights.items()) == list(
+        EmpiricalLaw.from_counts(law).weights.items())
+    assert list(result.occupation.weights.items()) == list(
+        EmpiricalLaw.from_counts(occupation).weights.items())
+    return result
+
+
+_UP, _DOWN, _NEVER = 0.25, 0.75, _LAST_BELOW_ONE
+
+
+def _scripted_particle_cases():
+    return {
+        # Walker 0 dies at 0.105, restarts on walker 1 and steps up at 0.211;
+        # walker 2 dies at 0.357 and must read walker 0's state after that
+        # step, (2,).
+        "teleport onto a restarted walker": (
+            (1,), {0: [0.1, _DOWN, 0.1, _UP, _NEVER], 1: [_NEVER],
+                   2: [0.3, _DOWN, _NEVER], 3: [0.25, 0.25]},
+            {(2,): 2 / 3, (1,): 1 / 3}, 2),
+        # Walker 0 dies at 0.105 and again at 0.211, restarting on walker 1
+        # at (1,), then on walker 2, which stepped up at 0.051.
+        "two deaths of one walker": (
+            (1,), {0: [0.1, _DOWN, 0.1, _DOWN, _NEVER], 1: [_NEVER],
+                   2: [0.05, _UP, _NEVER], 3: [0.25, 0.75]},
+            {(2,): 2 / 3, (1,): 1 / 3}, 2),
+        # Equal first waits: at 0.357 walker 0 steps up before walker 1
+        # dies and restarts on it, walker 2 after.
+        "tie read after the earlier walker": (
+            (1,), {0: [0.3, _UP, _NEVER], 1: [0.3, _DOWN, _NEVER],
+                   2: [0.3, _UP, _NEVER], 3: [0.25]},
+            {(2,): 1.0}, 1),
+        "tie read before the later walker": (
+            (1,), {0: [0.3, _UP, _NEVER], 1: [0.3, _DOWN, _NEVER],
+                   2: [0.3, _UP, _NEVER], 3: [0.75]},
+            {(2,): 2 / 3, (1,): 1 / 3}, 1),
+        # Swapped waits meet at exactly 0.357 + 0.223: walker 1, whose first
+        # event came first, goes first there, dies and restarts on walker 0
+        # before walker 0 steps from (3,) to (4,).
+        "tie in the order of the events before": (
+            (2,), {0: [0.3, _UP, 0.2, _UP, _NEVER],
+                   1: [0.2, _DOWN, 0.3, _DOWN, _NEVER], 2: [0.25]},
+            {(4,): 0.5, (3,): 0.5}, 1),
+        # Walkers 0 and 1 die at exactly 0.357 + 0.223, walker 1 first:
+        # onto walker 2, at (3,), and walker 0 then onto walker 3, at (2,).
+        "tied deaths in the order of the events before": (
+            (2,), {0: [0.3, _DOWN, 0.2, _DOWN, _NEVER],
+                   1: [0.2, _DOWN, 0.3, _DOWN, _NEVER],
+                   2: [0.05, _UP, _NEVER], 3: [_NEVER], 4: [0.5, 0.9]},
+            {(2,): 0.5, (3,): 0.5}, 2),
+        # A zero wait puts walker 0's second step at 0.357 too, after
+        # walker 1's death there, which was drawn before it: walker 1
+        # restarts on walker 0 at (2,), not (3,).
+        "tie with a step drawn at the same time": (
+            (1,), {0: [0.3, _UP, 0.0, _UP, _NEVER], 1: [0.3, _DOWN, _NEVER],
+                   2: [_NEVER], 3: [0.25]},
+            {(3,): 1 / 3, (2,): 1 / 3, (1,): 1 / 3}, 1),
+        # Identical scripts: every event ties with its counterparts, and
+        # all four walkers die at 0.357.
+        "identical scripts": (
+            (1,), {k: [0.3, _DOWN, 0.3, _UP, 0.1, _DOWN, _NEVER]
+                   for k in range(4)} | {4: [0.1, 0.4, 0.7, 0.9]},
+            None, 4),
+    }
+
+
+@pytest.mark.parametrize("window", [0.01, 3, 10 ** 6])
+@pytest.mark.parametrize("case", sorted(_scripted_particle_cases()))
+def test_windowed_particles_on_scripted_streams(monkeypatch, case, window):
+    start, scripts, law, deaths = _scripted_particle_cases()[case]
+    particles = len(scripts) - 1
+    monkeypatch.setattr(simulate, "_WINDOW", window)
+    result = _assert_particles_match(_unit_walk(), start, particles, 1.0,
+                                     _StreamsOnly(scripts))
+    assert result.deaths == deaths
+    if law is not None:
+        assert list(result.law.weights.items()) == list(law.items())
+
+
+def test_particles_keep_walkers_in_states_without_moves():
+    # From (3,) on nothing moves, so walkers stop there, and a walker that
+    # teleports onto one stops too.
+    def table(n):
+        if n[0] >= 3:
+            return [], [], 0.0
+        return [(n[0] + 1,), (n[0] - 1,)], [1.5, 1.0], 2.5
+
+    model = SimpleNamespace(r=1, _moves=_memo_moves(table),
+                            transition_table=table)
+    result = _assert_particles_match(model, (1,), 40, 3.0, RngPlan(6))
+    assert result.deaths > 0 and result.law.mass_at((3,)) > 0.5
+
+
+@pytest.mark.parametrize("window", [0.05, 1, 40])
+@pytest.mark.parametrize("name", ["catastrophe", "constant"])
+def test_particles_do_not_depend_on_the_window_width(monkeypatch, name,
+                                                     window):
+    make, start, t_max = MODELS[name]
+    base = fleming_viot(make(), start, 150, t_max, RngPlan(12))
+    monkeypatch.setattr(simulate, "_WINDOW", window)
+    result = fleming_viot(make(), start, 150, t_max, RngPlan(12))
+    assert (result.deaths, result.events) == (base.deaths, base.events)
+    assert base.deaths > 0
+    assert list(result.law.weights.items()) == list(base.law.weights.items())
+    assert list(result.occupation.weights.items()) == list(
+        base.occupation.weights.items())
+
+
+def test_particle_system_keeps_the_event_budget(monkeypatch):
+    # A run of E events raises for every budget up to E, and not at E + 1.
+    make, start, _ = MODELS["catastrophe"]
+    result = fleming_viot(make(), start, 8, 1.0, RngPlan(3))
+    events = result.events
+    assert result.deaths > 0 and events > 20
+    for budget in range(1, events + 2):
+        monkeypatch.setattr(simulate, "_EVENT_BUDGET", budget)
+        if budget <= events:
+            with pytest.raises(NumericalError, match="event budget"):
+                fleming_viot(make(), start, 8, 1.0, RngPlan(3))
+        else:
+            again = fleming_viot(make(), start, 8, 1.0, RngPlan(3))
+            assert again.occupation.weights == result.occupation.weights
