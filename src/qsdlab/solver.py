@@ -32,8 +32,6 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
-from scipy.sparse.linalg import spsolve
-from scipy.special import gammaln
 
 from .errors import (ConditioningImpossibleError, ConvergenceError, DomainError,
                      EmptySpaceError, NumericalError, ReducibleSpaceError,
@@ -45,6 +43,10 @@ POISSON_TAIL = 1e-14
 
 #: Conditioning on survival is refused below this survival mass.
 SURVIVAL_FLOOR = 1e-300
+
+#: Longest Poisson window a flow may sum: one product and one ``log k!``
+#: entry per index, so a window past this is refused before it allocates.
+MAX_WINDOW = 10 ** 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,17 +331,32 @@ def _window_end(mean: float) -> int:
     return int(math.ceil(mean + 10.0 * math.sqrt(mean) + 30.0))
 
 
-def _poisson_weights(mean: float, tail: float, log_factorials=None):
-    """Exact Poisson weights on a window carrying all but ``tail`` mass;
-    ``log k!`` up to :func:`_window_end` may be passed precomputed.  The
+def _log_factorials(lam: float, t: float) -> np.ndarray:
+    """``log k!`` up to :func:`_window_end` of ``lam * t``: the table of a
+    flow at rate ``lam`` to time ``t``.  Raises :class:`NumericalError`
+    before allocating when that window passes :data:`MAX_WINDOW`.
+    ``scipy.special`` is imported here, so a run that never flows never
+    loads it."""
+    mean = lam * t
+    # The first test keeps an overflowed ``lam * t`` out of ``math.ceil``.
+    if not (mean <= MAX_WINDOW and _window_end(mean) <= MAX_WINDOW):
+        raise NumericalError(
+            f"a flow at uniformization rate {float(lam)!r} to t = {float(t)!r} "
+            f"needs a Poisson window of about {mean:.3g} products, past the "
+            f"cap of {MAX_WINDOW}")
+    from scipy.special import gammaln
+    return gammaln(np.arange(_window_end(mean) + 1) + 1.0)
+
+
+def _poisson_weights(mean: float, tail: float, log_factorials):
+    """Exact Poisson weights on a window carrying all but ``tail`` mass,
+    from ``log k!`` up to :func:`_window_end` at least.  The
     weights below ``mean - 40 sqrt(mean)`` are set to 0 unevaluated: by the
     lower-tail bound ``exp(-x^2 / (2 mean))`` each is below ``exp(-800)``,
     which ``exp`` rounds to 0."""
     k_hi = _window_end(mean)
     k_lo = max(0, math.floor(mean - 40.0 * math.sqrt(mean)))
     ks = np.arange(k_lo, k_hi + 1, dtype=float)
-    if log_factorials is None:
-        log_factorials = gammaln(np.arange(k_hi + 1) + 1.0)
     weights = np.zeros(k_hi + 1)
     weights[k_lo:] = np.exp(-mean + ks * math.log(mean)
                             - log_factorials[k_lo:k_hi + 1])
@@ -422,7 +439,8 @@ def _flow(mat, lam, block, t):
         raise DomainError(f"t must be finite and >= 0, got {t}")
     if t == 0:
         return block.copy()
-    first, last, weights = _poisson_weights(lam * t, POISSON_TAIL)
+    first, last, weights = _poisson_weights(lam * t, POISSON_TAIL,
+                                            _log_factorials(lam, t))
     acc = np.zeros_like(block)
     for k, p in enumerate(_powers(mat, lam, block, last)):
         if k >= first:
@@ -530,7 +548,7 @@ def conditional_moments(Q: SubGenerator, mu0: np.ndarray, times, F):
     if F.ndim != 2 or F.shape[0] != len(mu0):
         raise DomainError(f"F has shape {F.shape}, expected ({len(mu0)}, k)")
     F = np.column_stack((np.ones(len(mu0)), F))
-    log_factorials = gammaln(np.arange(_window_end(Q.lam * times[-1]) + 1) + 1.0)
+    log_factorials = _log_factorials(Q.lam, times[-1])
     window = lambda t: ((0, 0, np.ones(1)) if t == 0 else _poisson_weights(
         Q.lam * t, POISSON_TAIL, log_factorials))
     products = window(times[-1])[1]
@@ -561,6 +579,7 @@ def expected_hitting_time(Q: SubGenerator, goal) -> np.ndarray:
         keep[index[g]] = False
     u = np.zeros(len(index))
     if keep.any():
+        from scipy.sparse.linalg import spsolve
         B = Q.matrix[keep][:, keep].tocsc()
         rhs = -np.ones(int(keep.sum()))
         sol = spsolve(B, rhs)

@@ -7,7 +7,10 @@ written files are observed exactly as a shell would see them.
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -476,6 +479,35 @@ def test_out_env_variable_is_honored(tmp_path, monkeypatch):
     assert (target / "qsd_law.csv").exists()
 
 
+#: Run in a fresh interpreter: the modules that ``solve``, ``simulate`` and
+#: then ``check`` leave loaded, out of the two that only flows and hitting
+#: times need.
+_LAZY_PROBE = """
+import contextlib, io, json, sys
+from qsdlab.cli import main
+lazy = ("scipy.special", "scipy.sparse.linalg")
+report = {}
+for command in ("solve", "simulate", "check"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--config", sys.argv[1], "--out", sys.argv[2]])
+    report[command] = [code, [m for m in lazy if m in sys.modules]]
+print(json.dumps(report))
+"""
+
+
+def test_flow_modules_load_only_when_a_flow_runs(tmp_path):
+    import qsdlab
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(qsdlab.__file__).parent.parent),
+                    env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-c", _LAZY_PROBE, str(CONFIGS / "logistic1d.cfg"),
+         str(tmp_path)], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout) == {"solve": [0, []], "simulate": [0, []],
+                                      "check": [0, ["scipy.special"]]}
+
+
 # ---------------------------------------------------------------------------
 # command line: failure modes
 # ---------------------------------------------------------------------------
@@ -522,6 +554,15 @@ def test_numerical_failure_exits_two(tmp_path):
     text = MINIMAL + "\n[solver]\nmax_iter = 3\n"
     cfg = write_cfg(tmp_path, text)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--t0", "--t"])
+def test_over_long_certify_flow_exits_two(tmp_path, capsys, flag):
+    argv = ["certify", "--config", str(CONFIGS / "logistic1d.cfg"),
+            "--out", str(tmp_path), flag, "1e300"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "past the cap" in err and "Traceback" not in err
 
 
 def test_usage_errors_exit_three(tmp_path):

@@ -14,6 +14,7 @@ everything is solvable by hand:
 import ast
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from qsdlab.errors import (
     ConditioningImpossibleError,
     ConvergenceError,
     DomainError,
+    NumericalError,
     ValidationError,
 )
 from qsdlab.model import Model, build_model
@@ -466,7 +468,7 @@ def test_poisson_weights_skip_only_exact_zeros():
     shared = gammaln(np.arange(solver._window_end(means.max()) + 1) + 1.0)
     skipped = 0
     for mean in means:
-        for log_factorials in (None, shared):
+        for log_factorials in (solver._log_factorials(mean, 1.0), shared):
             first, last, weights = solver._poisson_weights(
                 mean, solver.POISSON_TAIL, log_factorials)
             want = _every_poisson_weight(mean, solver.POISSON_TAIL,
@@ -475,6 +477,31 @@ def test_poisson_weights_skip_only_exact_zeros():
             assert weights.tobytes() == want[2].tobytes()
         skipped = max(skipped, math.floor(mean - 40.0 * math.sqrt(mean)))
     assert skipped > 10 ** 5
+
+
+@pytest.mark.parametrize("t", [1e6, 1e300])
+def test_over_long_flow_is_refused_before_it_allocates(ref2d_30, t):
+    """A window of ``lam t`` = 10^8 or 10^302 products would take a table of
+    gigabytes, or more entries than an array may hold."""
+    f = np.ones(len(ref2d_30.space))
+    for call in (lambda: evolve_function(ref2d_30, f, t),
+                 lambda: evolve_measure(ref2d_30, f, t),
+                 lambda: conditional_moments(ref2d_30, f / f.sum(), [t],
+                                             f[:, None])):
+        with pytest.raises(NumericalError,
+                           match=re.escape(f"to t = {t!r} ") + ".* past the cap"):
+            call()
+
+
+def test_window_cap_admits_exactly_its_own_length(ref2d_30, monkeypatch):
+    f = np.ones(len(ref2d_30.space))
+    want = evolve_function(ref2d_30, f, 0.8)
+    k_hi = solver._window_end(ref2d_30.lam * 0.8)
+    monkeypatch.setattr(solver, "MAX_WINDOW", k_hi)
+    assert evolve_function(ref2d_30, f, 0.8).tobytes() == want.tobytes()
+    monkeypatch.setattr(solver, "MAX_WINDOW", k_hi - 1)
+    with pytest.raises(NumericalError):
+        evolve_function(ref2d_30, f, 0.8)
 
 
 def test_forward_products_have_the_bits_of_the_row_vector_path(ref2d_30):
