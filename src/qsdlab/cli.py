@@ -27,10 +27,10 @@ import numpy as np
 from .config import load_config
 from .convergence import convergence_curves, fit_rate, mixing_certificate
 from .errors import NoFitError, NumericalError, ValidationError
-from .lyapunov import (PotentialParams, check_boundary_pressure,
-                       check_catastrophes, check_competition_dominance,
-                       check_conditional_drift, check_drift,
-                       check_growth_envelope, check_multibirth,
+from .lyapunov import (INCONCLUSIVE, AssumptionReport, PotentialParams,
+                       check_boundary_pressure, check_catastrophes,
+                       check_competition_dominance, check_conditional_drift,
+                       check_drift, check_growth_envelope, check_multibirth,
                        check_neutral_threshold)
 from .model import build_model
 from .simulate import (RngPlan, estimate_conditional, fleming_viot,
@@ -290,6 +290,12 @@ def _cmd_check(cfg, args, out, overrides):
         reports.append(check_conditional_drift(
             model, assemble(model, space),
             space.point_mass(_initials(cfg)[0]), times, eps))
+    else:
+        reports.append(AssumptionReport(
+            name="conditional-drift", verdict=INCONCLUSIVE, checked_range=0,
+            notes=[f"not run: the truncated space has {len(space.states)} "
+                   f"states, above _CONDITIONAL_CHECK_CAP = "
+                   f"{_CONDITIONAL_CHECK_CAP}"]))
     payload = _summary(cfg, overrides, eps=eps,
                        reports=[rep.to_dict() for rep in reports])
     report_path = os.path.join(out, "check_report.json")

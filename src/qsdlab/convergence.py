@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NoFitError, NumericalError, ValidationError
+from .errors import DomainError, NoFitError, NumericalError
 from .solver import (QsdResult, SubGenerator, conditional_path,
                      evolve_function, evolve_measure)
 
@@ -90,22 +90,20 @@ class RateFit:
     max_log_residual: float
 
 
-def fit_rate(curve: ConvergenceCurve, tv_window=(1e-6, 1e-1),
-             min_points: int = 5) -> RateFit:
+def fit_rate(curve: ConvergenceCurve, tv_window=(1e-6, 1e-1)) -> RateFit:
     """Geometric decay rate of a convergence curve.
 
     Fits ``log tv`` against time on the clean stretch where the distance
     lies inside ``tv_window`` — above the numerical floor, below the initial
-    transient.  Raises when fewer than ``min_points`` grid points fall in
-    the window or when the fitted rate is not positive.
+    transient.  Raises when fewer than 5 grid points fall in the window or
+    when the fitted rate is not positive.
     """
     lo, hi = tv_window
     mask = (curve.tv >= lo) & (curve.tv <= hi)
     points = int(mask.sum())
-    if points < min_points:
+    if points < 5:
         raise NoFitError(
-            f"only {points} grid points have tv in [{lo:g}, {hi:g}]; "
-            f"need {min_points}")
+            f"only {points} grid points have tv in [{lo:g}, {hi:g}]; need 5")
     t = curve.times[mask]
     logtv = np.log(curve.tv[mask])
     slope, intercept = np.polyfit(t, logtv, 1)
@@ -169,9 +167,10 @@ class MinorizationCertificate:
                 "reproduction": self.reproduction, "valid": self.valid}
 
 
-def certify_minorization(Q: SubGenerator, t0: float, reference=None,
-                         qsd: QsdResult | None = None) -> MinorizationCertificate:
-    """Uniform conditioned return-mass bound at a reference state.
+def certify_minorization(Q: SubGenerator, t0: float,
+                         qsd: QsdResult) -> MinorizationCertificate:
+    """Uniform conditioned return-mass bound at the reference state, the
+    mode of the solved law ``qsd``.
 
     For every start x, ``P_x(at reference at t0) / P_x(alive at t0)`` is
     computed by one adjoint propagation of the indicator of the reference
@@ -181,15 +180,8 @@ def certify_minorization(Q: SubGenerator, t0: float, reference=None,
     """
     if not 0 <= t0 < math.inf:
         raise DomainError(f"t0 must be finite and nonnegative, got {t0}")
-    if reference is None:
-        if qsd is None:
-            raise ValidationError("need a reference state or a solved law "
-                                  "to pick one from")
-        reference = Q.space.states[int(np.argmax(qsd.law))]
-    reference = tuple(int(v) for v in reference)
-    if reference not in Q.space.index:
-        raise DomainError(f"reference state {reference} is outside the space")
-    ref = Q.space.index[reference]
+    ref = int(np.argmax(qsd.law))
+    reference = Q.space.states[ref]
     size = len(Q.space.states)
     start = np.zeros((size, 2))
     start[ref, 0] = 1.0
@@ -311,12 +303,11 @@ class MixingCertificate:
 
 
 def mixing_certificate(Q: SubGenerator, qsd: QsdResult, t0: float,
-                       horizon: float | None = None,
-                       grid_points: int = 64) -> MixingCertificate:
+                       horizon: float | None = None) -> MixingCertificate:
     """Build both certificates around the law's modal state.
 
-    The survival comparison is scanned on a uniform grid over ``[0,
-    horizon]`` (default ``8 * t0``); its pass also gives the profile
+    The survival comparison is scanned on a uniform grid of 64 points over
+    ``[0, horizon]`` (default ``8 * t0``); its pass also gives the profile
     plateau, so a horizon too deep for :func:`survival_profile_error`
     raises its :class:`NumericalError`.  The rate bound is
     ``-log(1 - product) / t0``, with ``product`` the return mass times the
@@ -326,7 +317,7 @@ def mixing_certificate(Q: SubGenerator, qsd: QsdResult, t0: float,
     if horizon is None:
         horizon = 8.0 * t0
     minor = certify_minorization(Q, t0, qsd=qsd)
-    grid = np.linspace(0.0, horizon, grid_points)
+    grid = np.linspace(0.0, horizon, 64)
     comp = certify_survival_comparison(Q, minor.reference, grid, qsd)
     product = minor.mass * comp.ratio
     certified = minor.valid and comp.valid and product < 1

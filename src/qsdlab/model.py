@@ -143,7 +143,6 @@ class Model:
     beta2: float | None = None
     catastrophe: Callable | None = None
     litter: LitterLaw | None = None
-    validate_rates: bool = True
     c_coef: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -243,20 +242,17 @@ class Model:
 
     @classmethod
     def from_callbacks(cls, r, gamma, birth, death, competition,
-                       beta1=None, beta2=None, catastrophe=None, litter=None,
-                       validate=True):
+                       beta1=None, beta2=None, catastrophe=None, litter=None):
         """Fully general model from user-supplied rate callables.
 
         Each callable receives the state as a tuple of ints: ``birth`` and
         ``death`` return r per-capita rates, ``competition`` an r-by-r
-        matrix, ``catastrophe`` a single rate.  With ``validate=False`` the
-        per-query positivity checks are waived; that exists for test
-        scaffolding and deliberately broken inputs, not for production use.
+        matrix, ``catastrophe`` a single rate.
         """
         return cls(r=r, gamma=float(gamma), birth=birth, death=death,
                    competition=competition, family="callback",
                    beta1=beta1, beta2=beta2, catastrophe=catastrophe,
-                   litter=litter, validate_rates=validate)
+                   litter=litter)
 
     # -- rate enumeration --------------------------------------------------
 
@@ -313,7 +309,7 @@ def _require_positive_diag(b, c):
 def _rate_kernel(model):
     r = model.r
     gamma = model.gamma
-    validate = model.validate_rates and model.family == "callback"
+    validate = model.family == "callback"
     marker = absorbed_marker(r)
     types = range(r)
 

@@ -14,10 +14,9 @@ single draws would give.
 
 The paths of a conditioned estimate and the walkers of the particle system
 share one event loop, ``_Lockstep``, which moves many of them at once, one
-event per numpy step, each reading its own stream from a buffer row.  A
-conditioned estimate refills the rows from one generator re-keyed in place
-to each path's stream and position, a walker from its own
-``RngPlan.stream``; either way a stream draws the same values.  The waits
+event per numpy step, each reading its own stream from a buffer row.  The
+rows refill from one generator re-keyed in place to each path's stream and
+position, which draws the values ``RngPlan.stream`` would.  The waits
 still take ``math.log1p`` per uniform, because ``np.log1p`` differs from it
 in the last bit on some inputs.  The walkers advance through time windows:
 each moves on its own to the window's end or its absorption, and the
@@ -399,14 +398,9 @@ def _survivor_counts(model: Model, initial, t: float, plan: RngPlan,
     table = _MoveTable(model._moves, n)
     counts: Counter = Counter()
     events = 0
-
-    def fill(rows, drawn, buffer):
-        for k, pos in zip(rows, drawn):
-            rekey(lo + k, pos).random(out=buffer[k, 1:])
-
     for lo in range(first, first + count, _BATCH):
         size = min(_BATCH, first + count - lo)
-        paths = _Lockstep(table, size, fill)
+        paths = _Lockstep(table, size, rekey, lo)
         rows = paths.start(np.arange(size), t)
         for step, (rows, s, _) in enumerate(paths.run(rows, t), 1):
             events += len(rows)
@@ -479,14 +473,14 @@ class _Lockstep:
     the time of its next event in ``clock[k]`` (+inf in a state without
     moves).  A step draws each moving path's pick and the uniform after it
     as a pair, so each path reads its stream in order, as ``_jump_path``
-    does.  ``fill(rows, drawn, buffer)`` writes into ``buffer[k, 1:]``, for
-    each row k in ``rows``, the uniforms of its stream that follow the first
-    ``drawn[k]``.
+    does.  Row k reads stream ``first + k``, refilled through ``rekey`` of
+    ``RngPlan._rekeyer``.
     """
 
-    def __init__(self, table, rows, fill):
+    def __init__(self, table, rows, rekey, first):
         self.table = table
-        self.fill = fill
+        self.rekey = rekey
+        self.first = first
         self.state = np.zeros(rows, dtype=np.intp)
         self.clock = np.zeros(rows)
         # Row k holds its unread uniforms in columns pos[k] to _REFILL.
@@ -504,8 +498,10 @@ class _Lockstep:
         if np.count_nonzero(short):
             refill = rows[short]
             self.buffer[refill, 0] = self.buffer[refill, _REFILL]
-            self.fill(refill.tolist(), self.drawn[refill].tolist(),
-                      self.buffer)
+            for row, drawn in zip(refill.tolist(),
+                                  self.drawn[refill].tolist()):
+                self.rekey(self.first + row, drawn).random(
+                    out=self.buffer[row, 1:])
             self.drawn[refill] += _REFILL
             pos[short] -= _REFILL
         self.pos[rows] = pos + k
@@ -580,14 +576,14 @@ class ParticleResult:
 
 
 def fleming_viot(model: Model, initial, particles: int, t_max: float,
-                 plan: RngPlan, occupation_from: float | None = None) -> ParticleResult:
+                 plan: RngPlan) -> ParticleResult:
     """Particle system whose empirical law tracks the conditioned law.
 
     ``particles`` walkers move independently by the model's rates; a walker
     that would be absorbed instead teleports onto a uniformly chosen other
     walker.  Walker k draws from stream k; the teleport choices draw from
     stream ``particles``.  The occupation law time-averages all walkers from
-    ``occupation_from`` (default ``t_max / 2``) to the horizon.
+    ``t_max / 2`` to the horizon.
 
     The walkers advance through time windows.  In each window they all move
     at once, one event per numpy step, until each one reaches the window's
@@ -600,21 +596,11 @@ def fleming_viot(model: Model, initial, particles: int, t_max: float,
     """
     particles = _count(particles, "particles", 2)
     start = _start(model, initial, t_max)
-    if occupation_from is None:
-        occupation_from = t_max / 2.0
-    if not 0.0 <= occupation_from < t_max:
-        raise DomainError(f"occupation_from = {occupation_from} outside "
-                          f"[0, {t_max})")
-
+    occupation_from = t_max / 2.0
     table = _MoveTable(model._moves, start)
-    streams = [plan.stream(k) for k in range(particles)]
+    _, rekey = plan._rekeyer(0, particles)
+    walkers = _Lockstep(table, particles, rekey, 0)
     resample = _uniforms(plan.stream(particles)).__next__
-
-    def fill(rows, drawn, buffer):
-        for k in rows:
-            buffer[k, 1:] = streams[k].random(_REFILL)
-
-    walkers = _Lockstep(table, particles, fill)
     walkers.start(np.arange(particles), math.inf)
     window = _Window(walkers)
     occupation = np.zeros(0)

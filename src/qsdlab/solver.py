@@ -348,9 +348,9 @@ def _log_factorials(lam: float, t: float) -> np.ndarray:
     return gammaln(np.arange(_window_end(mean) + 1) + 1.0)
 
 
-def _poisson_weights(mean: float, tail: float, log_factorials):
-    """Exact Poisson weights on a window carrying all but ``tail`` mass,
-    from ``log k!`` up to :func:`_window_end` at least.  The
+def _poisson_weights(mean: float, log_factorials):
+    """Exact Poisson weights on a window carrying all but ``POISSON_TAIL``
+    mass, from ``log k!`` up to :func:`_window_end` at least.  The
     weights below ``mean - 40 sqrt(mean)`` are set to 0 unevaluated: by the
     lower-tail bound ``exp(-x^2 / (2 mean))`` each is below ``exp(-800)``,
     which ``exp`` rounds to 0."""
@@ -362,8 +362,8 @@ def _poisson_weights(mean: float, tail: float, log_factorials):
                             - log_factorials[k_lo:k_hi + 1])
     cum = np.cumsum(weights)
     total = cum[-1]
-    first = int(np.searchsorted(cum, 0.5 * tail, side="right"))
-    last = int(np.argmax((total - cum) <= 0.5 * tail))
+    first = int(np.searchsorted(cum, 0.5 * POISSON_TAIL, side="right"))
+    last = int(np.argmax((total - cum) <= 0.5 * POISSON_TAIL))
     return first, last, weights
 
 
@@ -439,8 +439,7 @@ def _flow(mat, lam, block, t):
         raise DomainError(f"t must be finite and >= 0, got {t}")
     if t == 0:
         return block.copy()
-    first, last, weights = _poisson_weights(lam * t, POISSON_TAIL,
-                                            _log_factorials(lam, t))
+    first, last, weights = _poisson_weights(lam * t, _log_factorials(lam, t))
     acc = np.zeros_like(block)
     for k, p in enumerate(_powers(mat, lam, block, last)):
         if k >= first:
@@ -550,7 +549,7 @@ def conditional_moments(Q: SubGenerator, mu0: np.ndarray, times, F):
     F = np.column_stack((np.ones(len(mu0)), F))
     log_factorials = _log_factorials(Q.lam, times[-1])
     window = lambda t: ((0, 0, np.ones(1)) if t == 0 else _poisson_weights(
-        Q.lam * t, POISSON_TAIL, log_factorials))
+        Q.lam * t, log_factorials))
     products = window(times[-1])[1]
     s = np.array([p @ F for p in _powers(Q.matrix_t, Q.lam, mu0, products)])
     values = np.array([w[a:b + 1] @ s[a:b + 1] for a, b, w in map(window, times)])

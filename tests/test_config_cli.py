@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsdlab import config, convergence
+from qsdlab import cli, config, convergence
 from qsdlab.cli import _build_parser, main
 from qsdlab.config import load_config
 from qsdlab.convergence import mixing_certificate
@@ -407,6 +407,24 @@ def test_check_reports_every_verdict(tmp_path):
     assert "growth-envelope" in names
     assert all(entry["verdict"] in ("pass-on-range", "fail", "inconclusive")
                for entry in report["reports"])
+
+
+def test_check_reports_a_skipped_conditional_drift(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.setattr(cli, "_CONDITIONAL_CHECK_CAP", 10)
+    out = tmp_path / "out"
+    cfg = str(CONFIGS / "logistic1d.cfg")
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "check_report.json").read_text())
+    skipped = report["reports"][-1]
+    assert skipped["name"] == "conditional-drift"
+    assert skipped["verdict"] == "inconclusive"
+    size = len(enumerate_space(1, load_config(cfg).truncation_n).states)
+    assert size > 10
+    assert skipped["notes"] == [
+        f"not run: the truncated space has {size} states, above "
+        "_CONDITIONAL_CHECK_CAP = 10"]
+    assert "conditional-drift: inconclusive" in capsys.readouterr().out
 
 
 def test_converge_writes_curves_and_fits(tmp_path):

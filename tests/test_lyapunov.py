@@ -207,7 +207,7 @@ def test_envelope_recovers_fitted_exponents():
         b=(2.0,), d=(0.5,), c=((1.0,),), gamma=1.0, beta1=0.3, beta2=0.5)
     stripped = Model.from_callbacks(
         r=1, gamma=1.0, birth=model.birth, death=model.death,
-        competition=model.competition, validate=False)
+        competition=model.competition)
     report = check_growth_envelope(stripped, n_check=3000)
     assert report.verdict == "pass-on-range"
     assert report.constants["beta1"] == pytest.approx(0.3, abs=0.05)
@@ -219,7 +219,7 @@ def test_envelope_fails_when_births_outrun_the_death_channel():
         r=1, gamma=1.0,
         birth=lambda n: ((1.0 + float(n[0])) ** 1.5,),
         death=lambda n: (0.0,),
-        competition=lambda n: ((1.0,),), validate=False)
+        competition=lambda n: ((1.0,),))
     report = check_growth_envelope(grower, n_check=2000)
     assert report.verdict == "fail"
     assert report.margins["exponent_margin"] < 0
@@ -231,7 +231,7 @@ def test_envelope_fails_on_a_positivity_violation_with_witness(bad_birth):
         r=1, gamma=1.0,
         birth=lambda n: (1.0 if n[0] != 7 else bad_birth,),
         death=lambda n: (0.0,),
-        competition=lambda n: ((1.0,),), validate=False)
+        competition=lambda n: ((1.0,),))
     report = check_growth_envelope(dying, n_check=50)
     assert report.verdict == "fail"
     assert report.witness == (7,)
@@ -329,8 +329,7 @@ def test_drift_fails_a_growing_model():
         r=1, gamma=1.0,
         birth=lambda n: (3.0,),
         death=lambda n: (0.0,),
-        competition=lambda n: ((1.0 / (1.0 + float(n[0])),),),  # washed out
-        validate=False)
+        competition=lambda n: ((1.0 / (1.0 + float(n[0])),),))  # washed out
     report = check_drift(grower, eps=0.5, n_check=500)
     assert report.verdict == "fail"
     assert report.witness is not None

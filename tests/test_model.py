@@ -158,8 +158,7 @@ def test_rate_callbacks_receive_integer_tuples():
     model = Model.from_callbacks(
         r=2, gamma=1.0, birth=birth,
         death=lambda n: (0.0, 0.0),
-        competition=lambda n: ((1.0, 0.0), (0.0, 1.0)),
-        validate=False)
+        competition=lambda n: ((1.0, 0.0), (0.0, 1.0)))
     model.transition_table((2, 5))
     assert seen and all(isinstance(s, tuple) for s in seen)
     assert all(isinstance(x, int) for s in seen for x in s)

@@ -658,20 +658,31 @@ def test_particle_pick_on_a_running_sum_boundary_takes_the_next_move():
     # walker 0 draws 0.5, so u * total is the first running sum and the
     # death is picked; it teleports onto walker 1 (resampler draw 0.25).
     # Every other wait is far beyond the horizon.
-    class Plan:
-        scripts = {0: [0.5, 0.5, _LAST_BELOW_ONE], 1: [_LAST_BELOW_ONE],
-                   2: [0.25]}
-
-        def stream(self, k):
-            return _Scripted(self.scripts[k])
-
-    result = fleming_viot(logistic_1d(), (1,), 2, 0.5, Plan())
+    plan = _ScriptedPlan({0: [0.5, 0.5, _LAST_BELOW_ONE],
+                          1: [_LAST_BELOW_ONE], 2: [0.25]})
+    result = fleming_viot(logistic_1d(), (1,), 2, 0.5, plan)
     law, occupation, deaths, events = _reference_fleming_viot(
-        logistic_1d(), (1,), 2, 0.5, Plan())
+        logistic_1d(), (1,), 2, 0.5, plan)
     assert (result.deaths, result.events) == (deaths, events) == (1, 1)
     assert result.law.weights == EmpiricalLaw.from_counts(law).weights
     assert result.occupation.weights == EmpiricalLaw.from_counts(
         occupation).weights
+
+
+def test_particle_streams_open_no_generator_per_walker():
+    opened = []
+
+    class CountingPlan(RngPlan):
+        def stream(self, index):
+            opened.append(index)
+            return super().stream(index)
+
+    counts = []
+    for particles in (10, 200):
+        opened.clear()
+        fleming_viot(reference_2d(), (3, 3), particles, 1.0, CountingPlan(2))
+        counts.append(len(opened))
+    assert counts[0] == counts[1]
 
 
 def test_moves_are_computed_once_per_visited_state():
@@ -911,14 +922,18 @@ def test_lockstep_tally_keeps_paths_in_states_without_moves():
 
 
 class _ScriptedPlan:
-    """Stand-in plan whose stream k hands out ``scripts[k]``, then 0.5."""
+    """Stand-in plan whose stream k hands out ``scripts[k]``, if any, then
+    0.5 forever."""
 
     def __init__(self, scripts):
         self.scripts = scripts
 
+    def stream(self, k):
+        return _Scripted(self.scripts.get(k, ()))
+
     def _rekeyer(self, first, count):
         def rekey(k, pos=0):
-            values = self.scripts[k][pos:]
+            values = self.scripts.get(k, ())[pos:]
 
             def random(out):
                 out[:] = 0.5
@@ -1011,17 +1026,6 @@ def test_lockstep_tally_keeps_the_event_budget(monkeypatch):
 # reference heap's order (time, push count, walker).
 
 
-class _StreamsOnly:
-    """Stand-in plan with ``stream`` alone: stream k hands out
-    ``scripts[k]``, then 0.5 forever."""
-
-    def __init__(self, scripts):
-        self.scripts = scripts
-
-    def stream(self, k):
-        return _Scripted(self.scripts.get(k, ()))
-
-
 def _unit_walk():
     """A walk on n >= 1 with total rate 1: up for u < 1/2, else down; (0,)
     absorbs.  Each wait is ``-log1p(-u)``."""
@@ -1110,7 +1114,7 @@ def test_windowed_particles_on_scripted_streams(monkeypatch, case, window):
     particles = len(scripts) - 1
     monkeypatch.setattr(simulate, "_WINDOW", window)
     result = _assert_particles_match(_unit_walk(), start, particles, 1.0,
-                                     _StreamsOnly(scripts))
+                                     _ScriptedPlan(scripts))
     assert result.deaths == deaths
     if law is not None:
         assert list(result.law.weights.items()) == list(law.items())

@@ -469,8 +469,8 @@ def test_poisson_weights_skip_only_exact_zeros():
     skipped = 0
     for mean in means:
         for log_factorials in (solver._log_factorials(mean, 1.0), shared):
-            first, last, weights = solver._poisson_weights(
-                mean, solver.POISSON_TAIL, log_factorials)
+            first, last, weights = solver._poisson_weights(mean,
+                                                           log_factorials)
             want = _every_poisson_weight(mean, solver.POISSON_TAIL,
                                          log_factorials)
             assert (first, last) == want[:2]
