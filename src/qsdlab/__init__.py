@@ -34,8 +34,8 @@ from .simulate import (ConditionalEstimate, EmpiricalLaw, ParticleResult,
                        simulate_qprocess, validate_trajectory)
 from .solver import (QsdResult, SubGenerator, TruncatedSpace, assemble,
                      conditional_moments, conditional_path, enumerate_space,
-                     evolve_function, evolve_measure, expected_hitting_time,
-                     qprocess_generator, solve_qsd, transient_conditional)
+                     evolve_function, evolve_measure, qprocess_generator,
+                     solve_qsd, transient_conditional)
 from . import presets
 
 __version__ = "0.1.0"
@@ -59,7 +59,6 @@ __all__ = [
     "conditional_path",
     "convergence_curve", "convergence_curves", "enumerate_space",
     "estimate_conditional", "evolve_function", "evolve_measure",
-    "expected_hitting_time",
     "fit_rate", "fleming_viot", "is_absorbed", "is_interior", "load_config",
     "mixing_certificate", "occupation_measure", "presets",
     "qprocess_generator", "sample_shells", "simulate_path",

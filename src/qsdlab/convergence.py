@@ -40,11 +40,6 @@ class ConvergenceCurve:
     tv: np.ndarray
     survival: np.ndarray
 
-    def rows(self):
-        """(time, tv, survival) triples, for tabular output."""
-        return list(zip(self.times.tolist(), self.tv.tolist(),
-                        self.survival.tolist()))
-
 
 def convergence_curves(Q: SubGenerator, qsd: QsdResult, initials,
                        times) -> list:

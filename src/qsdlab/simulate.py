@@ -38,7 +38,7 @@ import numpy as np
 from .errors import (DomainError, NoSurvivorsError, NumericalError,
                      ValidationError)
 from .model import Model, _memo_moves, is_absorbed, is_interior
-from .solver import QsdResult
+from .solver import QsdResult, _qprocess_table
 
 _EVENT_BUDGET = 10 ** 7
 
@@ -152,13 +152,6 @@ class Trajectory:
     @property
     def final_state(self):
         return self.states[-1]
-
-    def state_at(self, t: float):
-        """State occupied at time t (right-continuous)."""
-        if not 0.0 <= t <= self.t_end:
-            raise DomainError(f"t = {t} outside [0, {self.t_end}]")
-        i = bisect.bisect_right(self.times, t) - 1
-        return self.states[i]
 
 
 def simulate_path(model: Model, initial, t_max: float,
@@ -289,14 +282,10 @@ class EmpiricalLaw:
     def tv_against(self, other) -> float:
         """Total-variation distance to another law.
 
-        ``other`` is another empirical law, a solved result (its law read on
-        its space), or a ``(space, law)`` pair with ``law`` a vector aligned
-        with ``space``; mass outside the other's support counts in full.
+        ``other`` is a solved result (its law read on its space) or a
+        ``(space, law)`` pair with ``law`` a vector aligned with ``space``;
+        mass outside the space counts in full.
         """
-        if isinstance(other, EmpiricalLaw):
-            keys = set(self.weights) | set(other.weights)
-            return 0.5 * sum(abs(self.weights.get(k, 0.0) -
-                                 other.weights.get(k, 0.0)) for k in keys)
         if isinstance(other, tuple):
             space, law = other
         else:
@@ -792,31 +781,15 @@ def simulate_qprocess(model: Model, qsd: QsdResult, initial, t_max: float,
                       rng: np.random.Generator) -> Trajectory:
     """One path of the chain conditioned to never die.
 
-    Moves inside the solved space are reweighted by the ratio of survival
-    profiles between target and source; moves out of the space (absorption
-    or truncation overflow) get weight zero.  The resulting path never
-    absorbs.  Like ``simulate_path``, the path depends on its stream alone,
-    and ``rng`` is consumed in blocks: use one stream per path.
+    The moves are those of ``solver._qprocess_table``, the table that
+    ``qprocess_generator`` is built from: moves inside the solved space
+    reweighted by the ratio of survival profiles between target and source,
+    and none out of it (absorption or truncation overflow).  The resulting
+    path never absorbs.  Like ``simulate_path``, the path depends on its
+    stream alone, and ``rng`` is consumed in blocks: use one stream per path.
     """
-    space, h = qsd.space, qsd.survival_profile
     n = _start(model, initial, t_max)
-    if n not in space.index:
+    if n not in qsd.space.index:
         raise DomainError(f"initial state {n} is outside the solved space")
-
-    def table(n):
-        targets, rates, _ = model.transition_table(n)
-        h_n = h[space.index[n]]
-        new_targets = []
-        new_rates = []
-        total = 0.0
-        for target, rate in zip(targets, rates):
-            k = space.index.get(target)
-            if k is None:
-                continue
-            w = rate * h[k] / h_n
-            new_targets.append(target)
-            new_rates.append(w)
-            total += w
-        return new_targets, new_rates, total
-
-    return _jump_path(_memo_moves(table), n, t_max, rng)
+    return _jump_path(_memo_moves(_qprocess_table(model, qsd)), n, t_max,
+                      rng)

@@ -126,11 +126,22 @@ def assemble(model: Model, space: TruncatedSpace) -> SubGenerator:
     """
     if model.r != space.r:
         raise DomainError(f"model has r = {model.r} but space has r = {space.r}")
+    matrix, diag = _csr(space, model.transition_table)
+    lam = 1.05 * float(np.abs(diag).max())
+    if not (lam > 0 and math.isfinite(lam)):
+        raise NumericalError(f"degenerate uniformization constant {lam}")
+    return SubGenerator(space=space, matrix=matrix, lam=lam)
+
+
+def _csr(space: TruncatedSpace, table):
+    """The CSR matrix of ``table(n) -> (targets, rates, total)`` on ``space``
+    and its diagonal ``-total``: rates to targets outside the space appear
+    only there, and rates to one target are summed."""
     n_states = len(space.states)
     rows, cols, vals = [], [], []
     diag = np.zeros(n_states)
     for i, state in enumerate(space.states):
-        targets, rates, total = model.transition_table(state)
+        targets, rates, total = table(state)
         diag[i] = -total
         for target, rate in zip(targets, rates):
             j = space.index.get(target)
@@ -144,10 +155,7 @@ def assemble(model: Model, space: TruncatedSpace) -> SubGenerator:
     matrix = sparse.coo_matrix((vals, (rows, cols)),
                                shape=(n_states, n_states)).tocsr()
     matrix.sum_duplicates()
-    lam = 1.05 * float(np.abs(diag).max())
-    if not (lam > 0 and math.isfinite(lam)):
-        raise NumericalError(f"degenerate uniformization constant {lam}")
-    return SubGenerator(space=space, matrix=matrix, lam=lam)
+    return matrix, diag
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,24 +475,19 @@ def evolve_function(Q: SubGenerator, f: np.ndarray, t: float) -> np.ndarray:
 
 def transient_conditional(Q: SubGenerator, mu0: np.ndarray, t: float):
     """Law of the chain at time ``t`` conditioned on survival, plus the
-    survival probability itself.
+    survival probability itself: :func:`conditional_path` at ``t`` alone.
 
     ``mu0`` must be a probability vector on the space.  Raises
     :class:`ConditioningImpossibleError` once the survival mass underflows.
     """
     mu0 = _check_vector(Q, mu0, "mu0")
-    if (mu0 < 0).any():
-        raise DomainError("mu0 has negative entries")
+    if not (mu0 >= 0).all():
+        raise DomainError("mu0 has negative or NaN entries")
     total = float(mu0.sum())
     if abs(total - 1.0) > 1e-9:
         raise DomainError(f"mu0 sums to {total!r}, expected 1 within 1e-9")
-    nu = evolve_measure(Q, mu0, t)
-    survival = float(nu.sum())
-    if survival < SURVIVAL_FLOOR:
-        raise ConditioningImpossibleError(
-            f"survival mass {survival!r} at t = {t} underflowed; "
-            "conditioning is meaningless")
-    return nu / survival, survival
+    laws, survivals = conditional_path(Q, mu0, [t])
+    return laws[0], float(survivals[0])
 
 
 def _check_grid(times):
@@ -560,45 +563,35 @@ def conditional_moments(Q: SubGenerator, mu0: np.ndarray, times, F):
     return values[:, 1:] / values[:, :1], values[:, 0], products
 
 
-def expected_hitting_time(Q: SubGenerator, goal) -> np.ndarray:
-    """Expected time to reach the set ``goal`` or be absorbed, per state of ``Q``.
+def _qprocess_table(model: Model, qsd: QsdResult):
+    """``table(n) -> (targets, rates, total)`` of the chain conditioned to
+    never die: the moves of ``model`` inside the solved space at rates
+    ``q(x, y) h(y) / h(x)``, ``total`` summed in table order, and none out
+    of it (absorption or truncation overflow)."""
+    space, h = qsd.space, qsd.survival_profile
 
-    Solves the linear system ``(Q u)(n) = -1`` off ``goal`` with ``u = 0`` on
-    it; killing at the truncation edge makes the answer an approximation from
-    below for targets of the untruncated chain.
+    def table(n):
+        targets, rates, _ = model.transition_table(n)
+        h_n = h[space.index[n]]
+        new_targets, new_rates, total = [], [], 0.0
+        for target, rate in zip(targets, rates):
+            k = space.index.get(target)
+            if k is not None:
+                w = rate * h[k] / h_n
+                new_targets.append(target)
+                new_rates.append(w)
+                total += w
+        return new_targets, new_rates, total
+
+    return table
+
+
+def qprocess_generator(model: Model, qsd: QsdResult) -> sparse.csr_matrix:
+    """Generator of the chain conditioned to never die, on the solved space.
+
+    It is the generator of the chain that
+    :func:`qsdlab.simulate.simulate_qprocess` draws, from the same table:
+    off-diagonal rates ``q(x, y) h(y) / h(x)``, summed per target, and minus
+    their total on the diagonal, so rows sum to zero up to rounding.
     """
-    goal = list(goal)
-    if goal and not isinstance(goal[0], tuple):
-        goal = [tuple(int(v) for v in goal)]  # a single state was passed
-    index = Q.space.index
-    keep = np.ones(len(index), dtype=bool)
-    for g in goal:
-        if g not in index:
-            raise DomainError(f"goal state {g} is not in the truncated space")
-        keep[index[g]] = False
-    u = np.zeros(len(index))
-    if keep.any():
-        from scipy.sparse.linalg import spsolve
-        B = Q.matrix[keep][:, keep].tocsc()
-        rhs = -np.ones(int(keep.sum()))
-        sol = spsolve(B, rhs)
-        if not np.isfinite(sol).all():
-            raise NumericalError("hitting-time system is singular; the space is "
-                                 "likely reducible")
-        u[keep] = sol
-    return u
-
-
-def qprocess_generator(Q: SubGenerator, qsd: QsdResult) -> sparse.csr_matrix:
-    """Generator of the chain conditioned to never die, on the same space.
-
-    Off-diagonal rates are the original rates reweighted by the ratio of
-    survival profiles, ``q(x, y) h(y) / h(x)``; the diagonal picks up the
-    decay rate, so rows sum to zero up to the profile's eigen-residual.
-    """
-    h = qsd.survival_profile
-    mat = Q.matrix.tocoo()
-    vals = mat.data * h[mat.col] / h[mat.row]
-    out = sparse.coo_matrix((vals, (mat.row, mat.col)), shape=mat.shape).tocsr()
-    out = out + qsd.decay_rate * sparse.identity(mat.shape[0], format="csr")
-    return out.tocsr()
+    return _csr(qsd.space, _qprocess_table(model, qsd))[0]

@@ -408,7 +408,7 @@ def test_criterion_10_qprocess_is_conservative_and_mixes(gate):
     generator = assemble(model, space)
     result = solve_qsd(generator, tol=1e-15)
 
-    transformed = qprocess_generator(generator, result)
+    transformed = qprocess_generator(model, result)
     row_defect = float(np.abs(np.asarray(transformed.sum(axis=1))).max())
 
     stationary = result.law * result.survival_profile

@@ -498,8 +498,8 @@ def test_out_env_variable_is_honored(tmp_path, monkeypatch):
 
 
 #: Run in a fresh interpreter: the modules that ``solve``, ``simulate`` and
-#: then ``check`` leave loaded, out of the two that only flows and hitting
-#: times need.
+#: then ``check`` leave loaded, out of ``scipy.special``, which only flows
+#: need, and ``scipy.sparse.linalg``, which the package never imports.
 _LAZY_PROBE = """
 import contextlib, io, json, sys
 from qsdlab.cli import main

@@ -72,15 +72,6 @@ def test_curves_decay_toward_the_stationary_law(logistic30_system):
     assert (np.diff(curve.survival) <= 1e-15).all()
 
 
-def test_curve_rows_serialize_in_grid_order(logistic30_system):
-    *_, generator, result = logistic30_system
-    times = np.array([0.5, 1.0])
-    curve = convergence_curve(generator, result, (3,), times)
-    rows = list(curve.rows())
-    assert len(rows) == 2
-    assert rows[0][0] == 0.5 and rows[1][0] == 1.0
-
-
 def test_single_curve_is_the_matching_column_of_the_block(logistic30_system):
     *_, generator, result = logistic30_system
     times = np.arange(0.25, 6.0 + 1e-9, 0.25)

@@ -186,17 +186,6 @@ def test_surviving_paths_keep_the_horizon():
         assert trajectory.states[-1][0] >= 1
 
 
-def test_state_at_is_right_continuous():
-    trajectory = Trajectory(times=[0.0, 1.0, 2.5], states=[(3,), (4,), (3,)],
-                            t_end=4.0, absorbed=False)
-    assert trajectory.state_at(0.0) == (3,)
-    assert trajectory.state_at(0.99) == (3,)
-    assert trajectory.state_at(1.0) == (4,)
-    assert trajectory.state_at(3.9) == (3,)
-    with pytest.raises(DomainError):
-        trajectory.state_at(4.5)
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_every_simulated_path_validates(stream):
@@ -244,12 +233,6 @@ def test_empirical_tv_counts_off_support_mass(logistic30_system):
     # a (space, law) pair reads the same law as the solved result
     law = EmpiricalLaw.from_counts({(1,): 1, (2,): 1, (1000,): 2})
     assert law.tv_against((result.space, result.law)) == law.tv_against(result)
-
-
-def test_empirical_tv_between_empirical_laws():
-    a = EmpiricalLaw.from_counts({(1,): 1, (2,): 1})
-    b = EmpiricalLaw.from_counts({(2,): 1, (3,): 1})
-    assert a.tv_against(b) == pytest.approx(0.5)
 
 
 def test_occupation_measure_time_averages_by_hand():

@@ -45,7 +45,6 @@ from qsdlab.solver import (
     enumerate_space,
     evolve_function,
     evolve_measure,
-    expected_hitting_time,
     qprocess_generator,
     solve_qsd,
     transient_conditional,
@@ -609,6 +608,14 @@ def test_conditioning_fails_when_survival_underflows(two_state):
         transient_conditional(generator, np.array([1.0, 0.0]), 700.0)
 
 
+def test_transient_conditional_rejects_nan_in_mu0():
+    generator = assemble(logistic_1d(), enumerate_space(1, 10))
+    mu0 = generator.space.point_mass((3,))
+    mu0[5] = np.nan
+    with pytest.raises(DomainError):
+        transient_conditional(generator, mu0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # conditional moments: every grid time from one sequence of powers
 # ---------------------------------------------------------------------------
@@ -681,52 +688,14 @@ def test_moments_reject_bad_inputs_and_underflow(two_state):
 
 
 # ---------------------------------------------------------------------------
-# hitting times
-# ---------------------------------------------------------------------------
-
-
-def test_two_state_hitting_times_by_hand(two_state):
-    *_, generator = two_state
-    # stop on reaching (1,) or on absorption: from (2,) all moves stop the
-    # clock, at total rate 6
-    u = expected_hitting_time(generator, goal=(1,))
-    assert u == pytest.approx([0.0, 1.0 / 6.0], abs=1e-14)
-    # stop on reaching (2,) or absorption: from (1,) total rate 2
-    u = expected_hitting_time(generator, goal=(2,))
-    assert u == pytest.approx([0.5, 0.0], abs=1e-14)
-
-
-def test_hitting_times_satisfy_the_defining_system():
-    model = reference_2d()
-    space = enumerate_space(2, 12)
-    generator = assemble(model, space)
-    goal = [(1, 1), (2, 2)]
-    u = expected_hitting_time(generator, goal)
-    dense = generator.matrix.toarray()
-    residual = dense @ u
-    for i, state in enumerate(space.states):
-        if state in set(goal):
-            assert u[i] == 0.0
-        else:
-            assert residual[i] == pytest.approx(-1.0, rel=1e-9)
-    assert (u >= 0).all()
-
-
-def test_hitting_time_rejects_states_outside_the_space(two_state):
-    *_, generator = two_state
-    with pytest.raises(DomainError):
-        expected_hitting_time(generator, goal=(7,))
-
-
-# ---------------------------------------------------------------------------
 # conditioned-process generator
 # ---------------------------------------------------------------------------
 
 
 def test_qprocess_rows_vanish_and_match_hand_rates(two_state):
-    *_, generator = two_state
+    model, _, generator = two_state
     result = solve_qsd(generator, tol=1e-15)
-    transformed = qprocess_generator(generator, result)
+    transformed = qprocess_generator(model, result)
     dense = (transformed.toarray() if sps.issparse(transformed)
              else np.asarray(transformed))
     assert np.abs(dense.sum(axis=1)).max() < 1e-12
@@ -734,6 +703,46 @@ def test_qprocess_rows_vanish_and_match_hand_rates(two_state):
     h = result.survival_profile
     assert dense[0, 1] == pytest.approx(1.0 * h[1] / h[0], rel=1e-12)
     assert dense[1, 0] == pytest.approx(4.0 * h[0] / h[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["ref2d", "neutral3d", "logistic1d",
+                                  "catastrophe1d", "multibirth1d", "litter2d"])
+def test_qprocess_generator_is_the_simulated_chains(name):
+    """Each off-diagonal entry is the per-target sum of the rates that the
+    q-process simulator draws from, and the diagonal is minus their total."""
+    if name == "litter2d":
+        # one target is reached by a birth of either parent type
+        model = Model.constant(b=(1.0, 1.5), d=(0.1, 0.0),
+                               c=((0.3, 0.05), (0.05, 0.4)), gamma=1.0,
+                               litter={(1, 0): 0.5, (0, 2): 0.3, (1, 1): 0.2})
+        space, tol = enumerate_space(2, 20), 1e-12
+    else:
+        cfg = load_config(str(CONFIGS / f"{name}.cfg"))
+        model = build_model(cfg)
+        space, tol = enumerate_space(cfg.r, cfg.truncation_n), cfg.tol
+    result = solve_qsd(assemble(model, space), tol)
+    G = qprocess_generator(model, result)
+    table = solver._qprocess_table(model, result)
+    shared = 0
+    for i, state in enumerate(space.states):
+        targets, rates, total = table(state)
+        parts = {}
+        for target, rate in zip(targets, rates):
+            parts.setdefault(space.index[target], []).append(rate)
+        lo, hi = G.indptr[i], G.indptr[i + 1]
+        row = dict(zip(G.indices[lo:hi].tolist(), G.data[lo:hi].tolist()))
+        assert row.pop(i) == -total
+        assert row.keys() == parts.keys()
+        for j, rates_j in parts.items():
+            if len(rates_j) == 1:
+                assert row[j] == rates_j[0]
+            else:
+                shared += 1
+                exact = math.fsum(rates_j)
+                assert abs(row[j] - exact) <= 1e-15 * abs(exact)
+    assert (shared > 0) == (name == "litter2d")
+    row_sums = np.asarray(G.sum(axis=1)).ravel()
+    assert (np.abs(row_sums) <= 1e-14 * np.abs(G.diagonal())).all()
 
 
 # ---------------------------------------------------------------------------
