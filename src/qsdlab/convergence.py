@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, NoFitError, NumericalError
-from .solver import (QsdResult, SubGenerator, conditional_path,
+from .solver import (QsdResult, SubGenerator, _grid_flow, conditional_path,
                      evolve_function, evolve_measure)
 
 
@@ -46,11 +46,13 @@ def convergence_curves(Q: SubGenerator, qsd: QsdResult, initials,
     """Conditioned-law distance to the long-run law along ``times``, one
     :class:`ConvergenceCurve` per initial state.
 
-    The point masses at all initials are stepped as one block, and each
-    curve is read from its own column, so it has the same bits as a run from
-    its initial alone.  The curves are computed by exact stepping between
-    grid points, so each survival column is nonincreasing by construction; a
-    violation would mean a corrupted generator and raises.
+    The point masses at all initials flow as one block through one power
+    sequence (:func:`~qsdlab.solver.conditional_path`), and each curve is
+    read from its own column, so it has the same bits as a run from its
+    initial alone.  Its survival gives up ``POISSON_TAIL`` per grid time,
+    which keeps it decreasing where it is flat to rounding, so survival that
+    rises along the grid, or passes 1, would mean a corrupted generator and
+    raises.
     """
     initials = [tuple(int(v) for v in initial) for initial in initials]
     block = np.column_stack([Q.space.point_mass(initial)
@@ -234,7 +236,9 @@ def certify_survival_comparison(
     grid, always including t = 0.  One backward pass of the survival
     function ``alive = P_.(alive at t)`` gives both numbers: the numerator
     is its entry at the reference, so the ratio never exceeds 1.  The pass
-    runs on the doubled grid, which adds the midpoints; the certificate is
+    reads every grid time from one power sequence of ``Q`` (see
+    :func:`~qsdlab.solver.conditional_path`) on the doubled grid, which
+    adds the midpoints; the certificate is
     the minimum over the given grid points, and the gap to the minimum over
     the doubled grid is reported as ``reproduction``.  Given ``qsd``, the same
     pass gives ``plateau``, the :func:`survival_profile_error` at half the
@@ -255,13 +259,11 @@ def certify_survival_comparison(
                                      probes)))
 
     ref = Q.space.index[reference]
-    alive = np.ones(len(Q.space.states))
     ratios = np.empty(len(fine))
     plateau = {}
-    prev = 0.0
-    for i, t in enumerate(fine):
-        alive = evolve_function(Q, alive, t - prev)
-        prev = t
+    for i, _, (alive,) in _grid_flow(
+            Q.matrix, Q.lam, np.ones((len(Q.space.states), 1)), fine):
+        t = fine[i]
         ratios[i] = alive[ref] / alive.max()
         if t in probes:
             plateau[float(t)] = survival_profile_error(Q, qsd, t, alive)

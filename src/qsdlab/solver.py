@@ -18,8 +18,11 @@ conditioned dynamics:
 Everything is computed with the uniformized kernel ``P = I + Q/Lambda``:
 power iteration for the eigenpairs, Poisson-weighted sums of powers for
 ``exp(tQ)``.  ``P`` has nonnegative entries by construction, which keeps all
-transient quantities nonnegative and makes survival probabilities exactly
-nonincreasing in floating point.
+transient quantities nonnegative.  It does not make survival nonincreasing
+in floating point: the mass of ``mu P^k`` can rise by an ulp in a step.
+Along a time grid, survival gives up ``POISSON_TAIL`` per grid time, the
+most that the discarded Poisson tails could take, and that margin keeps it
+decreasing (see :func:`conditional_path`).
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ POISSON_TAIL = 1e-14
 #: Conditioning on survival is refused below this survival mass.
 SURVIVAL_FLOOR = 1e-300
 
-#: Longest Poisson window a flow may sum: one product and one ``log k!``
-#: entry per index, so a window past this is refused before it allocates.
+#: Longest Poisson window a flow may sum: one product and one weight per
+#: index, so a window past this is refused before it allocates.
 MAX_WINDOW = 10 ** 7
 
 
@@ -339,12 +342,9 @@ def _window_end(mean: float) -> int:
     return int(math.ceil(mean + 10.0 * math.sqrt(mean) + 30.0))
 
 
-def _log_factorials(lam: float, t: float) -> np.ndarray:
-    """``log k!`` up to :func:`_window_end` of ``lam * t``: the table of a
-    flow at rate ``lam`` to time ``t``.  Raises :class:`NumericalError`
-    before allocating when that window passes :data:`MAX_WINDOW`.
-    ``scipy.special`` is imported here, so a run that never flows never
-    loads it."""
+def _check_window(lam: float, t: float) -> float:
+    """The mean ``lam * t`` of a flow, or :class:`NumericalError` when its
+    :func:`_window_end` passes :data:`MAX_WINDOW`."""
     mean = lam * t
     # The first test keeps an overflowed ``lam * t`` out of ``math.ceil``.
     if not (mean <= MAX_WINDOW and _window_end(mean) <= MAX_WINDOW):
@@ -352,27 +352,41 @@ def _log_factorials(lam: float, t: float) -> np.ndarray:
             f"a flow at uniformization rate {float(lam)!r} to t = {float(t)!r} "
             f"needs a Poisson window of about {mean:.3g} products, past the "
             f"cap of {MAX_WINDOW}")
-    from scipy.special import gammaln
-    return gammaln(np.arange(_window_end(mean) + 1) + 1.0)
+    return mean
 
 
-def _poisson_weights(mean: float, log_factorials):
-    """Exact Poisson weights on a window carrying all but ``POISSON_TAIL``
-    mass, from ``log k!`` up to :func:`_window_end` at least.  The
-    weights below ``mean - 40 sqrt(mean)`` are set to 0 unevaluated: by the
-    lower-tail bound ``exp(-x^2 / (2 mean))`` each is below ``exp(-800)``,
-    which ``exp`` rounds to 0."""
+def _poisson_weights(lam: float, t: float):
+    """Poisson weights of a flow at rate ``lam`` to time ``t``: ``(first,
+    weights)``, ``weights[k - first]`` the weight of ``k``, on the window
+    that carries all but ``POISSON_TAIL`` of the mass.
+
+    The weights run outward from the mode by the ratios of neighbouring
+    weights (Fox & Glynn 1988), ``mean / k`` above it and ``k / mean`` below,
+    up to ``10 sqrt(mean) + 30`` from the mean on either side, which leaves
+    out under ``1e-21`` of the mass (Bernstein's bound).  The window is the
+    narrowest that leaves at most ``POISSON_TAIL / 2`` of the mass outside it
+    at each end, and its weights are scaled to sum to one: the law of the
+    Poisson count given that it falls in the window.  Raises
+    :class:`NumericalError` before allocating when :func:`_window_end`
+    passes :data:`MAX_WINDOW`.
+    """
+    mean = _check_window(lam, t)
     k_hi = _window_end(mean)
-    k_lo = max(0, math.floor(mean - 40.0 * math.sqrt(mean)))
-    ks = np.arange(k_lo, k_hi + 1, dtype=float)
-    weights = np.zeros(k_hi + 1)
-    weights[k_lo:] = np.exp(-mean + ks * math.log(mean)
-                            - log_factorials[k_lo:k_hi + 1])
-    cum = np.cumsum(weights)
-    total = cum[-1]
-    first = int(np.searchsorted(cum, 0.5 * POISSON_TAIL, side="right"))
-    last = int(np.argmax((total - cum) <= 0.5 * POISSON_TAIL))
-    return first, last, weights
+    mode = math.floor(mean)
+    k_lo = max(0, math.floor(mean - 10.0 * math.sqrt(mean) - 30.0))
+    m = mode - k_lo
+    weights = np.empty(k_hi - k_lo + 1)
+    weights[m] = 1.0
+    np.cumprod(mean / np.arange(mode + 1, k_hi + 1), out=weights[m + 1:])
+    if m:
+        np.cumprod(np.arange(mode, k_lo, -1) / mean, out=weights[m - 1::-1])
+    tail = 0.5 * POISSON_TAIL * weights.sum()
+    # Each tail is summed from its small end, so no cancellation reads it.
+    first = int(np.searchsorted(np.cumsum(weights[:m]), tail, side="right"))
+    above = np.cumsum(weights[:m:-1])[::-1]  # above[j]: the mass past m + j
+    last = m + int(np.argmax(above <= tail))
+    window = weights[first:last + 1]
+    return k_lo + first, window / window.sum()
 
 
 def _check_vector(Q, vec, name):
@@ -437,7 +451,8 @@ def _powers(mat, lam, p, count):
 def _flow(mat, lam, block, t):
     """Uniformized ``sum_k Poisson(lam t; k) (I + mat/lam)^k block``.
 
-    The one semigroup loop.  ``block`` is a vector or an ``(n, k)`` block of
+    The flow to one time; a grid of times shares one power sequence in
+    :func:`_grid_flow`.  ``block`` is a vector or an ``(n, k)`` block of
     columns; each column gets the same bits as it would alone, because a CSR
     product sums every row in the same order for one column or many.
     Forward flows pass the transpose ``Q.matrix_t``, backward flows
@@ -447,12 +462,105 @@ def _flow(mat, lam, block, t):
         raise DomainError(f"t must be finite and >= 0, got {t}")
     if t == 0:
         return block.copy()
-    first, last, weights = _poisson_weights(lam * t, _log_factorials(lam, t))
+    first, weights = _poisson_weights(lam, t)
     acc = np.zeros_like(block)
-    for k, p in enumerate(_powers(mat, lam, block, last)):
+    for k, p in enumerate(_powers(mat, lam, block, first + len(weights) - 1)):
         if k >= first:
-            acc += weights[k] * p
+            acc += weights[k - first] * p
     return acc
+
+
+#: Powers stacked per dense product in :func:`_grid_flow`: up to
+#: ``_GRID_BLOCK``, and fewer where a column of them would pass
+#: ``_GRID_BYTES``.
+_GRID_BLOCK = 64
+_GRID_BYTES = 1 << 20
+
+
+def _grid_flow(mat, lam, columns, times, read=None):
+    """Uniformized flows of the ``(n, c)`` block ``columns`` to every time of
+    the increasing grid ``times``, from one power sequence.
+
+    Yields ``(i, end, acc)`` in grid order: ``acc`` is the ``(c, d)`` flow
+    to ``times[i]``, one row per column, and ``end`` the last power read so
+    far, so the last ``end`` is the number of products.  With ``read``, an
+    ``(n, d)`` matrix, each power is contracted with it first, so ``d`` is
+    its width; otherwise ``d = n``.  ``acc`` is overwritten once the next
+    item is asked for, so read it first.  A grid whose last window passes
+    :data:`MAX_WINDOW` is refused before the first product.
+
+    Grid time ``i`` weights the powers on its own Poisson window (see
+    :func:`_poisson_weights`), computed when the powers reach it; a time 0
+    has the single weight 1.  A window never opens before the previous
+    one: where rounding puts its first power earlier, that power's weight
+    is dropped.  The powers run in blocks of ``_GRID_BLOCK``, fewer where a
+    column of them would pass ``_GRID_BYTES``.  Each block adds into
+    the accumulators of the open windows, as one dense product of their
+    weights and its stacked powers per column, so each column has the bits
+    it has alone.  An accumulator is yielded once the windows up to its own
+    have ended, so only the open windows and their weights are held.
+    """
+    means = lam * times
+    last = _check_window(lam, times[-1])
+    n, c = columns.shape
+    rows = max(1, min(_GRID_BLOCK, _GRID_BYTES // (8 * n)))
+    # An open window's mean is within ``reach`` of the block, so at most
+    # ``slots`` windows are open at once.
+    reach = _window_end(last) - math.floor(last) + 1
+    starts = np.arange(0, _window_end(last) + 1, rows)
+    slots = int((np.searchsorted(means, starts + rows + reach)
+                 - np.searchsorted(means, starts - reach)).max())
+    # Time i sits in row i - base of the weights and the sums; the open
+    # rows move to the top when the next would fall off the end.
+    weights = np.empty((slots + 1, 2 * reach + 1))
+    acc = np.empty((slots + 1, c, n if read is None else read.shape[1]))
+    stack = np.empty((rows, n, c))
+    firsts = np.zeros(len(times), dtype=int)
+    lengths = np.zeros(len(times), dtype=int)
+    ends = np.zeros(len(times), dtype=int)  # the last power up to time i
+    ahead = (0, np.ones(1)) if times[0] == 0 else _poisson_weights(lam, times[0])
+    opened = yielded = base = k0 = 0
+    while yielded < len(times):
+        k1 = k0 + rows
+        while opened < len(times) and ahead[0] < k1:
+            if opened - base == len(acc):
+                live = slice(yielded - base, opened - base)
+                weights[:opened - yielded] = weights[live]
+                acc[:opened - yielded] = acc[live]
+                base = yielded
+            first, w = ahead
+            if opened and first < firsts[opened - 1]:
+                w = w[firsts[opened - 1] - first:]
+                first = firsts[opened - 1]
+            firsts[opened], lengths[opened] = first, len(w)
+            ends[opened] = max(first + len(w) - 1, ends[opened - 1])
+            weights[opened - base, :len(w)] = w
+            acc[opened - base] = 0.0
+            opened += 1
+            if opened < len(times):
+                ahead = _poisson_weights(lam, times[opened])
+        if opened == len(times):
+            k1 = min(k1, ends[-1] + 1)
+        for r in range(k1 - k0):
+            if k0 + r:
+                _step(mat, lam, stack[r - 1], stack[r], stack[r])
+            else:
+                stack[0] = columns
+        live = np.arange(yielded, opened)
+        rel = np.arange(k0, k1) - firsts[live, None]
+        inside = (rel >= 0) & (rel < lengths[live, None])
+        block_weights = np.where(
+            inside, weights[live[:, None] - base, np.where(inside, rel, 0)],
+            0.0)
+        for j in range(c):
+            block = np.ascontiguousarray(stack[:k1 - k0, :, j])
+            if read is not None:
+                block = block @ read
+            acc[yielded - base:opened - base, j] += block_weights @ block
+        while yielded < opened and ends[yielded] < k1:
+            yield yielded, int(ends[yielded]), acc[yielded - base]
+            yielded += 1
+        k0 = k1
 
 
 def evolve_measure(Q: SubGenerator, nu: np.ndarray, t: float) -> np.ndarray:
@@ -502,47 +610,46 @@ def _check_grid(times):
 def conditional_path(Q: SubGenerator, mu0: np.ndarray, times):
     """Conditional laws and survival probabilities along an increasing grid.
 
-    Steps the unnormalized measure from grid point to grid point (the flow
-    property makes this exact up to the Poisson tail).  Each step pays its
-    own Poisson window, several times the products of one flow to the last
-    time on a fine grid; :func:`conditional_moments` avoids that when only
-    linear functionals of the laws are read.  ``mu0`` is one initial law of
-    shape ``(n,)`` or ``k`` initial laws as the columns of an ``(n, k)`` block,
-    which are all stepped together.  Returns ``(laws, survivals)`` with one
-    entry per grid time: ``laws[i]`` has the shape of ``mu0`` and
-    ``survivals[i]`` is a number per column.  Each column's mass is summed
-    on its own, so a column gets the same bits as a run from it alone.
+    Every grid time is read from one forward power sequence by
+    :func:`_grid_flow`, so the products are those of one flow to the last
+    time.  ``mu0`` is one initial law of shape ``(n,)`` or ``k`` initial
+    laws as the columns of an ``(n, k)`` block, which share the sequence.
+    Returns ``(laws, survivals)`` with one entry per grid time: ``laws[i]``
+    has the shape of ``mu0`` and ``survivals[i]`` is a number per column.
+    Each column's mass is summed on its own, so a column gets the same bits
+    as a run from it alone.
+
+    The survival at the ``j``-th positive grid time is the flowed mass times
+    ``1 - j POISSON_TAIL``, the least mass that flows stepped from one grid
+    time to the next would have kept.  Where survival is flat to rounding,
+    that margin keeps it decreasing along the grid.
     """
     mu0 = _check_block(Q, mu0, "mu0")
     times = _check_grid(times)
     columns = mu0.reshape(len(mu0), -1)
     laws = np.empty((len(times),) + columns.shape)
     survivals = np.empty((len(times), columns.shape[1]))
-    nu = columns
-    prev = 0.0
-    for i, t in enumerate(times):
-        nu = evolve_measure(Q, nu, t - prev)
-        prev = t
-        # Per column, not nu.sum(axis=0): an axis-0 reduction adds the rows
-        # in another order and would move the last bits.
-        mass = np.array([nu[:, j].sum() for j in range(nu.shape[1])])
+    margins = 1.0 - np.cumsum(times > 0) * POISSON_TAIL
+    for i, _, nu in _grid_flow(Q.matrix_t, Q.lam, columns, times):
+        mass = nu.sum(axis=1)
         if mass.min() < SURVIVAL_FLOOR:
             raise ConditioningImpossibleError(
-                f"survival mass underflowed at grid time {t}")
-        survivals[i] = mass
-        laws[i] = nu / mass
+                f"survival mass underflowed at grid time {times[i]}")
+        survivals[i] = mass * margins[i]
+        laws[i] = (nu / mass[:, None]).T
     shape = (len(times),) + mu0.shape
     return laws.reshape(shape), survivals.reshape(shape[:1] + mu0.shape[1:])
 
 
 def conditional_moments(Q: SubGenerator, mu0: np.ndarray, times, F):
     """``laws @ F`` for the laws of :func:`conditional_path`, up to rounding,
-    from the scalars ``(mu0 P^k) F`` of one power sequence and no law.
+    from the contractions ``(mu0 P^k) F`` of one power sequence and no law.
 
     Each grid time weights them on its own Poisson window, so the discarded
-    ``POISSON_TAIL`` does not build up along the grid.  ``mu0`` is ``(n,)``
-    and ``F`` is ``(n, k)``.  Returns the ``(len(times), k)`` conditional
-    means, the survival mass per grid time and the number of products.
+    ``POISSON_TAIL`` does not build up along the grid; the survival mass
+    carries no margin.  ``mu0`` is ``(n,)`` and ``F`` is ``(n, k)``.
+    Returns the ``(len(times), k)`` conditional means, the survival mass per
+    grid time and the number of products.
     """
     mu0 = _check_vector(Q, mu0, "mu0")
     times = _check_grid(times)
@@ -550,12 +657,11 @@ def conditional_moments(Q: SubGenerator, mu0: np.ndarray, times, F):
     if F.ndim != 2 or F.shape[0] != len(mu0):
         raise DomainError(f"F has shape {F.shape}, expected ({len(mu0)}, k)")
     F = np.column_stack((np.ones(len(mu0)), F))
-    log_factorials = _log_factorials(Q.lam, times[-1])
-    window = lambda t: ((0, 0, np.ones(1)) if t == 0 else _poisson_weights(
-        Q.lam * t, log_factorials))
-    products = window(times[-1])[1]
-    s = np.array([p @ F for p in _powers(Q.matrix_t, Q.lam, mu0, products)])
-    values = np.array([w[a:b + 1] @ s[a:b + 1] for a, b, w in map(window, times)])
+    values = []
+    for _, products, acc in _grid_flow(Q.matrix_t, Q.lam, mu0[:, None],
+                                       times, F):
+        values.append(acc[0].copy())
+    values = np.array(values)
     low = values[:, 0] < SURVIVAL_FLOOR
     if low.any():
         raise ConditioningImpossibleError(

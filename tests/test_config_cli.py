@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsdlab import cli, config, convergence
+from qsdlab import cli, config, convergence, solver
 from qsdlab.cli import _build_parser, main
 from qsdlab.config import load_config
 from qsdlab.convergence import mixing_certificate
@@ -452,19 +452,25 @@ def test_certify_writes_the_mixing_certificate(tmp_path):
 def test_certify_reads_the_plateau_from_the_comparison_pass(tmp_path,
                                                             monkeypatch):
     """The plateau costs no flow of its own: ``certify`` makes exactly the
-    semigroup calls of the mixing certificate alone."""
+    flows and grid passes of the mixing certificate alone."""
     calls = []
 
     def counting(Q, f, t):
         calls.append(t)
         return evolve_function(Q, f, t)
 
+    def counting_passes(mat, lam, columns, times):
+        calls.append(tuple(times))
+        yield from solver._grid_flow(mat, lam, columns, times)
+
     monkeypatch.setattr(convergence, "evolve_function", counting)
+    monkeypatch.setattr(convergence, "_grid_flow", counting_passes)
     cfg = load_config(str(CONFIGS / "logistic1d.cfg"))
     model = build_model(cfg)
     Q = assemble(model, enumerate_space(cfg.r, cfg.truncation_n))
     res = solve_qsd(Q, tol=cfg.tol, max_iter=cfg.max_iter)
     cert = mixing_certificate(Q, res, t0=1.0, horizon=cfg.t_max)
+    assert [type(call) for call in calls] == [float, tuple]
     alone = len(calls)
     calls.clear()
     out = tmp_path / "out"
@@ -475,6 +481,21 @@ def test_certify_reads_the_plateau_from_the_comparison_pass(tmp_path,
     plateau = payload["survival_profile_error"]
     assert plateau == {"t=5": cert.comparison.plateau[5.0],
                        "t=10": cert.comparison.plateau[10.0]}
+
+
+@pytest.mark.parametrize("name", ["ref2d", "neutral3d", "logistic1d",
+                                  "catastrophe1d", "multibirth1d"])
+def test_converge_keeps_survival_decreasing_on_every_config(tmp_path, name):
+    """``convergence_curves`` raises if survival ever rises along the grid
+    or passes 1; every shipped config runs through that check."""
+    out = tmp_path / "out"
+    assert main(["converge", "--config", str(CONFIGS / f"{name}.cfg"),
+                 "--out", str(out)]) == 0
+    with open(out / "convergence_curves.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    for column in (key for key in rows[0] if key.startswith("survival")):
+        survival = np.array([float(row[column]) for row in rows])
+        assert (np.diff(survival) < 0).all() and survival.max() < 1.0
 
 
 def test_certify_at_zero_horizon_does_not_certify(tmp_path):
@@ -498,14 +519,15 @@ def test_out_env_variable_is_honored(tmp_path, monkeypatch):
 
 
 #: Run in a fresh interpreter: the modules that ``solve``, ``simulate`` and
-#: then ``check`` leave loaded, out of ``scipy.special``, which only flows
-#: need, and ``scipy.sparse.linalg``, which the package never imports.
+#: then the flows of ``check``, ``converge`` and ``certify`` leave loaded,
+#: out of ``scipy.special`` and ``scipy.sparse.linalg``, which the package
+#: never imports.
 _LAZY_PROBE = """
 import contextlib, io, json, sys
 from qsdlab.cli import main
 lazy = ("scipy.special", "scipy.sparse.linalg")
 report = {}
-for command in ("solve", "simulate", "check"):
+for command in ("solve", "simulate", "check", "converge", "certify"):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main([command, "--config", sys.argv[1], "--out", sys.argv[2]])
     report[command] = [code, [m for m in lazy if m in sys.modules]]
@@ -522,8 +544,9 @@ def test_flow_modules_load_only_when_a_flow_runs(tmp_path):
     run = subprocess.run(
         [sys.executable, "-c", _LAZY_PROBE, str(CONFIGS / "logistic1d.cfg"),
          str(tmp_path)], env=env, capture_output=True, text=True, check=True)
-    assert json.loads(run.stdout) == {"solve": [0, []], "simulate": [0, []],
-                                      "check": [0, ["scipy.special"]]}
+    assert json.loads(run.stdout) == {
+        command: [0, []]
+        for command in ("solve", "simulate", "check", "converge", "certify")}
 
 
 # ---------------------------------------------------------------------------

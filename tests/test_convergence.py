@@ -7,6 +7,7 @@ the tests.
 """
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -25,10 +26,15 @@ from qsdlab.convergence import (
     survival_profile_error,
     tv_distance,
 )
+from qsdlab.config import load_config
 from qsdlab.errors import DomainError, NoFitError
+from qsdlab.model import build_model
 from qsdlab.presets import reference_2d
-from qsdlab.solver import (assemble, conditional_path, enumerate_space,
-                           evolve_function, evolve_measure, solve_qsd)
+from qsdlab.solver import (POISSON_TAIL, assemble, conditional_path,
+                           enumerate_space, evolve_function, evolve_measure,
+                           solve_qsd)
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +88,57 @@ def test_single_curve_is_the_matching_column_of_the_block(logistic30_system):
         assert curve.initial == alone.initial == initial
         assert np.array_equal(curve.tv, alone.tv)
         assert np.array_equal(curve.survival, alone.survival)
-        # and both have the bits of a path stepped from the start vector
+        # and both have the bits of a path from the start vector alone
         laws, survival = conditional_path(
             generator, generator.space.point_mass(initial), times)
         assert np.array_equal(curve.tv,
                               0.5 * np.abs(laws - result.law).sum(axis=1))
         assert np.array_equal(curve.survival, survival)
+
+
+def test_flat_survival_still_decreases_on_a_fine_grid(ref2d_system):
+    """From (20, 20) the chain is far from the boundary, so its survival is
+    1 to rounding for a while; the margin of ``POISSON_TAIL`` per grid
+    time keeps it strictly decreasing even 0.005 apart."""
+    *_, generator, result = ref2d_system
+    times = np.arange(1, 401) * 0.005
+    curve = convergence_curve(generator, result, (20, 20), times)
+    assert curve.survival[0] > 1.0 - 2.0 * POISSON_TAIL
+    assert (np.diff(curve.survival) < 0).all() and curve.survival.max() < 1.0
+
+
+@pytest.mark.parametrize("start", [(1, 1), (6, 4), (30, 0)])
+def test_path_laws_match_the_measure_stepped_over_the_grid(start):
+    """One power sequence per grid against the independent route: the
+    measure flowed from grid time to grid time by ``evolve_measure``."""
+    generator = assemble(reference_2d(), enumerate_space(2, 30))
+    if start == (30, 0):
+        mu0 = np.random.default_rng(3).random(len(generator.space))
+        mu0 /= mu0.sum()
+    else:
+        mu0 = generator.space.point_mass(start)
+    times = np.arange(1, 101) * 0.05
+    laws, survivals = conditional_path(generator, mu0, times)
+    nu, prev = mu0, 0.0
+    for law, survival, t in zip(laws, survivals, times):
+        nu = evolve_measure(generator, nu, t - prev)
+        prev = t
+        assert np.abs(law - nu / nu.sum()).sum() < 1e-13
+        assert survival == pytest.approx(nu.sum(), rel=len(times) * POISSON_TAIL)
+
+
+@pytest.mark.parametrize("name", ["logistic1d", "catastrophe1d",
+                                  "multibirth1d"])
+def test_profile_error_at_the_horizon_matches_expm(name):
+    cfg = load_config(str(CONFIGS / f"{name}.cfg"))
+    generator = assemble(build_model(cfg),
+                         enumerate_space(cfg.r, cfg.truncation_n))
+    result = solve_qsd(generator, cfg.tol, cfg.max_iter)
+    t = cfg.t_max
+    alive = sla.expm(t * generator.matrix.toarray()) @ np.ones(len(result.law))
+    exact = np.max(np.abs(math.exp(result.decay_rate * t) * alive
+                          - result.survival_profile))
+    assert abs(survival_profile_error(generator, result, t) - exact) < 1e-12
 
 
 # ---------------------------------------------------------------------------

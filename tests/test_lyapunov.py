@@ -53,8 +53,8 @@ from qsdlab.presets import (
     reference_2d,
     strong_intra_2d,
 )
-from qsdlab.solver import (POISSON_TAIL, assemble, conditional_path,
-                           enumerate_space)
+from qsdlab.solver import (POISSON_TAIL, assemble, enumerate_space,
+                           evolve_measure)
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +391,16 @@ def test_conditional_drift_flags_underresolved_grids():
 
 
 def _stepped_moments(Q, mu0, times, F):
-    """The earlier route: conditional laws stepped over the grid, then
-    contracted with ``F``."""
-    laws, survivals = conditional_path(Q, mu0, times)
-    return laws @ F, survivals, 0
+    """An independent route: the measure stepped from grid time to grid
+    time by :func:`evolve_measure`, then normalized and contracted with
+    ``F``."""
+    nu, prev, means, survivals = mu0, 0.0, [], []
+    for t in times:
+        nu = evolve_measure(Q, nu, t - prev)
+        prev = t
+        survivals.append(nu.sum())
+        means.append(nu / survivals[-1] @ F)
+    return np.array(means), np.array(survivals), 0
 
 
 @pytest.mark.parametrize("case", ["ref2d-edge", "ref2d-corner", "logistic",

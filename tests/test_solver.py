@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sps
-from scipy.special import gammaln
+from scipy.stats import poisson
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -448,34 +448,25 @@ def test_block_flow_equals_its_columns_bit_for_bit(ref2d_30, flow):
         assert np.array_equal(out[:, j], flow(ref2d_30, block[:, j], 0.8))
 
 
-def _every_poisson_weight(mean, tail, log_factorials=None):
-    """Poisson weights evaluated from k = 0, the window rule unchanged."""
-    k_hi = solver._window_end(mean)
-    ks = np.arange(0, k_hi + 1, dtype=float)
-    if log_factorials is None:
-        log_factorials = gammaln(ks + 1.0)
-    weights = np.exp(-mean + ks * math.log(mean) - log_factorials[:k_hi + 1])
-    cum = np.cumsum(weights)
-    first = int(np.searchsorted(cum, 0.5 * tail, side="right"))
-    last = int(np.argmax((cum[-1] - cum) <= 0.5 * tail))
-    return first, last, weights
-
-
-def test_poisson_weights_skip_only_exact_zeros():
-    means = np.concatenate([np.geomspace(1e-3, 2e5, 160),
-                            [1599.5, 1600.0, 1600.5, 14576.0, 3.5e5]])
-    shared = gammaln(np.arange(solver._window_end(means.max()) + 1) + 1.0)
-    skipped = 0
-    for mean in means:
-        for log_factorials in (solver._log_factorials(mean, 1.0), shared):
-            first, last, weights = solver._poisson_weights(mean,
-                                                           log_factorials)
-            want = _every_poisson_weight(mean, solver.POISSON_TAIL,
-                                         log_factorials)
-            assert (first, last) == want[:2]
-            assert weights.tobytes() == want[2].tobytes()
-        skipped = max(skipped, math.floor(mean - 40.0 * math.sqrt(mean)))
-    assert skipped > 10 ** 5
+def test_poisson_weights_match_the_poisson_pmf():
+    """The weights are the Poisson pmf on a window that drops at most
+    ``POISSON_TAIL / 2`` from each end.  scipy's pmf sums
+    ``-m + k log m - log k!`` in floating point, so its own relative error
+    grows like ``m * eps``; the tolerance allows for that."""
+    eps = np.finfo(float).eps
+    tail = 0.5 * solver.POISSON_TAIL
+    for mean in np.concatenate([np.geomspace(1e-3, 2e5, 160),
+                                [1599.5, 1600.0, 1600.5, 14576.0, 3.5e5]]):
+        first, weights = solver._poisson_weights(mean, 1.0)
+        last = first + len(weights) - 1
+        want = poisson.pmf(np.arange(first, last + 1), mean)
+        assert np.allclose(weights, want, rtol=1e-13 + 32.0 * mean * eps,
+                           atol=0.0)
+        assert poisson.cdf(first - 1, mean) <= 1.001 * tail
+        assert poisson.sf(last, mean) <= 1.001 * tail
+        # and the window is no wider than that rule needs
+        assert poisson.cdf(first, mean) > 0.999 * tail
+        assert poisson.sf(last - 1, mean) > 0.999 * tail
 
 
 @pytest.mark.parametrize("t", [1e6, 1e300])
