@@ -29,9 +29,10 @@ import bisect
 import heapq
 import math
 import operator
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 
 import numpy as np
 
@@ -142,10 +143,15 @@ class Trajectory:
     absorbed, the last entry is the absorption event and ``t_end`` its time;
     otherwise the path is alive at ``t_end`` (the horizon) in its last
     state.
+
+    A simulated path keeps ``times`` as a float64 ``array.array`` and
+    ``states`` as a list of the state tuples the model's move table holds,
+    about 16 bytes per event in all.  Paths built by hand may give any
+    sequences.  The fields are mutable, so a path is not hashable.
     """
 
-    times: tuple
-    states: tuple
+    times: array
+    states: list
     t_end: float
     absorbed: bool
 
@@ -198,17 +204,17 @@ def _jump_path(moves, n, t_max: float, rng: np.random.Generator) -> Trajectory:
     """
     draw = _uniforms(rng).__next__
     bisect_right, log1p = bisect.bisect_right, math.log1p
-    times = [0.0]
+    times = array("d", (0.0,))
     states = [n]
     add_time, add_state = times.append, states.append
     t = 0.0
     for _ in range(_EVENT_BUDGET):
         targets, cum, total, dead = moves(n)
         if total <= 0.0:
-            return Trajectory(tuple(times), tuple(states), t_max, False)
+            return Trajectory(times, states, t_max, False)
         t += -log1p(-draw()) / total
         if t >= t_max:
-            return Trajectory(tuple(times), tuple(states), t_max, False)
+            return Trajectory(times, states, t_max, False)
         # The first move whose running sum exceeds u * total; the last move
         # when rounding leaves none.
         i = bisect_right(cum, draw() * total, 0, len(cum) - 1)
@@ -216,7 +222,7 @@ def _jump_path(moves, n, t_max: float, rng: np.random.Generator) -> Trajectory:
         add_time(t)
         add_state(n)
         if dead[i]:
-            return Trajectory(tuple(times), tuple(states), t, True)
+            return Trajectory(times, states, t, True)
     raise NumericalError(f"event budget {_EVENT_BUDGET} exhausted before "
                          f"t_max = {t_max}; the model may explode")
 
@@ -303,26 +309,36 @@ def occupation_measure(trajectory: Trajectory,
     """Time-weighted law of the states a path visits after a burn-in.
 
     Each visited interior state gets weight proportional to the time the
-    path spent in it between ``t_start`` and the end of the path.
+    path spent in it between ``t_start`` and the end of the path.  The
+    weights are summed in path order and listed in the order in which the
+    states first hold the path for a positive time.
     """
     if not 0.0 <= t_start < trajectory.t_end:
         raise DomainError(f"t_start = {t_start} outside [0, {trajectory.t_end})")
-    weights: Counter = Counter()
-    times, states = trajectory.times, trajectory.states
+    # A view of a simulated path's times, not a copy.
+    t = np.asarray(trajectory.times, dtype=float)
     # The interval that holds t_start; every earlier one ends by t_start.
-    # The intervals are read in place, without copying the path.
-    first = bisect.bisect_right(times, t_start, 1) - 1
-    ends = chain(islice(times, first + 1, None), (trajectory.t_end,))
+    first = int(np.searchsorted(t[1:], t_start, side="right"))
     # An absorbed path's last state is the absorption, not an interval.
-    stop = len(states) - trajectory.absorbed
-    for start, end, state in zip(islice(times, first, None), ends,
-                                  islice(states, first, stop)):
-        lo = max(start, t_start)
-        if end > lo:
-            weights[state] += end - lo
-    if not weights:
+    stop = len(trajectory.states) - trajectory.absorbed
+    # Interval k runs from t[k] to the next event time or to t_end, and the
+    # first one counts from t_start on.
+    spans = np.append(t[first + 1:], trajectory.t_end)[:stop - first]
+    spans[:1] -= max(t[first], t_start)
+    spans[1:] -= t[first + 1:stop]
+    states = islice(trajectory.states, first, stop)
+    # A wait of zero, from a uniform of 0, leaves an empty interval.
+    keep = spans > 0.0
+    if not keep.all():
+        spans, states = spans[keep], compress(states, keep)
+    if not len(spans):
         raise ValidationError("no occupation time accumulated after t_start")
-    return EmpiricalLaw.from_counts(weights)
+    # A state missing from ``ids`` gets the count of the states before it.
+    ids = defaultdict()
+    ids.default_factory = ids.__len__
+    sums = np.bincount(np.fromiter(map(ids.__getitem__, states), np.intp,
+                                   len(spans)), weights=spans)
+    return EmpiricalLaw.from_counts(dict(zip(ids, sums.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +403,11 @@ def _survivor_counts(model: Model, initial, t: float, plan: RngPlan,
     table = _MoveTable(model._moves, n)
     counts: Counter = Counter()
     events = 0
+    # One set of rows, and so one refill buffer, serves every batch.
+    paths = _Lockstep(table, min(_BATCH, count), rekey, first)
     for lo in range(first, first + count, _BATCH):
         size = min(_BATCH, first + count - lo)
-        paths = _Lockstep(table, size, rekey, lo)
+        paths.restart(lo)
         rows = paths.start(np.arange(size), t)
         for step, (rows, s, _) in enumerate(paths.run(rows, t), 1):
             events += len(rows)
@@ -398,7 +416,7 @@ def _survivor_counts(model: Model, initial, t: float, plan: RngPlan,
                 raise NumericalError(f"event budget {_EVENT_BUDGET} exhausted "
                                      f"before t_max = {t}; the model may "
                                      "explode")
-        final = paths.state
+        final = paths.state[:size]
         counts.update(map(table.states.__getitem__, final[final >= 0].tolist()))
     return counts, events
 
@@ -469,14 +487,23 @@ class _Lockstep:
     def __init__(self, table, rows, rekey, first):
         self.table = table
         self.rekey = rekey
-        self.first = first
-        self.state = np.zeros(rows, dtype=np.intp)
-        self.clock = np.zeros(rows)
+        self.state = np.empty(rows, dtype=np.intp)
+        self.clock = np.empty(rows)
         # Row k holds its unread uniforms in columns pos[k] to _REFILL.
         self.buffer = np.empty((rows, _REFILL + 1))
         self.flat = self.buffer.reshape(-1)
-        self.pos = np.full(rows, _REFILL + 1)
-        self.drawn = np.zeros(rows, dtype=np.int64)
+        self.pos = np.empty(rows, dtype=np.intp)
+        self.drawn = np.empty(rows, dtype=np.int64)
+        self.restart(first)
+
+    def restart(self, first):
+        """Put every row at time 0 on the start state, with nothing drawn
+        from its stream, now ``first`` plus the row's index."""
+        self.first = first
+        self.state[:] = 0
+        self.clock[:] = 0.0
+        self.pos[:] = _REFILL + 1
+        self.drawn[:] = 0
 
     def _take(self, rows, k):
         """Where in ``flat`` the next k uniforms of each row in ``rows``

@@ -10,6 +10,7 @@ loudly rather than drift silently.
 import bisect
 import heapq
 import math
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -486,13 +487,13 @@ def _reference_fleming_viot(model, start, particles, t_max, plan):
     return Counter(states), occupation, deaths, events
 
 
-def _reference_occupation(times, states, t_end):
+def _reference_occupation(times, states, t_end, t_start=0.0):
     weights = Counter()
     ends = list(times) + [t_end]
     for i, state in enumerate(states):
         if is_absorbed(state):
             break
-        lo = ends[i]
+        lo = max(ends[i], t_start)
         if ends[i + 1] > lo:
             weights[state] += ends[i + 1] - lo
     return weights
@@ -538,7 +539,7 @@ def test_paths_equal_the_scalar_reference(name):
         path = simulate_path(model, start, t_max, plan.stream(k))
         expected = _reference_path(reference.transition_table, start, t_max,
                                    plan.stream(k))
-        assert (path.times, path.states, path.t_end,
+        assert (tuple(path.times), tuple(path.states), path.t_end,
                 path.absorbed) == expected
         assert occupation_measure(path).weights == EmpiricalLaw.from_counts(
             _reference_occupation(*expected[:3])).weights
@@ -567,7 +568,7 @@ def test_qprocess_equals_the_scalar_reference(small_solves, name):
     for k in range(40):
         path = simulate_qprocess(model, qsd, start, 40.0, plan.stream(k))
         expected = _reference_path(table, start, 40.0, plan.stream(k))
-        assert (path.times, path.states, path.t_end,
+        assert (tuple(path.times), tuple(path.states), path.t_end,
                 path.absorbed) == expected
 
 
@@ -616,8 +617,9 @@ def test_pick_on_a_running_sum_boundary_takes_the_next_move():
     table = _fixed_table([(6,), (7,), (4,)], [1.0, 1.0, 2.0])
     script = [0.5, 0.25, _LAST_BELOW_ONE]  # 0.25 * 4.0 == 1.0, the first sum
     path = _jump_path(_memo_moves(table), (5,), 1.0, _Scripted(script))
-    assert path.states == ((5,), (7,))
-    assert (path.times, path.states, path.t_end, path.absorbed) == \
+    assert tuple(path.states) == ((5,), (7,))
+    assert (tuple(path.times), tuple(path.states), path.t_end,
+            path.absorbed) == \
         _reference_path(table, (5,), 1.0, _Scripted(script))
 
 
@@ -630,9 +632,10 @@ def test_pick_rounded_up_to_the_last_sum_takes_the_last_move():
     assert _LAST_BELOW_ONE * total == 3.0
     script = [0.5, _LAST_BELOW_ONE]
     path = _jump_path(_memo_moves(table), (5,), 1.0, _Scripted(script))
-    assert path.states == ((5,), (0,))
+    assert tuple(path.states) == ((5,), (0,))
     assert path.absorbed
-    assert (path.times, path.states, path.t_end, path.absorbed) == \
+    assert (tuple(path.times), tuple(path.states), path.t_end,
+            path.absorbed) == \
         _reference_path(table, (5,), 1.0, _Scripted(script))
 
 
@@ -689,12 +692,13 @@ def test_moves_are_computed_once_per_visited_state():
 
 
 # ---------------------------------------------------------------------------
-# the flat particle loop and the occupation pass against their former code
+# the flat particle loop against its former code, and the occupation pass
+# against the reference
 # ---------------------------------------------------------------------------
 #
-# Plain copies of ``fleming_viot``'s closure-based event loop and of the
-# occupation pass that visits every interval.  The current code must give
-# the same floats, added in the same order.
+# A plain copy of ``fleming_viot``'s closure-based event loop, and
+# ``_reference_occupation``, which visits every interval.  The current code
+# must give the same floats, added in the same order.
 
 
 def _closure_fleming_viot(model, start, particles, t_max, plan):
@@ -750,19 +754,6 @@ def _closure_fleming_viot(model, start, particles, t_max, plan):
             EmpiricalLaw.from_counts(occupation), deaths, events)
 
 
-def _every_interval_occupation(trajectory, t_start):
-    weights = Counter()
-    ends = list(trajectory.times[1:]) + [trajectory.t_end]
-    states = trajectory.states
-    if trajectory.absorbed:
-        states = states[:-1]
-    for start, end, state in zip(trajectory.times, ends, states):
-        lo = max(start, t_start)
-        if end > lo:
-            weights[state] += end - lo
-    return EmpiricalLaw.from_counts(weights)
-
-
 def _config_model(name):
     cfg = load_config(CONFIGS / f"{name}.cfg")
     return cfg, build_model(cfg)
@@ -786,17 +777,22 @@ def test_particles_equal_the_closure_loop(name, start, t_max, seed):
 
 
 def _burn_ins(path):
-    """Burn-ins at 0, on event times, between them and near the end."""
+    """Burn-ins at 0, on event times, between them, and on the start of,
+    inside and near the end of the last interval."""
     times, t_end = path.times, path.t_end
-    picks = {0.0, times[len(times) // 2], times[-1] if times[-1] < t_end
-             else times[-2], 0.5 * t_end, math.nextafter(t_end, 0.0)}
+    last = times[-1] if times[-1] < t_end else times[-2]
+    picks = {0.0, times[len(times) // 2], last, 0.5 * (last + t_end),
+             0.5 * t_end, math.nextafter(t_end, 0.0)}
     return sorted(t for t in picks if 0.0 <= t < t_end)
 
 
-def _assert_occupation_matches(path):
-    for t_start in _burn_ins(path):
+def _assert_occupation_matches(path, t_starts=None):
+    """The occupation law after each burn-in equals the reference's, with
+    the same floats in the same order."""
+    for t_start in _burn_ins(path) if t_starts is None else t_starts:
         got = occupation_measure(path, t_start).weights
-        want = _every_interval_occupation(path, t_start).weights
+        want = EmpiricalLaw.from_counts(_reference_occupation(
+            path.times, path.states, path.t_end, t_start)).weights
         assert list(got.items()) == list(want.items())
 
 
@@ -822,6 +818,29 @@ def test_occupation_skips_the_burn_in_without_moving_a_bit(ref2d_30, seed):
         ends[path.absorbed] += 1
         _assert_occupation_matches(path)
     assert ends[True] > 0 and ends[False] > 0
+
+
+def test_occupation_lists_states_by_their_first_positive_time():
+    # A wait of zero (a uniform of 0) leaves (2,) an empty first interval.
+    path = Trajectory(times=[0.0, 1.0, 1.0, 2.0],
+                      states=[(1,), (2,), (3,), (2,)], t_end=3.0,
+                      absorbed=False)
+    assert list(occupation_measure(path).weights) == [(1,), (3,), (2,)]
+    _assert_occupation_matches(path, (0.0, 1.0, 2.5))
+
+
+def test_occupation_without_time_after_t_start_is_an_error():
+    # A path absorbed at its start, and one whose horizon lies past its
+    # absorption, read from after that absorption.
+    for path, t_start in (
+            (Trajectory(times=[0.0], states=[(0,)], t_end=1.0,
+                        absorbed=True), 0.0),
+            (Trajectory(times=[0.0, 1.0], states=[(1,), (0,)], t_end=2.0,
+                        absorbed=True), 1.5)):
+        assert not _reference_occupation(path.times, path.states, path.t_end,
+                                         t_start)
+        with pytest.raises(ValidationError, match="no occupation time"):
+            occupation_measure(path, t_start)
 
 
 # ---------------------------------------------------------------------------
@@ -1146,3 +1165,42 @@ def test_particle_system_keeps_the_event_budget(monkeypatch):
         else:
             again = fleming_viot(make(), start, 8, 1.0, RngPlan(3))
             assert again.occupation.weights == result.occupation.weights
+
+
+# ---------------------------------------------------------------------------
+# peak memory
+# ---------------------------------------------------------------------------
+
+
+def _traced_peak(run):
+    """The result of ``run()`` and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_long_qprocess_and_its_occupation_take_28_bytes_an_event(ref2d_30):
+    model, qsd = ref2d_30
+    t_max = 10000.0
+
+    def run():
+        path = simulate_qprocess(model, qsd, (1, 1), t_max,
+                                 RngPlan(0).stream(0))
+        # The burn-in of ``qsdlab qprocess``.
+        occupation_measure(path, t_start=t_max / 2.0)
+        return len(path.times) - 1
+
+    events, peak = _traced_peak(run)
+    assert events >= 150_000
+    assert peak <= 28 * events
+
+
+def test_the_lockstep_tally_holds_one_refill_buffer_at_a_time():
+    buffer = simulate._BATCH * (simulate._REFILL + 1) * 8
+    estimate, peak = _traced_peak(lambda: estimate_conditional(
+        logistic_1d(), (3,), 2.0, 3 * simulate._BATCH, RngPlan(5)))
+    assert estimate.survivors > 0
+    assert peak < 1.5 * buffer
