@@ -46,10 +46,10 @@ def convergence_curves(Q: SubGenerator, qsd: QsdResult, initials,
     """Conditioned-law distance to the long-run law along ``times``, one
     :class:`ConvergenceCurve` per initial state.
 
-    The point masses at all initials flow as one block through one power
-    sequence (:func:`~qsdlab.solver.conditional_path`), and each curve is
-    read from its own column, so it has the same bits as a run from its
-    initial alone.  Its survival gives up ``POISSON_TAIL`` per grid time,
+    The point masses at all initials flow as one block
+    (:func:`~qsdlab.solver.conditional_path`), and each curve is read from
+    its own column, so it has the same bits as a run from its initial
+    alone.  Its survival gives up ``POISSON_TAIL`` per grid time,
     which keeps it decreasing where it is flat to rounding, so survival that
     rises along the grid, or passes 1, would mean a corrupted generator and
     raises.
@@ -236,11 +236,12 @@ def certify_survival_comparison(
     grid, always including t = 0.  One backward pass of the survival
     function ``alive = P_.(alive at t)`` gives both numbers: the numerator
     is its entry at the reference, so the ratio never exceeds 1.  The pass
-    reads every grid time from one power sequence of ``Q`` (see
-    :func:`~qsdlab.solver.conditional_path`) on the doubled grid, which
-    adds the midpoints; the certificate is
-    the minimum over the given grid points, and the gap to the minimum over
-    the doubled grid is reported as ``reproduction``.  Given ``qsd``, the same
+    runs on the doubled grid, which adds the midpoints, from one power
+    sequence of ``Q`` or, where that costs more, by one dense propagator
+    ``exp(dt Q)`` per distinct step of that grid (see
+    :func:`~qsdlab.solver.conditional_path`); the certificate is the minimum
+    over the given grid points, and the gap to the minimum over the doubled
+    grid is reported as ``reproduction``.  Given ``qsd``, the same
     pass gives ``plateau``, the :func:`survival_profile_error` at half the
     horizon and at the horizon, which join the doubled grid if off it.
     """

@@ -369,8 +369,8 @@ class ConditionalDriftReport:
     worst_margin: float
     quadrature_error: float
     smallest_constant: float
-    products: int
-    poisson_tail: float
+    products: int          # sparse products, and one per step on propagators
+    poisson_tail: float    # most Poisson mass dropped in the flow to a time
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -760,10 +760,12 @@ def check_conditional_drift(model: Model, Q, mu0, times,
     that would make the one-sided version with additive slack C + C**2
     hold at every grid point.
 
-    The laws enter only through the means of V, LV and L1, taken from one
-    power sequence by :func:`~qsdlab.solver.conditional_moments`; the report
-    gives its ``products`` and the ``poisson_tail`` discarded per grid time,
-    which does not build up over the grid as the stepped laws' tail did.
+    The laws enter only through the means of V, LV and L1, taken by
+    :func:`~qsdlab.solver.conditional_moments` from one power sequence or
+    dense propagators, whichever costs less.  The report gives the
+    ``products`` that flow made and ``poisson_tail``, the most Poisson mass
+    discarded in the flow to any grid time on either way; it does not build
+    up over the grid as the stepped laws' tail did.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 3:

@@ -18,11 +18,15 @@ conditioned dynamics:
 Everything is computed with the uniformized kernel ``P = I + Q/Lambda``:
 power iteration for the eigenpairs, Poisson-weighted sums of powers for
 ``exp(tQ)``.  ``P`` has nonnegative entries by construction, which keeps all
-transient quantities nonnegative.  It does not make survival nonincreasing
-in floating point: the mass of ``mu P^k`` can rise by an ulp in a step.
-Along a time grid, survival gives up ``POISSON_TAIL`` per grid time, the
-most that the discarded Poisson tails could take, and that margin keeps it
-decreasing (see :func:`conditional_path`).
+transient quantities nonnegative.  A time grid flows along one power
+sequence read at every grid time or, where that costs more, along dense
+propagators ``exp(dt Q)``, one per distinct grid step, built from the same
+sums of powers (see :func:`_grid_flow`).  Neither makes survival
+nonincreasing in floating point: the mass of ``mu P^k`` can rise by an ulp
+in a step, and so can that of a dense step.  Along a time grid, survival
+gives up ``POISSON_TAIL`` per grid time, the most that the discarded
+Poisson tails could take, and that margin keeps it decreasing (see
+:func:`conditional_path`).
 """
 
 from __future__ import annotations
@@ -355,16 +359,16 @@ def _check_window(lam: float, t: float) -> float:
     return mean
 
 
-def _poisson_weights(lam: float, t: float):
+def _poisson_weights(lam: float, t: float, tail: float = POISSON_TAIL):
     """Poisson weights of a flow at rate ``lam`` to time ``t``: ``(first,
     weights)``, ``weights[k - first]`` the weight of ``k``, on the window
-    that carries all but ``POISSON_TAIL`` of the mass.
+    that carries all but ``tail`` of the mass.
 
     The weights run outward from the mode by the ratios of neighbouring
     weights (Fox & Glynn 1988), ``mean / k`` above it and ``k / mean`` below,
     up to ``10 sqrt(mean) + 30`` from the mean on either side, which leaves
     out under ``1e-21`` of the mass (Bernstein's bound).  The window is the
-    narrowest that leaves at most ``POISSON_TAIL / 2`` of the mass outside it
+    narrowest that leaves at most ``tail / 2`` of the mass outside it
     at each end, and its weights are scaled to sum to one: the law of the
     Poisson count given that it falls in the window.  Raises
     :class:`NumericalError` before allocating when :func:`_window_end`
@@ -380,11 +384,11 @@ def _poisson_weights(lam: float, t: float):
     np.cumprod(mean / np.arange(mode + 1, k_hi + 1), out=weights[m + 1:])
     if m:
         np.cumprod(np.arange(mode, k_lo, -1) / mean, out=weights[m - 1::-1])
-    tail = 0.5 * POISSON_TAIL * weights.sum()
+    cut = 0.5 * tail * weights.sum()
     # Each tail is summed from its small end, so no cancellation reads it.
-    first = int(np.searchsorted(np.cumsum(weights[:m]), tail, side="right"))
+    first = int(np.searchsorted(np.cumsum(weights[:m]), cut, side="right"))
     above = np.cumsum(weights[:m:-1])[::-1]  # above[j]: the mass past m + j
-    last = m + int(np.argmax(above <= tail))
+    last = m + int(np.argmax(above <= cut))
     window = weights[first:last + 1]
     return k_lo + first, window / window.sum()
 
@@ -451,10 +455,10 @@ def _powers(mat, lam, p, count):
 def _flow(mat, lam, block, t):
     """Uniformized ``sum_k Poisson(lam t; k) (I + mat/lam)^k block``.
 
-    The flow to one time; a grid of times shares one power sequence in
-    :func:`_grid_flow`.  ``block`` is a vector or an ``(n, k)`` block of
-    columns; each column gets the same bits as it would alone, because a CSR
-    product sums every row in the same order for one column or many.
+    The flow to one time; a grid of times flows by :func:`_grid_flow`.
+    ``block`` is a vector or an ``(n, k)`` block of columns; each column
+    gets the same bits as it would alone, because a CSR product sums every
+    row in the same order for one column or many.
     Forward flows pass the transpose ``Q.matrix_t``, backward flows
     ``Q.matrix``.
     """
@@ -470,38 +474,172 @@ def _flow(mat, lam, block, t):
     return acc
 
 
-#: Powers stacked per dense product in :func:`_grid_flow`: up to
+#: Powers stacked per dense product in :func:`_sequence_flow`: up to
 #: ``_GRID_BLOCK``, and fewer where a column of them would pass
 #: ``_GRID_BYTES``.
 _GRID_BLOCK = 64
 _GRID_BYTES = 1 << 20
 
+#: Cost of one product beyond its multiply-adds, in multiply-adds: about
+#: 4 us of call overhead per sparse or dense product against about 1 ns per
+#: multiply-add, measured on 5- to 300-state spaces (2-core Xeon, numpy 2.4
+#: with OpenBLAS 0.3).
+_PRODUCT_OVERHEAD = 4000
+
+#: Cost of the Poisson weights of one window, in the same unit: 45 to 80 us
+#: on the same host.
+_WINDOW_COST = 10 * _PRODUCT_OVERHEAD
+
+#: Most bytes the propagators of one grid may hold together.
+_PROPAGATOR_BYTES = 1 << 22
+
 
 def _grid_flow(mat, lam, columns, times, read=None):
     """Uniformized flows of the ``(n, c)`` block ``columns`` to every time of
-    the increasing grid ``times``, from one power sequence.
+    the increasing grid ``times``.
 
     Yields ``(i, end, acc)`` in grid order: ``acc`` is the ``(c, d)`` flow
-    to ``times[i]``, one row per column, and ``end`` the last power read so
-    far, so the last ``end`` is the number of products.  With ``read``, an
-    ``(n, d)`` matrix, each power is contracted with it first, so ``d`` is
-    its width; otherwise ``d = n``.  ``acc`` is overwritten once the next
-    item is asked for, so read it first.  A grid whose last window passes
-    :data:`MAX_WINDOW` is refused before the first product.
+    to ``times[i]``, one row per column, and ``end`` the number of products
+    made so far, so the last ``end`` is the number of products.  With
+    ``read``, an ``(n, d)`` matrix, each flow is contracted with it, so ``d``
+    is its width; otherwise ``d = n``.  ``acc`` is overwritten once the next
+    item is asked for, so read it first.  Each column has the bits it has
+    alone.
+
+    The flows take one of two ways, whichever :func:`_propagators_pay`
+    puts at the fewer multiply-adds: one power sequence read at every grid
+    time (:func:`_sequence_flow`), or one dense propagator per distinct
+    grid step, applied from each grid time to the next
+    (:func:`_propagated_flow`).  Either way a grid whose last window passes
+    :data:`MAX_WINDOW` is refused here, before the first product.
+    """
+    _check_window(lam, times[-1])
+    if _propagators_pay(mat, lam, times):
+        return _propagated_flow(mat, lam, columns, times, read)
+    return _sequence_flow(mat, lam, columns, times, read)
+
+
+def _propagators_pay(mat, lam, times):
+    """Whether moving a column along ``times`` by dense propagators costs
+    less than one power sequence.
+
+    Each way is costed in multiply-adds: the products it makes times their
+    block width, plus :data:`_PRODUCT_OVERHEAD` per product and
+    :data:`_WINDOW_COST` per Poisson window.  The sequence makes about
+    ``_window_end(lam * times[-1])`` sparse products and one window per grid
+    time.  The propagators take one window per distinct step and one
+    sequence of sparse products over the ``n`` columns of the identity, up
+    to the longest window, and add each power into every propagator whose
+    window holds it, ``n^2`` apiece; then each nonzero step is one dense
+    product.  So propagators win where ``lam`` times the step is large
+    against ``n``, and never on a grid of one time.  The cost is that of one
+    column: a block takes the way each of its columns takes alone, so each
+    keeps its bits.  Propagators that would not fit together in
+    :data:`_PROPAGATOR_BYTES` are never built.
+    """
+    n, nnz = mat.shape[0], mat.nnz
+    steps = np.diff(times, prepend=0.0)
+    moves = np.count_nonzero(steps)
+    distinct = np.unique(steps[steps > 0])
+    if 8 * n * n * len(distinct) > _PROPAGATOR_BYTES:
+        return False
+    means = lam * distinct
+    windows = np.ceil(means + 10.0 * np.sqrt(means) + 30.0)  # _window_end
+    sequence = (_window_end(lam * times[-1]) * (nnz + _PRODUCT_OVERHEAD)
+                + len(times) * _WINDOW_COST)
+    dense = (windows.max(initial=0.0) * (n * nnz + _PRODUCT_OVERHEAD)
+             + windows.sum() * n * n + len(distinct) * _WINDOW_COST
+             + moves * (n * n + _PRODUCT_OVERHEAD))
+    return dense < sequence
+
+
+def _propagators(mat, lam, steps, tail):
+    """The ``(len(steps), n, n)`` dense propagators ``sum_k Poisson(lam dt; k)
+    (I + mat/lam)^k``, one per ``dt`` of ``steps``, each summed over its own
+    window (see :func:`_poisson_weights`) that leaves out at most ``tail``,
+    and the number of products.
+
+    The powers of the identity are made once, up to the longest window, in
+    blocks of at most ``_GRID_BLOCK`` that fit in ``_GRID_BYTES``, and each
+    block adds into every propagator by one dense product of their weights
+    and its stacked powers.
+    """
+    n = mat.shape[0]
+    windows = [_poisson_weights(lam, dt, tail) for dt in steps]
+    count = max(first + len(w) - 1 for first, w in windows)
+    rows = max(1, min(_GRID_BLOCK, _GRID_BYTES // (8 * n * n)))
+    stack = np.empty((rows, n * n))
+    weights = np.empty((len(steps), rows))
+    out = np.zeros((len(steps), n * n))
+    powers = _powers(mat, lam, np.eye(n), count)
+    for k0 in range(0, count + 1, rows):
+        k1 = min(k0 + rows, count + 1)
+        for r, p in zip(range(k1 - k0), powers):
+            stack[r] = p.ravel()
+        weights.fill(0.0)
+        for row, (first, w) in zip(weights, windows):
+            lo, hi = max(first, k0), min(first + len(w), k1)
+            if lo < hi:
+                row[lo - k0:hi - k0] = w[lo - first:hi - first]
+        out += weights[:, :k1 - k0] @ stack[:k1 - k0]
+    return out.reshape(len(steps), n, n), count
+
+
+def _propagated_flow(mat, lam, columns, times, read):
+    """:func:`_grid_flow` by one dense propagator per distinct step.
+
+    Step ``i`` moves the flow from ``times[i - 1]`` (0 for ``i = 0``) to
+    ``times[i]``; the steps are the exact float differences of the grid, so
+    a zero first step is the identity.  Every propagator drops at most
+    ``POISSON_TAIL`` over the number of nonzero steps, so the flow to any
+    grid time has dropped at most ``POISSON_TAIL`` in all, as one power
+    sequence does.  Each column moves by its own dense product, so it has
+    the bits it has alone; ``end`` counts the sparse products that built
+    the propagators and then one dense product per nonzero step.
+    """
+    steps = np.diff(times, prepend=0.0)
+    moves = int(np.count_nonzero(steps))
+    distinct = np.unique(steps[steps > 0])
+    products = 0
+    if moves:
+        kernels, products = _propagators(mat, lam, distinct,
+                                         POISSON_TAIL / moves)
+        kernels = dict(zip(distinct.tolist(), kernels))
+    c = columns.shape[1]
+    now = columns.T.copy()
+    ahead = np.empty_like(now)
+    acc = None if read is None else np.empty((c, read.shape[1]))
+    for i, dt in enumerate(steps.tolist()):
+        if dt:
+            kernel = kernels[dt]
+            for j in range(c):
+                np.dot(kernel, now[j], out=ahead[j])
+            now, ahead = ahead, now
+            products += 1
+        if read is not None:
+            for j in range(c):
+                np.dot(now[j], read, out=acc[j])
+        yield i, products, now if read is None else acc
+
+
+def _sequence_flow(mat, lam, columns, times, read):
+    """:func:`_grid_flow` from one power sequence.
 
     Grid time ``i`` weights the powers on its own Poisson window (see
     :func:`_poisson_weights`), computed when the powers reach it; a time 0
-    has the single weight 1.  A window never opens before the previous
-    one: where rounding puts its first power earlier, that power's weight
-    is dropped.  The powers run in blocks of ``_GRID_BLOCK``, fewer where a
-    column of them would pass ``_GRID_BYTES``.  Each block adds into
-    the accumulators of the open windows, as one dense product of their
-    weights and its stacked powers per column, so each column has the bits
-    it has alone.  An accumulator is yielded once the windows up to its own
-    have ended, so only the open windows and their weights are held.
+    has the single weight 1, and ``end`` is the last power read so far.  A
+    window never opens before the previous one: where rounding puts its
+    first power earlier, that power's weight is dropped.  The powers run in
+    blocks of ``_GRID_BLOCK``, fewer where a column of them would pass
+    ``_GRID_BYTES``.  Each block adds into the accumulators of the open
+    windows, as one dense product of their weights and its stacked powers
+    per column, so each column has the bits it has alone.  With ``read``,
+    each power is contracted with it first.  An accumulator is yielded once
+    the windows up to its own have ended, so only the open windows and
+    their weights are held.
     """
     means = lam * times
-    last = _check_window(lam, times[-1])
+    last = lam * times[-1]
     n, c = columns.shape
     rows = max(1, min(_GRID_BLOCK, _GRID_BYTES // (8 * n)))
     # An open window's mean is within ``reach`` of the block, so at most
@@ -610,19 +748,21 @@ def _check_grid(times):
 def conditional_path(Q: SubGenerator, mu0: np.ndarray, times):
     """Conditional laws and survival probabilities along an increasing grid.
 
-    Every grid time is read from one forward power sequence by
-    :func:`_grid_flow`, so the products are those of one flow to the last
-    time.  ``mu0`` is one initial law of shape ``(n,)`` or ``k`` initial
-    laws as the columns of an ``(n, k)`` block, which share the sequence.
-    Returns ``(laws, survivals)`` with one entry per grid time: ``laws[i]``
-    has the shape of ``mu0`` and ``survivals[i]`` is a number per column.
-    Each column's mass is summed on its own, so a column gets the same bits
-    as a run from it alone.
+    The grid flows forward by :func:`_grid_flow`: from one power sequence
+    read at every grid time, or by one dense propagator per distinct grid
+    step, whichever costs less.  ``mu0`` is one initial law of shape
+    ``(n,)`` or ``k`` initial laws as the columns of an ``(n, k)`` block,
+    which flow together.  Returns ``(laws, survivals)`` with one entry per
+    grid time: ``laws[i]`` has the shape of ``mu0`` and ``survivals[i]`` is
+    a number per column.  A block takes the way each of its columns takes
+    alone, and each column's flow and mass are computed on their own, so a
+    column gets the same bits as a run from it alone.
 
     The survival at the ``j``-th positive grid time is the flowed mass times
     ``1 - j POISSON_TAIL``, the least mass that flows stepped from one grid
     time to the next would have kept.  Where survival is flat to rounding,
-    that margin keeps it decreasing along the grid.
+    that margin keeps it decreasing along the grid: the mass of a dense step
+    rounds up by an ulp or two, not the ``POISSON_TAIL`` of 45 ulps.
     """
     mu0 = _check_block(Q, mu0, "mu0")
     times = _check_grid(times)
@@ -643,13 +783,17 @@ def conditional_path(Q: SubGenerator, mu0: np.ndarray, times):
 
 def conditional_moments(Q: SubGenerator, mu0: np.ndarray, times, F):
     """``laws @ F`` for the laws of :func:`conditional_path`, up to rounding,
-    from the contractions ``(mu0 P^k) F`` of one power sequence and no law.
+    without forming the laws: each flow is contracted with ``F`` as
+    :func:`_grid_flow` makes it, from one power sequence or by dense
+    propagators, whichever costs less.
 
-    Each grid time weights them on its own Poisson window, so the discarded
-    ``POISSON_TAIL`` does not build up along the grid; the survival mass
-    carries no margin.  ``mu0`` is ``(n,)`` and ``F`` is ``(n, k)``.
-    Returns the ``(len(times), k)`` conditional means, the survival mass per
-    grid time and the number of products.
+    On either way the flow to any grid time has discarded at most
+    ``POISSON_TAIL`` of Poisson mass in all, so the tail does not build up
+    along the grid; the survival mass carries no margin.  ``mu0`` is
+    ``(n,)`` and ``F`` is ``(n, k)``.  Returns the ``(len(times), k)``
+    conditional means, the survival mass per grid time and the number of
+    products: the sparse products, and on the dense way one dense product
+    per nonzero grid step.
     """
     mu0 = _check_vector(Q, mu0, "mu0")
     times = _check_grid(times)

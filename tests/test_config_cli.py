@@ -449,6 +449,27 @@ def test_certify_writes_the_mixing_certificate(tmp_path):
     assert cert["minorization"]["mass"] > 0
 
 
+@pytest.mark.parametrize("command, name, way", [
+    ("check", "logistic1d", "_propagated_flow"),
+    ("converge", "catastrophe1d", "_propagated_flow"),
+    ("check", "ref2d", "_sequence_flow"),
+    ("certify", "neutral3d", "_sequence_flow"),
+])
+def test_each_command_flows_its_grid_the_cheaper_way(command, name, way,
+                                                     tmp_path, monkeypatch):
+    """The stiff 40- and 50-state chains take dense propagators; the
+    1,770- and 4,060-state spaces take one power sequence."""
+    ways = []
+    for each in ("_propagated_flow", "_sequence_flow"):
+        def spy(*args, _each=each, _flow=getattr(solver, each)):
+            ways.append(_each)
+            return _flow(*args)
+        monkeypatch.setattr(solver, each, spy)
+    assert main([command, "--config", str(CONFIGS / f"{name}.cfg"),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert ways == [way]
+
+
 def test_certify_reads_the_plateau_from_the_comparison_pass(tmp_path,
                                                             monkeypatch):
     """The plateau costs no flow of its own: ``certify`` makes exactly the

@@ -27,8 +27,9 @@ from qsdlab.convergence import (
     tv_distance,
 )
 from qsdlab.config import load_config
+from qsdlab import solver
 from qsdlab.errors import DomainError, NoFitError
-from qsdlab.model import build_model
+from qsdlab.model import Model, build_model
 from qsdlab.presets import reference_2d
 from qsdlab.solver import (POISSON_TAIL, assemble, conditional_path,
                            enumerate_space, evolve_function, evolve_measure,
@@ -105,6 +106,33 @@ def test_flat_survival_still_decreases_on_a_fine_grid(ref2d_system):
     curve = convergence_curve(generator, result, (20, 20), times)
     assert curve.survival[0] > 1.0 - 2.0 * POISSON_TAIL
     assert (np.diff(curve.survival) < 0).all() and curve.survival.max() < 1.0
+
+
+def test_flat_survival_still_decreases_along_dense_propagators(monkeypatch):
+    """A logistic chain settling at 40, started there and truncated at 100,
+    keeps its survival within 1e-12 of 1 over 500 grid points.  There the
+    curve runs on dense propagators, whose steps can round the mass up,
+    and the same margin of ``POISSON_TAIL`` per grid time keeps it strictly
+    decreasing."""
+    model = Model.constant([2.0], [0.0], [[0.05]], 1.0)
+    generator = assemble(model, enumerate_space(1, 100))
+    result = solve_qsd(generator)
+    times = np.arange(1, 501) * 0.01
+    built = []
+    propagators = solver._propagators
+
+    def spy(mat, lam, steps, tail):
+        built.append(len(steps))
+        return propagators(mat, lam, steps, tail)
+
+    monkeypatch.setattr(solver, "_propagators", spy)
+    curve = convergence_curve(generator, result, (40,), times)
+    assert built
+    start = generator.space.point_mass((40,))
+    assert evolve_measure(generator, start, times[-1]).sum() > 1.0 - 1e-12
+    assert (np.diff(curve.survival) < 0).all() and curve.survival.max() < 1.0
+    margins = 1.0 - np.arange(1, len(times) + 1) * POISSON_TAIL
+    assert np.abs(curve.survival - margins).max() < 1e-12
 
 
 @pytest.mark.parametrize("start", [(1, 1), (6, 4), (30, 0)])

@@ -435,6 +435,11 @@ def test_evolution_preserves_sign_and_loses_mass(two_state):
 
 
 @pytest.fixture(scope="module")
+def logistic50():
+    return assemble(logistic_1d(), enumerate_space(1, 50))
+
+
+@pytest.fixture(scope="module")
 def ref2d_30():
     return assemble(reference_2d(), enumerate_space(2, 30))
 
@@ -499,17 +504,23 @@ def test_forward_products_have_the_bits_of_the_row_vector_path(ref2d_30):
     assert np.array_equal(ref2d_30.matrix_t @ nu, nu @ ref2d_30.matrix)
 
 
+@pytest.mark.parametrize("name, starts", [
+    ("ref2d_30", [(1, 1), (6, 4)]),
+    ("logistic50", [(1,), (25,)]),
+], ids=["sequence", "propagators"])
 def test_block_conditional_path_equals_its_columns_bit_for_bit(
-        ref2d_30, delta_start):
-    space = ref2d_30.space
-    block = np.column_stack([delta_start(space, (1, 1)),
-                             delta_start(space, (6, 4))])
+        name, starts, request, delta_start):
+    generator = request.getfixturevalue(name)
+    block = np.column_stack([delta_start(generator.space, start)
+                             for start in starts])
     times = np.linspace(0.1, 2.0, 20)
-    laws, survivals = conditional_path(ref2d_30, block, times)
+    assert solver._propagators_pay(generator.matrix_t, generator.lam,
+                                   times) == (name == "logistic50")
+    laws, survivals = conditional_path(generator, block, times)
     assert laws.shape == (len(times),) + block.shape
     assert survivals.shape == (len(times), 2)
     for j in range(block.shape[1]):
-        laws_j, survivals_j = conditional_path(ref2d_30, block[:, j], times)
+        laws_j, survivals_j = conditional_path(generator, block[:, j], times)
         assert np.array_equal(laws[:, :, j], laws_j)
         assert np.array_equal(survivals[:, j], survivals_j)
 
@@ -638,15 +649,20 @@ def test_moments_equal_the_contracted_conditional_path(model, r, n_max, start,
     expected = laws @ F
     counting = _CountingKernel(solver._product)
     monkeypatch.setattr(solver, "_product", counting)
+    built = _spy_propagators(monkeypatch)
     means, mass, products = conditional_moments(generator, mu0, times, F)
     assert means.shape == expected.shape and mass.shape == times.shape
     scale = np.abs(expected).max(axis=0)
     assert (np.abs(means - expected).max(axis=0) <= 1e-12 * scale).all()
     assert np.array_equal(means[0], mu0 @ F) and mass[0] == 1.0
     assert np.allclose(mass, survivals, rtol=1e-9, atol=0.0)
-    # one product per power beyond the zeroth, up to the largest window end
+    # the stiff chain takes the propagators, the 465-state space the sequence
+    assert bool(built) == (r == 1)
+    # one sparse product per power beyond the zeroth, up to the largest
+    # window end; propagators add one dense product per nonzero step
+    dense = np.count_nonzero(np.diff(times, prepend=0.0)) if built else 0
+    assert counting.products + dense == products
     lam_t = generator.lam * times[-1]
-    assert counting.products == products
     bound = math.ceil(lam_t + 10.0 * math.sqrt(lam_t) + 30.0)
     assert products + 1 <= bound + 1
 
@@ -676,6 +692,121 @@ def test_moments_reject_bad_inputs_and_underflow(two_state):
         conditional_moments(generator, np.ones((2, 2)), [1.0], np.ones((2, 1)))
     with pytest.raises(ConditioningImpossibleError, match="700"):
         conditional_moments(generator, mu0, [1.0, 700.0], np.ones((2, 1)))
+
+
+# ---------------------------------------------------------------------------
+# grid flows by dense propagators
+# ---------------------------------------------------------------------------
+
+
+def _spy_propagators(monkeypatch):
+    """Record the steps of every set of propagators built."""
+    built = []
+    propagators = solver._propagators
+
+    def spy(mat, lam, steps, tail):
+        built.append(len(steps))
+        return propagators(mat, lam, steps, tail)
+
+    monkeypatch.setattr(solver, "_propagators", spy)
+    return built
+
+
+@pytest.mark.parametrize("times", [
+    np.arange(0.0, 2.0 + 1e-12, 0.01),
+    np.arange(0.05, 2.0 + 1e-12, 0.05),
+], ids=["from-zero", "from-one-step"])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_propagated_flows_match_expm_at_every_grid_time(logistic50, times,
+                                                         direction,
+                                                         monkeypatch):
+    """Forward and backward, 1 and 2 columns, with and without ``read``, on
+    ``np.arange`` grids whose steps differ by an ulp: the laws agree with
+    the dense exponential within 1e-13 in L1, and the means read through
+    ``read`` within 1e-13 of the largest entry of ``F``."""
+    Q = logistic50
+    n = len(Q.space)
+    assert len(np.unique(np.diff(times))) > 1
+    built = _spy_propagators(monkeypatch)
+    rng = np.random.default_rng(21)
+    block = rng.random((n, 2))
+    F = rng.normal(size=(n, 3))
+    read = np.column_stack((np.ones(n), F))
+    generator = Q.matrix.toarray()
+    if direction == "forward":
+        mat, generator = Q.matrix_t, generator.T
+    else:
+        mat = Q.matrix
+    exact = [sla.expm(t * generator) for t in times]
+    for columns in (block[:, :1], block):
+        for i, _, acc in solver._grid_flow(mat, Q.lam, columns, times):
+            want = (exact[i] @ columns).T
+            gap = acc / acc.sum(axis=1)[:, None] - want / want.sum(axis=1)[:, None]
+            assert np.abs(gap).sum(axis=1).max() < 1e-13
+        for i, _, acc in solver._grid_flow(mat, Q.lam, columns, times, read):
+            want = (exact[i] @ columns).T @ read
+            gap = acc[:, 1:] / acc[:, :1] - want[:, 1:] / want[:, :1]
+            assert np.abs(gap).sum(axis=1).max() < 1e-13 * np.abs(F).max()
+    assert len(built) == 4
+
+
+_TABLE_GRID = np.arange(0.05, 4.0 + 1e-12, 0.05)
+
+
+@pytest.mark.parametrize("model, r, n_max, times, dense", [
+    (logistic_1d(), 1, 50, _TABLE_GRID, True),
+    (logistic_1d(), 1, 50, [4.0], False),
+    (reference_2d(), 2, 12, _TABLE_GRID, True),
+    (reference_2d(), 2, 12, [4.0], False),
+    (reference_2d(), 2, 18, _TABLE_GRID, False),
+    (reference_2d(), 2, 18, [4.0], False),
+    (reference_2d(), 2, 25, _TABLE_GRID, False),
+    (reference_2d(), 2, 25, [4.0], False),
+], ids=["logistic50-grid", "logistic50-one", "ref2d12-grid", "ref2d12-one",
+        "ref2d18-grid", "ref2d18-one", "ref2d25-grid", "ref2d25-one"])
+def test_grid_flows_take_the_cheaper_way(model, r, n_max, times, dense):
+    """The measured crossover: propagators win only where ``lam`` times the
+    step is large against the number of states."""
+    Q = assemble(model, enumerate_space(r, n_max))
+    times = np.asarray(times, dtype=float)
+    for mat in (Q.matrix_t, Q.matrix):
+        assert solver._propagators_pay(mat, Q.lam, times) == dense
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.05, 4.0, 50.0])
+def test_one_time_grid_never_builds_a_propagator(logistic50, two_state, t,
+                                                 monkeypatch):
+    built = _spy_propagators(monkeypatch)
+    *_, small = two_state
+    for Q in (logistic50, small):
+        n = len(Q.space)
+        block = np.full((n, 2), 1.0 / n)
+        conditional_path(Q, block, [t])
+        transient_conditional(Q, block[:, 0], t)
+    assert built == []
+
+
+def test_window_cap_refuses_a_propagated_grid_before_it_builds(logistic50,
+                                                               monkeypatch):
+    """Propagators never make ``lam * times[-1]`` products, but they refuse
+    the grids the sequence refuses: the last window decides, whichever way
+    the grid would take."""
+    Q = logistic50
+    times = np.arange(0.0, 5.0 + 1e-12, 0.01)
+    assert solver._propagators_pay(Q.matrix_t, Q.lam, times)
+    built = _spy_propagators(monkeypatch)
+    mu0 = Q.space.point_mass((1,))
+    F = np.ones((len(mu0), 1))
+    k_hi = solver._window_end(Q.lam * times[-1])
+    monkeypatch.setattr(solver, "MAX_WINDOW", k_hi - 1)
+    with pytest.raises(NumericalError, match="past the cap"):
+        conditional_moments(Q, mu0, times, F)
+    with pytest.raises(NumericalError, match="past the cap"):
+        conditional_path(Q, mu0, times)
+    assert built == []
+    monkeypatch.setattr(solver, "MAX_WINDOW", k_hi)
+    _, _, products = conditional_moments(Q, mu0, times, F)
+    assert built and products < k_hi
 
 
 # ---------------------------------------------------------------------------
