@@ -15,13 +15,13 @@ summing the series.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import lru_cache
 import math
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
-from .model import Model, is_absorbed, is_interior
+from .model import Model, MoveTable, is_absorbed, is_interior
 from .solver import POISSON_TAIL, _lex_states, conditional_moments
 
 PASS = "pass-on-range"
@@ -79,14 +79,6 @@ def size_potential(n, eps: float) -> float:
     return float(_potential_table(eps, size)[size])
 
 
-def _potential_lookup(eps: float, size: int):
-    """:func:`size_potential` for ``eps > 0``, read from a list of the
-    sizes up to ``size``."""
-    table = _potential_table(eps, size).tolist()
-    return lambda n: (size_potential(n, eps) if sum(n) > size else
-                      0.0 if is_absorbed(n) else table[sum(n)])
-
-
 def size_potential_bracket(smaller: int, larger: int, eps: float):
     """Two-sided bracket for the potential gap between two interior sizes.
 
@@ -116,15 +108,25 @@ def apply_generator(model: Model, f, n) -> float:
     if not is_interior(n):
         raise DomainError(f"state {n} is not interior")
     targets, rates, _ = model.transition_table(n)
-    return _generator_sum(f, f(n), targets, rates)
-
-
-def _generator_sum(f, fn, targets, rates) -> float:
-    """``sum(rate * (f(target) - fn))`` over a transition table, in order."""
+    fn = f(n)
     total = 0.0
     for target, rate in zip(targets, rates):
         total += rate * (f(target) - fn)
     return float(total)
+
+
+def _potential_drift(moves: MoveTable, eps: float):
+    """``V(n)`` and ``(L V)(n)`` of the bounded potential at every state of
+    ``moves``: the bits of :func:`apply_generator` with ``size_potential``,
+    each generator sum taken over the state's moves in order."""
+    if eps <= 0:
+        raise ValidationError(f"eps must be positive, got {eps}")
+    sizes = moves.states.sum(axis=1)
+    reached = moves.targets.sum(axis=2)
+    table = _potential_table(eps, int(max(sizes.max(), reached.max())))
+    here = table[sizes]
+    there = np.where(moves.absorbed(), 0.0, table[reached])
+    return here, moves.sum(moves.rates * (there - here[:, None]))
 
 
 @dataclass(frozen=True)
@@ -226,9 +228,12 @@ class _Sweep:
 
     Shell ``k`` has total size ``sizes[k]`` and its states start at
     ``starts[k]``; ``shell`` maps each state to its shell.  Per state:
-    ``n`` and ``size`` as floats, and, evaluated on first use, ``b`` and
-    ``d`` of shape ``(m, r)``, ``c`` of shape ``(m, r, r)`` and its
-    diagonal ``diag``.
+    ``n`` and ``size`` as floats, ``b`` and ``d`` of shape ``(m, r)``,
+    ``c`` of shape ``(m, r, r)`` and its diagonal ``diag``, and ``loss``,
+    the catastrophe rates (``None`` without that channel), as the model's
+    callables give them.  :meth:`moves` reads the moves out of every state
+    from these in one pass of :meth:`Model.move_table`.  Build a sweep with
+    :func:`_sweep`, so that the checkers of one run share it.
     """
 
     def __init__(self, model: Model, n_check: int):
@@ -242,28 +247,26 @@ class _Sweep:
         self.shell = np.repeat(np.arange(len(ordered)), counts)
         self.size = self.sizes[self.shell]
         self.n = np.array(self.states, dtype=float)
+        self.coefficients = model._coefficients(self.states)
+        self.b, self.d, self.c, self.loss = self.coefficients
+        self.diag = np.diagonal(self.c, axis1=1, axis2=2)
 
-    @cached_property
-    def b(self) -> np.ndarray:
-        return np.array([self.model.birth(n) for n in self.states], dtype=float)
-
-    @cached_property
-    def d(self) -> np.ndarray:
-        return np.array([self.model.death(n) for n in self.states], dtype=float)
-
-    @cached_property
-    def c(self) -> np.ndarray:
-        return np.array([self.model.competition(n) for n in self.states],
-                        dtype=float)
-
-    @cached_property
-    def diag(self) -> np.ndarray:
-        return np.diagonal(self.c, axis1=1, axis2=2)
+    def moves(self) -> MoveTable:
+        return self.model.move_table(self.states, self.coefficients)
 
     def size_power(self, expo: float) -> np.ndarray:
         """``size ** expo`` per state by scalar pow, which numpy's vectorised
         power does not match to the last bit."""
         return np.array([s ** expo for s in self.sizes.tolist()])[self.shell]
+
+
+@lru_cache(maxsize=1)
+def _sweep(model: Model, n_check: int) -> _Sweep:
+    """The sweep of ``model`` up to ``n_check``, built once for the checkers
+    that ask for it in turn.  A model is immutable and its rates are
+    functions of the state alone, so its sweep holds while it lives; the
+    cache keeps the last one."""
+    return _Sweep(model, n_check)
 
 
 def _per_shell(sweep: _Sweep, values: np.ndarray, pick):
@@ -275,7 +278,7 @@ def _per_shell(sweep: _Sweep, values: np.ndarray, pick):
     """
     key = -values if pick is np.argmax else values
     first = np.lexsort((key, sweep.shell))[sweep.starts]
-    return values[first], [sweep.states[i] for i in first]
+    return values[first], [sweep.states[i] for i in first.tolist()]
 
 
 def _loglog_slope(sizes, values):
@@ -420,7 +423,7 @@ def check_growth_envelope(model: Model, n_check: int = 10000) -> AssumptionRepor
     decade), then tests the exponent arithmetic that keeps the death channel
     dominant: beta1 >= 0, beta2 < 1, beta1 + gamma*beta2 < gamma.
     """
-    sw = _Sweep(model, n_check)
+    sw = _sweep(model, n_check)
     diag = sw.diag
     # Written as "not all positive" so that NaN rates fail too.
     positive = ((sw.b > 0).all(axis=1) & (sw.d >= 0).all(axis=1)
@@ -502,7 +505,7 @@ def check_competition_dominance(model: Model,
     failure with the minimizing state as witness; anything else is
     inconclusive.
     """
-    sw = _Sweep(model, n_check)
+    sw = _sweep(model, n_check)
     diag = sw.diag
     diag_sum = diag.sum(axis=1)
     ratio = diag.min(axis=1) / (
@@ -552,7 +555,7 @@ def check_boundary_pressure(model: Model, n_check: int = 10000,
         beta1 = 0.0
     target = max(beta1, model.gamma)
 
-    sw = _Sweep(model, n_check)
+    sw = _sweep(model, n_check)
     sizes = sw.sizes
     powered = np.matmul(sw.c, sw.n[:, :, None])[:, :, 0] ** model.gamma
     # Masked entries add exact zeros, and numpy sums rows of fewer than
@@ -689,18 +692,10 @@ def check_drift(model: Model, eps: float, n_check: int = 10000) -> DriftReport:
     PotentialParams.for_model(model, eps)
     exponent = model.gamma - eps - model.gamma * (model.beta2 or 0.0)
 
-    litter_slack = 8
-    if model.litter is not None:
-        bound = model.litter.mean_total_size()
-        if bound is not None:
-            litter_slack = max(litter_slack, int(math.ceil(bound)) * 4)
-    potential = _potential_lookup(eps, n_check + litter_slack + 2)
-
-    sw = _Sweep(model, n_check)
+    sw = _sweep(model, n_check)
     sizes = sw.sizes
-    curve, argmax = _per_shell(
-        sw, np.array([apply_generator(model, potential, n) for n in sw.states]),
-        np.argmax)
+    curve, argmax = _per_shell(sw, _potential_drift(sw.moves(), eps)[1],
+                               np.argmax)
 
     notes: list = []
     # Eventually negative on the range?
@@ -776,18 +771,9 @@ def check_conditional_drift(model: Model, Q, mu0, times,
 
     space = Q.space
     bound = 1.0 + 1.0 / eps
-    v = np.array([size_potential(n, eps) for n in space.states])
-    potential = _potential_lookup(eps, space.N + 1)
-    drift = np.empty(len(space.states))
-    kill = np.empty(len(space.states))
-    for i, n in enumerate(space.states):
-        targets, rates, _ = model.transition_table(n)
-        drift[i] = _generator_sum(potential, v[i], targets, rates)
-        dead = 0.0
-        for target, rate in zip(targets, rates):
-            if is_absorbed(target):
-                dead += rate
-        kill[i] = -dead
+    moves = model.move_table(space.states)
+    v, drift = _potential_drift(moves, eps)
+    kill = -moves.sum(moves.rates, moves.keep & moves.absorbed())
 
     means, _, products = conditional_moments(
         Q, mu0, times, np.column_stack((v, drift, kill)))
@@ -865,8 +851,8 @@ def check_catastrophes(model: Model, n_check: int = 10000) -> AssumptionReport:
             notes=["no catastrophe channel declared; the zero rate "
                    "satisfies every smallness bound"])
 
-    sw = _Sweep(model, n_check)
-    loss = np.array([float(model.catastrophe(n)) for n in sw.states])
+    sw = _sweep(model, n_check)
+    loss = sw.loss
     if model.r == 1:
         # One type: the shells are exactly the states 1..n_check.
         ns = sw.n[:, 0]

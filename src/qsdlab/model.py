@@ -126,11 +126,13 @@ class Model:
     ``c_coef`` keeps the raw competition matrix when it exists, so the
     neutral-threshold check can inspect it exactly.
 
-    One kernel turns these callables into the moves out of a state, whatever
-    the family; only callback models have their rates validated per state.
-    Every rate callable must be a function of the state alone: the
-    simulators evaluate each state's moves once and reuse them for the life
-    of the model.
+    One kernel, :meth:`move_table`, turns these callables into the moves
+    out of a whole list of states in one array pass, whatever the family;
+    :meth:`transition_table` is its one-state row.  Only callback models
+    have their rates validated per state.  Every rate callable must be a
+    function of the state alone: the simulators evaluate each state's
+    moves once and reuse them for the life of the model, and the checkers
+    of one run share one evaluation of the sampled states.
     """
 
     r: int
@@ -257,12 +259,8 @@ class Model:
     # -- rate enumeration --------------------------------------------------
 
     @cached_property
-    def _kernel(self):
-        return _rate_kernel(self)
-
-    @cached_property
     def _moves(self):
-        return _memo_moves(self._kernel)
+        return _memo_moves(self.transition_table, self.move_table)
 
     def transition_table(self, n):
         """Raw ``(targets, rates, total)`` of all nonzero moves out of ``n``.
@@ -271,9 +269,103 @@ class Model:
         (one move per litter vector, in the law's sorted order, under
         multi-progeny reproduction), then deaths for j = 1..r, then the
         catastrophe move.  ``total`` is the sum of ``rates`` in exactly that
-        order.
+        order.  It is the one-state row of :meth:`move_table`.
         """
-        return self._kernel(n)
+        return self.move_table((n,)).row(0)
+
+    def move_table(self, states, coefficients=None) -> "MoveTable":
+        """The moves out of every state of ``states``, in one array pass.
+
+        Row ``i`` holds the targets, rates and total that
+        :meth:`transition_table` gives at ``states[i]``, bit for bit: each
+        competition pressure is summed in index order from 0.0 and raised
+        to ``gamma`` by scalar pow, which numpy's vectorised power does not
+        match to the last bit.  ``coefficients`` passes the
+        ``_coefficients(states)`` a caller has already evaluated.  The
+        errors are those of evaluating the states one at a time, in order:
+        the first state with a rate the model refuses raises its
+        :class:`ValidationError`, or :class:`RateOverflowError` when its
+        total is not finite.
+        """
+        states = list(states)
+        b, d, c, loss = coefficients or self._coefficients(states)
+        bad, error, litter_first = _first_fault(self, states, b, d, c, loss)
+        if self.litter is not None and self.litter.state_dependent():
+            litters = []
+            for n in states[:bad + 1 if litter_first else bad]:
+                try:
+                    litters.append(self.litter.entries_for(n))
+                except ValidationError as exc:
+                    bad, error = len(litters), exc
+                    break
+            births = _birth_slots(litters[:bad], self.r)
+        else:
+            births = self._births
+        table = _move_table(self, states[:bad], b[:bad], d[:bad], c[:bad],
+                            None if loss is None else loss[:bad], births)
+        if error is not None:
+            raise error
+        return table
+
+    @cached_property
+    def _births(self):
+        """The :func:`_birth_slots` of every state, unless the litter law
+        depends on the state."""
+        return _birth_slots(
+            None if self.litter is None else [self.litter._entries], self.r)
+
+    def _coefficients(self, states):
+        """``b`` and ``d`` of shape ``(m, r)``, ``c`` of shape ``(m, r, r)``
+        and the catastrophe rates (``None`` without that channel) at each of
+        ``states``, as the callables give them: nothing is validated."""
+        m, r = len(states), self.r
+        b = np.array([self.birth(n) for n in states], dtype=float)
+        d = np.array([self.death(n) for n in states], dtype=float)
+        c = np.array([self.competition(n) for n in states], dtype=float)
+        loss = (None if self.catastrophe is None else
+                np.array([float(self.catastrophe(n)) for n in states]))
+        return b.reshape(m, r), d.reshape(m, r), c.reshape(m, r, r), loss
+
+
+@dataclass(frozen=True, eq=False)
+class MoveTable:
+    """The moves out of a list of states, one row of slots per state.
+
+    Row ``i`` lists the moves out of ``states[i]`` (an int array of shape
+    ``(m, r)``) in the canonical order of :meth:`Model.transition_table`:
+    ``targets`` has shape ``(m, k, r)`` and ``rates`` shape ``(m, k)``.  A
+    slot holds a move only where ``keep`` is true; the others (dropped
+    zero-rate moves, and the padding of state-dependent litter laws) have
+    rate 0.0.  ``total`` is each row's sum of rates in move order.
+    """
+
+    states: np.ndarray
+    targets: np.ndarray
+    rates: np.ndarray
+    keep: np.ndarray
+
+    @cached_property
+    def total(self) -> np.ndarray:
+        return self.sum(self.rates)
+
+    def absorbed(self) -> np.ndarray:
+        """Per slot, whether its target lies on the boundary."""
+        return (self.targets == 0).any(axis=2)
+
+    def sum(self, values, keep=None) -> np.ndarray:
+        """Per row, ``values`` (one per slot) over the moves, or over the
+        slots where ``keep`` holds, added in move order from 0.0: the bits
+        of a scalar loop over the row's moves."""
+        masked = np.where(self.keep if keep is None else keep, values, 0.0)
+        # A running sum is sequential, unlike numpy's pairwise reduction;
+        # adding 0.0 turns a -0.0 into the 0.0 that a sum from 0.0 gives.
+        return np.cumsum(masked, axis=1)[:, -1] + 0.0
+
+    def row(self, i):
+        """``(targets, rates, total)`` of row ``i`` as tuples and floats."""
+        keep = self.keep[i]
+        return (list(map(tuple, self.targets[i][keep].tolist())),
+                self.rates[i][keep].tolist(), float(self.total[i]))
 
 
 def _coef_vector(name, values):
@@ -306,90 +398,123 @@ def _require_positive_diag(b, c):
                               "chain irreducible on the truncated space)")
 
 
-def _rate_kernel(model):
-    r = model.r
-    gamma = model.gamma
-    validate = model.family == "callback"
-    marker = absorbed_marker(r)
-    types = range(r)
+def _first_fault(model, states, b, d, c, loss):
+    """``(i, error, litter_first)`` for the first state whose rates the
+    model refuses, ``litter_first`` when its litter law is read before the
+    refusal; ``(len(states), None, False)`` when there is none.
 
-    def kernel(n):
-        bvec = np.asarray(model.birth(n), dtype=float)
-        dvec = np.asarray(model.death(n), dtype=float)
-        cmat = np.asarray(model.competition(n), dtype=float)
-        if validate:
-            if not (bvec > 0).all():
-                raise ValidationError(f"b(n) must be positive at interior {n}")
-            if not ((dvec >= 0).all() and (cmat >= 0).all()):
-                raise ValidationError(f"d(n) and c(n) must be nonnegative at {n}")
-            if not (np.diag(cmat) > 0).all():
-                raise ValidationError(f"c_ii(n) must be positive at interior {n}")
-        b, d, c = bvec.tolist(), dvec.tolist(), cmat.tolist()
-
-        targets = []
-        rates = []
-        total = 0.0
-        litter = model.litter.entries_for(n) if model.litter is not None else None
-        for j in types:
-            nj = n[j]
-            base = nj * b[j]
-            if base <= 0.0:
-                continue
-            if litter is None:
-                targets.append(n[:j] + (nj + 1,) + n[j + 1:])
-                rates.append(base)
-                total += base
-            else:
-                for k, p in litter:
-                    rate = base * p
-                    targets.append(tuple(n[i] + k[i] for i in types))
-                    rates.append(rate)
-                    total += rate
-        for j in types:
-            nj = n[j]
-            # A scalar sum in index order: a matrix product rounds differently.
-            press = 0.0
-            for cjk, nk in zip(c[j], n):
-                press += cjk * nk
-            rate = nj * (d[j] + press ** gamma)
-            if rate > 0.0:
-                targets.append(n[:j] + (nj - 1,) + n[j + 1:])
-                rates.append(rate)
-                total += rate
-        if model.catastrophe is not None:
-            rate = float(model.catastrophe(n))
-            if not rate >= 0:
-                raise ValidationError(
-                    f"catastrophe rate a({n}) = {rate} is not a number >= 0")
-            if rate > 0.0:
-                targets.append(marker)
-                rates.append(rate)
-                total += rate
-        if not total < math.inf:
-            raise RateOverflowError(f"total rate out of state {n} is not finite")
-        return targets, rates, total
-
-    return kernel
+    Within a state the checks run in the order of evaluating it alone: the
+    callback rates, then, after the litter law, the catastrophe rate.
+    """
+    checks = []
+    if model.family == "callback":
+        diag = np.diagonal(c, axis1=1, axis2=2)
+        # Written as "not all positive" so that NaN rates fail too.
+        checks += [
+            (~(b > 0).all(axis=1), "b(n) must be positive at interior {n}"),
+            (~((d >= 0).all(axis=1) & (c >= 0).all(axis=(1, 2))),
+             "d(n) and c(n) must be nonnegative at {n}"),
+            (~(diag > 0).all(axis=1), "c_ii(n) must be positive at interior {n}")]
+    if loss is not None:
+        checks.append((~(loss >= 0),
+                       "catastrophe rate a({n}) = {a} is not a number >= 0"))
+    faults = [(int(bad.argmax()), k)
+              for k, (bad, _) in enumerate(checks) if bad.any()]
+    if not faults:
+        return len(states), None, False
+    i, k = min(faults)
+    message = checks[k][1].format(
+        n=states[i], a=None if loss is None else float(loss[i]))
+    return i, ValidationError(message), loss is not None and k == len(checks) - 1
 
 
-def _memo_moves(table):
+def _birth_slots(litters, r):
+    """Per litter law, parent type and litter slot: the jump, shape ``(l,
+    r, w, r)``, and the probability and whether the slot holds an entry,
+    shape ``(l, 1, w)``.  ``litters`` holds the sorted entries of each
+    state's law, or one law for every state, or is ``None`` under
+    single-progeny births."""
+    if litters is None:
+        return (np.eye(r, dtype=np.int64)[None, :, None, :],
+                np.ones((1, 1, 1)), np.ones((1, 1, 1), dtype=bool))
+    width = max(map(len, litters), default=0)
+    jumps = np.zeros((len(litters), r, width, r), dtype=np.int64)
+    probs = np.zeros((len(litters), 1, width))
+    there = np.zeros((len(litters), 1, width), dtype=bool)
+    for i, entries in enumerate(litters):
+        for slot, (k, p) in enumerate(entries):
+            jumps[i, :, slot] = k
+            probs[i, 0, slot] = p
+            there[i, 0, slot] = True
+    return jumps, probs, there
+
+
+def _move_table(model, states, b, d, c, loss, births):
+    """The :class:`MoveTable` of ``states`` from their checked coefficients
+    and the :func:`_birth_slots` of their litter laws."""
+    m, r = len(states), model.r
+    jumps, probs, there = births
+    width = r * probs.shape[2]
+    n = np.array(states, dtype=np.int64).reshape(m, r)
+    x = n.astype(float)
+    # Python floats overflow to inf, and inf * 0 gives nan, without a word;
+    # the overflow raises below, by state.
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = x * b
+        press = np.zeros((m, r))
+        for k in range(r):
+            press += c[:, :, k] * x[:, k:k + 1]
+        powered = [p ** model.gamma for p in press.ravel().tolist()]
+        deaths = x * (d + np.array(powered).reshape(m, r))
+        rates = [(base[:, :, None] * probs).reshape(m, width), deaths]
+    keep = [((~(base <= 0.0))[:, :, None] & there).reshape(m, width),
+            deaths > 0.0]
+    targets = [(n[:, None, None, :] + jumps).reshape(m, width, r),
+               n[:, None, :] - np.eye(r, dtype=np.int64)]
+    if loss is not None:
+        rates.append(loss[:, None])
+        keep.append(loss[:, None] > 0.0)
+        targets.append(np.zeros((m, 1, r), dtype=np.int64))
+    keep = np.concatenate(keep, axis=1)
+    table = MoveTable(n, np.concatenate(targets, axis=1),
+                      np.where(keep, np.concatenate(rates, axis=1), 0.0), keep)
+    finite = table.total < math.inf
+    if not finite.all():
+        raise RateOverflowError(f"total rate out of state "
+                                f"{states[int(finite.argmin())]} is not finite")
+    return table
+
+
+def _memo_moves(table, many=None):
     """Memoise ``table(n) -> (targets, rates, total)`` for the simulators.
 
     The returned function maps a state to ``(targets, cum, total, dead)``,
     computed on its first request: ``cum`` holds the running sums of
     ``rates`` in table order, and ``dead[i]`` says whether ``targets[i]``
-    is absorbed.
+    is absorbed.  Its ``fill(states)`` computes the entries still missing
+    among ``states`` ahead of their requests: by one call of
+    ``many(states)``, a :class:`MoveTable`, when given, else state by state.
     """
     memo = {}
+
+    def fill(states):
+        todo = [n for n in dict.fromkeys(states) if n not in memo]
+        if not todo:
+            return
+        rows = (map(many(todo).row, range(len(todo))) if many is not None
+                else map(table, todo))
+        for n, (targets, rates, total) in zip(todo, rows):
+            memo[n] = (targets, list(accumulate(rates)), total,
+                       [is_absorbed(target) for target in targets])
 
     def moves(n):
         entry = memo.get(n)
         if entry is None:
-            targets, rates, total = table(n)
-            entry = memo[n] = (targets, list(accumulate(rates)), total,
-                               [is_absorbed(target) for target in targets])
+            fill((n,))
+            entry = memo[n]
         return entry
 
+    moves.fill = fill
     return moves
 
 

@@ -428,8 +428,9 @@ class _MoveTable:
     (padded with +inf, so that counting the entries <= u * total is the
     pick) and the target ids in ``target[s]``, -1 for an absorbed target.
     A state gets an id when it first appears as a live target, and its row
-    from ``moves`` (the model's memo) when a path first stands on it; until
-    then its total is NaN.
+    from ``moves`` (the model's memo) when a path first stands on it, the
+    new states of one step by one ``moves.fill``; until then its total is
+    NaN.
     """
 
     def __init__(self, moves, start):
@@ -447,7 +448,9 @@ class _MoveTable:
         todo = s[np.isnan(total)]
         if not len(todo):
             return total
-        for i in np.unique(todo).tolist():
+        todo = np.unique(todo).tolist()
+        self.moves.fill([self.states[i] for i in todo])
+        for i in todo:
             targets, cum, rate, dead = self.moves(self.states[i])
             ids = [-1 if gone else self.ids.setdefault(target, len(self.ids))
                    for target, gone in zip(targets, dead)]
@@ -818,5 +821,6 @@ def simulate_qprocess(model: Model, qsd: QsdResult, initial, t_max: float,
     n = _start(model, initial, t_max)
     if n not in qsd.space.index:
         raise DomainError(f"initial state {n} is outside the solved space")
-    return _jump_path(_memo_moves(_qprocess_table(model, qsd)), n, t_max,
+    table, index = _qprocess_table(model, qsd), qsd.space.index
+    return _jump_path(_memo_moves(lambda m: table.row(index[m])), n, t_max,
                       rng)

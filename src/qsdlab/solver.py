@@ -43,7 +43,7 @@ from scipy.sparse import _sparsetools
 from .errors import (ConditioningImpossibleError, ConvergenceError, DomainError,
                      EmptySpaceError, NumericalError, ReducibleSpaceError,
                      ValidationError)
-from .model import Model
+from .model import Model, MoveTable
 
 #: Poisson tail mass discarded when summing the uniformized series.
 POISSON_TAIL = 1e-14
@@ -74,6 +74,35 @@ class TruncatedSpace:
         out = np.zeros(len(self.states))
         out[self.index[n]] = 1.0
         return out
+
+    def locate(self, states: np.ndarray) -> np.ndarray:
+        """The index of each state of an int array of shape ``(..., r)``,
+        or -1 for a state outside the space.
+
+        An index counts the states before it in lexicographic order: those
+        that first differ from ``n`` at coordinate ``i``, and are smaller
+        there, number ``C(M, r - i) - C(M - n_i + 1, r - i)``, where ``M``
+        is ``N`` less the coordinates before ``i``.
+        """
+        r, binomials = self.r, self._binomials
+        inside = (states >= 1).all(axis=-1) & (states.sum(axis=-1) <= self.N)
+        left = np.full(inside.shape, self.N)
+        index = np.zeros(inside.shape, dtype=np.int64)
+        for i in range(r):
+            n_i = np.where(inside, states[..., i], 1)
+            index += (binomials[left, r - i]
+                      - binomials[left - n_i + 1, r - i])
+            left -= n_i
+        return np.where(inside, index, -1)
+
+    @cached_property
+    def _binomials(self) -> np.ndarray:
+        """``C(M, k)`` for ``M <= N`` and ``k <= r``, where ``M - k <= N -
+        r``: the entries :meth:`locate` reads, none above ``len(self)``."""
+        r, N = self.r, self.N
+        return np.array([[math.comb(M, k) if M - k <= N - r else 0
+                          for k in range(r + 1)] for M in range(N + 1)],
+                        dtype=np.int64)
 
 
 def enumerate_space(r: int, N: int) -> TruncatedSpace:
@@ -133,34 +162,27 @@ def assemble(model: Model, space: TruncatedSpace) -> SubGenerator:
     """
     if model.r != space.r:
         raise DomainError(f"model has r = {model.r} but space has r = {space.r}")
-    matrix, diag = _csr(space, model.transition_table)
+    matrix, diag = _csr(space, model.move_table(space.states))
     lam = 1.05 * float(np.abs(diag).max())
     if not (lam > 0 and math.isfinite(lam)):
         raise NumericalError(f"degenerate uniformization constant {lam}")
     return SubGenerator(space=space, matrix=matrix, lam=lam)
 
 
-def _csr(space: TruncatedSpace, table):
-    """The CSR matrix of ``table(n) -> (targets, rates, total)`` on ``space``
-    and its diagonal ``-total``: rates to targets outside the space appear
-    only there, and rates to one target are summed."""
+def _csr(space: TruncatedSpace, moves: MoveTable):
+    """The CSR matrix of ``moves``, the moves out of ``space.states``, and
+    its diagonal ``-total``: rates to targets outside the space appear only
+    there, and rates to one target are summed."""
     n_states = len(space.states)
-    rows, cols, vals = [], [], []
-    diag = np.zeros(n_states)
-    for i, state in enumerate(space.states):
-        targets, rates, total = table(state)
-        diag[i] = -total
-        for target, rate in zip(targets, rates):
-            j = space.index.get(target)
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-                vals.append(rate)
-    rows.extend(range(n_states))
-    cols.extend(range(n_states))
-    vals.extend(diag)
-    matrix = sparse.coo_matrix((vals, (rows, cols)),
-                               shape=(n_states, n_states)).tocsr()
+    cols = space.locate(moves.targets)
+    inside = moves.keep & (cols >= 0)
+    diag = -moves.total
+    every = np.arange(n_states)
+    matrix = sparse.coo_matrix(
+        (np.concatenate((moves.rates[inside], diag)),
+         (np.concatenate((np.nonzero(inside)[0], every)),
+          np.concatenate((cols[inside], every)))),
+        shape=(n_states, n_states)).tocsr()
     matrix.sum_duplicates()
     return matrix, diag
 
@@ -209,7 +231,11 @@ def solve_qsd(Q: SubGenerator, tol: float = 1e-12, max_iter: int = 10 ** 6) -> Q
     vectors are not strictly positive.
 
     ``decay_bracket`` is the Collatz--Wielandt enclosure of the decay rate
-    read off the converged profile (see :func:`_decay_bracket`).
+    read off the converged profile (see :func:`_decay_bracket`).  ``tol``
+    is the stopping threshold on successive iterates and on the residuals,
+    not a bound on the error of ``decay_rate``: the certified enclosure is
+    ``decay_bracket``, which on the shipped configs at ``tol = 1e-12`` is
+    80 to 2,400 times wider than ``tol``.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValidationError(f"tol must be a finite number > 0, got {tol}")
@@ -813,27 +839,17 @@ def conditional_moments(Q: SubGenerator, mu0: np.ndarray, times, F):
     return values[:, 1:] / values[:, :1], values[:, 0], products
 
 
-def _qprocess_table(model: Model, qsd: QsdResult):
-    """``table(n) -> (targets, rates, total)`` of the chain conditioned to
-    never die: the moves of ``model`` inside the solved space at rates
-    ``q(x, y) h(y) / h(x)``, ``total`` summed in table order, and none out
+def _qprocess_table(model: Model, qsd: QsdResult) -> MoveTable:
+    """The moves of the chain conditioned to never die, out of every state
+    of the solved space: the moves of ``model`` inside the space at rates
+    ``q(x, y) h(y) / h(x)``, ``total`` summed in move order, and none out
     of it (absorption or truncation overflow)."""
     space, h = qsd.space, qsd.survival_profile
-
-    def table(n):
-        targets, rates, _ = model.transition_table(n)
-        h_n = h[space.index[n]]
-        new_targets, new_rates, total = [], [], 0.0
-        for target, rate in zip(targets, rates):
-            k = space.index.get(target)
-            if k is not None:
-                w = rate * h[k] / h_n
-                new_targets.append(target)
-                new_rates.append(w)
-                total += w
-        return new_targets, new_rates, total
-
-    return table
+    moves = model.move_table(space.states)
+    cols = space.locate(moves.targets)
+    inside = moves.keep & (cols >= 0)
+    rates = np.where(inside, moves.rates * h[cols] / h[:, None], 0.0)
+    return MoveTable(moves.states, moves.targets, rates, inside)
 
 
 def qprocess_generator(model: Model, qsd: QsdResult) -> sparse.csr_matrix:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsdlab import cli, config, convergence, solver
+from qsdlab import cli, config, convergence, lyapunov, solver
 from qsdlab.cli import _build_parser, main
 from qsdlab.config import load_config
 from qsdlab.convergence import mixing_certificate
@@ -407,6 +407,22 @@ def test_check_reports_every_verdict(tmp_path):
     assert "growth-envelope" in names
     assert all(entry["verdict"] in ("pass-on-range", "fail", "inconclusive")
                for entry in report["reports"])
+
+
+def test_one_check_run_builds_one_sweep(tmp_path, monkeypatch):
+    # The catastrophe config runs every checker that reads a shell sweep.
+    built = []
+
+    class CountingSweep(lyapunov._Sweep):
+        def __init__(self, model, n_check):
+            built.append(n_check)
+            super().__init__(model, n_check)
+
+    monkeypatch.setattr(lyapunov, "_Sweep", CountingSweep)
+    cfg = str(CONFIGS / "catastrophe1d.cfg")
+    for _ in range(2):
+        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert built == [load_config(cfg).n_check] * 2
 
 
 def test_check_reports_a_skipped_conditional_drift(tmp_path, capsys,

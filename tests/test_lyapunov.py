@@ -29,7 +29,7 @@ from qsdlab import lyapunov
 from qsdlab.errors import DomainError, ValidationError
 from qsdlab.lyapunov import (
     PotentialParams,
-    _potential_lookup,
+    _potential_drift,
     apply_generator,
     check_boundary_pressure,
     check_catastrophes,
@@ -440,12 +440,20 @@ def test_conditional_drift_matches_the_stepped_laws(case, ref2d_system,
         lam_t + 10.0 * math.sqrt(lam_t) + 30.0)
 
 
-def test_potential_lookup_matches_the_potential():
+def test_potential_drift_matches_apply_generator():
+    # Sizes past any cached potential table, litters, catastrophes and a
+    # move onto the boundary from a one-individual state.
+    cases = [(logistic_1d(), [(1,), (7,), (61,), (5000,)]),
+             (multibirth_uniform_1d(), [(1,), (4,), (9000,)]),
+             (catastrophe_logistic_1d(), [(1,), (2,), (3000,)]),
+             (reference_2d(), [(1, 1), (2, 3), (3000, 2500)])]
     for eps in (0.25, 0.5):
-        potential = _potential_lookup(eps, 60)
-        for n in [(1,), (7,), (61,), (5000,), (0,), (0, 3), (2, 3),
-                  (3000, 2500)]:
-            assert potential(n) == size_potential(n, eps)
+        for model, states in cases:
+            here, drift = _potential_drift(model.move_table(states), eps)
+            for i, n in enumerate(states):
+                assert here[i] == size_potential(n, eps)
+                assert drift[i] == apply_generator(
+                    model, lambda m: size_potential(m, eps), n)
     model, generator, mu0, times = _conditional_ingredients((5,), 10, 0.5, 0.1)
     with pytest.raises(ValidationError):
         check_conditional_drift(model, generator, mu0, times, eps=-0.5)

@@ -846,8 +846,8 @@ def test_qprocess_generator_is_the_simulated_chains(name):
     G = qprocess_generator(model, result)
     table = solver._qprocess_table(model, result)
     shared = 0
-    for i, state in enumerate(space.states):
-        targets, rates, total = table(state)
+    for i in range(len(space.states)):
+        targets, rates, total = table.row(i)
         parts = {}
         for target, rate in zip(targets, rates):
             parts.setdefault(space.index[target], []).append(rate)
