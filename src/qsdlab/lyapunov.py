@@ -15,8 +15,8 @@ summing the series.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 import math
+import weakref
 
 import numpy as np
 
@@ -231,16 +231,15 @@ class _Sweep:
     ``n`` and ``size`` as floats, ``b`` and ``d`` of shape ``(m, r)``,
     ``c`` of shape ``(m, r, r)`` and its diagonal ``diag``, and ``loss``,
     the catastrophe rates (``None`` without that channel), as the model's
-    callables give them.  :meth:`moves` reads the moves out of every state
-    from these in one pass of :meth:`Model.move_table`.  Build a sweep with
-    :func:`_sweep`, so that the checkers of one run share it.
+    callables give them, for :meth:`Model.move_table` to read the moves out
+    of every state in one pass.  Build a sweep with :func:`_sweep`, so that
+    the checkers of one run share it.
     """
 
     def __init__(self, model: Model, n_check: int):
         shells = sample_shells(model.r, n_check)
         ordered = sorted(shells)
         counts = [len(shells[s]) for s in ordered]
-        self.model = model
         self.states = [n for s in ordered for n in shells[s]]
         self.sizes = np.array(ordered, dtype=float)
         self.starts = np.cumsum([0] + counts[:-1])
@@ -251,22 +250,24 @@ class _Sweep:
         self.b, self.d, self.c, self.loss = self.coefficients
         self.diag = np.diagonal(self.c, axis1=1, axis2=2)
 
-    def moves(self) -> MoveTable:
-        return self.model.move_table(self.states, self.coefficients)
-
     def size_power(self, expo: float) -> np.ndarray:
         """``size ** expo`` per state by scalar pow, which numpy's vectorised
         power does not match to the last bit."""
         return np.array([s ** expo for s in self.sizes.tolist()])[self.shell]
 
 
-@lru_cache(maxsize=1)
+_SWEEPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _sweep(model: Model, n_check: int) -> _Sweep:
     """The sweep of ``model`` up to ``n_check``, built once for the checkers
     that ask for it in turn.  A model is immutable and its rates are
-    functions of the state alone, so its sweep holds while it lives; the
-    cache keeps the last one."""
-    return _Sweep(model, n_check)
+    functions of the state alone, so its sweeps hold for as long as it
+    lives, and go with it."""
+    sweeps = _SWEEPS.setdefault(model, {})
+    if n_check not in sweeps:
+        sweeps[n_check] = _Sweep(model, n_check)
+    return sweeps[n_check]
 
 
 def _per_shell(sweep: _Sweep, values: np.ndarray, pick):
@@ -694,8 +695,8 @@ def check_drift(model: Model, eps: float, n_check: int = 10000) -> DriftReport:
 
     sw = _sweep(model, n_check)
     sizes = sw.sizes
-    curve, argmax = _per_shell(sw, _potential_drift(sw.moves(), eps)[1],
-                               np.argmax)
+    moves = model.move_table(sw.states, sw.coefficients)
+    curve, argmax = _per_shell(sw, _potential_drift(moves, eps)[1], np.argmax)
 
     notes: list = []
     # Eventually negative on the range?
