@@ -45,6 +45,9 @@ _GROWTH_THRESHOLD = 10.0
 _DECAY_THRESHOLD = 0.1
 # Points on the geometric grid of potential exponents for the threshold.
 _THRESHOLD_GRID = 600
+# States per move table in the drift sweep: enough to spread the table's
+# fixed cost, few enough to bound its memory.
+_DRIFT_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -695,8 +698,14 @@ def check_drift(model: Model, eps: float, n_check: int = 10000) -> DriftReport:
 
     sw = _sweep(model, n_check)
     sizes = sw.sizes
-    moves = model.move_table(sw.states, sw.coefficients)
-    curve, argmax = _per_shell(sw, _potential_drift(moves, eps)[1], np.argmax)
+    # Move tables of a block of states at a time bound the memory they take.
+    drift = []
+    for lo in range(0, len(sw.states), _DRIFT_BLOCK):
+        block = slice(lo, lo + _DRIFT_BLOCK)
+        moves = model.move_table(sw.states[block], [
+            None if part is None else part[block] for part in sw.coefficients])
+        drift.append(_potential_drift(moves, eps)[1])
+    curve, argmax = _per_shell(sw, np.concatenate(drift), np.argmax)
 
     notes: list = []
     # Eventually negative on the range?
