@@ -260,7 +260,10 @@ class Model:
 
     @cached_property
     def _moves(self):
-        return _memo_moves(self.transition_table, self.move_table)
+        def rows(states):
+            table = self.move_table(states)
+            return map(table.row, range(len(states)))
+        return _memo_moves(rows)
 
     def transition_table(self, n):
         """Raw ``(targets, rates, total)`` of all nonzero moves out of ``n``.
@@ -485,15 +488,16 @@ def _move_table(model, states, b, d, c, loss, births):
     return table
 
 
-def _memo_moves(table, many=None):
-    """Memoise ``table(n) -> (targets, rates, total)`` for the simulators.
+def _memo_moves(rows):
+    """Memoise the moves of each state for the simulators.
 
-    The returned function maps a state to ``(targets, cum, total, dead)``,
-    computed on its first request: ``cum`` holds the running sums of
-    ``rates`` in table order, and ``dead[i]`` says whether ``targets[i]``
-    is absorbed.  Its ``fill(states)`` computes the entries still missing
-    among ``states`` ahead of their requests: by one call of
-    ``many(states)``, a :class:`MoveTable`, when given, else state by state.
+    ``rows(states)`` gives the ``(targets, rates, total)`` of each of a list
+    of states, in order.  The returned function maps a state to ``(targets,
+    cum, total, dead)``, computed on its first request: ``cum`` holds the
+    running sums of ``rates`` in table order, and ``dead[i]`` says whether
+    ``targets[i]`` is absorbed.  Its ``fill(states)`` computes the entries
+    still missing among ``states`` ahead of their requests, by one call of
+    ``rows``.
     """
     memo = {}
 
@@ -501,9 +505,7 @@ def _memo_moves(table, many=None):
         todo = [n for n in dict.fromkeys(states) if n not in memo]
         if not todo:
             return
-        rows = (map(many(todo).row, range(len(todo))) if many is not None
-                else map(table, todo))
-        for n, (targets, rates, total) in zip(todo, rows):
+        for n, (targets, rates, total) in zip(todo, rows(todo)):
             memo[n] = (targets, list(accumulate(rates)), total,
                        [is_absorbed(target) for target in targets])
 

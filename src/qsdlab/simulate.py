@@ -822,5 +822,5 @@ def simulate_qprocess(model: Model, qsd: QsdResult, initial, t_max: float,
     if n not in qsd.space.index:
         raise DomainError(f"initial state {n} is outside the solved space")
     table, index = _qprocess_table(model, qsd), qsd.space.index
-    return _jump_path(_memo_moves(lambda m: table.row(index[m])), n, t_max,
-                      rng)
+    moves = _memo_moves(lambda states: [table.row(index[m]) for m in states])
+    return _jump_path(moves, n, t_max, rng)

@@ -600,6 +600,11 @@ class _Scripted:
         return np.array(out)
 
 
+def _each(table):
+    """The ``rows`` of ``_memo_moves`` that reads ``table`` state by state."""
+    return lambda states: map(table, states)
+
+
 def _fixed_table(targets, rates, total=None):
     if total is None:
         total = 0.0
@@ -616,7 +621,7 @@ _LAST_BELOW_ONE = 1.0 - 2.0 ** -53
 def test_pick_on_a_running_sum_boundary_takes_the_next_move():
     table = _fixed_table([(6,), (7,), (4,)], [1.0, 1.0, 2.0])
     script = [0.5, 0.25, _LAST_BELOW_ONE]  # 0.25 * 4.0 == 1.0, the first sum
-    path = _jump_path(_memo_moves(table), (5,), 1.0, _Scripted(script))
+    path = _jump_path(_memo_moves(_each(table)), (5,), 1.0, _Scripted(script))
     assert tuple(path.states) == ((5,), (7,))
     assert (tuple(path.times), tuple(path.states), path.t_end,
             path.absorbed) == \
@@ -631,7 +636,7 @@ def test_pick_rounded_up_to_the_last_sum_takes_the_last_move():
     table = _fixed_table([(6,), (0,)], [1.0, 2.0], total)
     assert _LAST_BELOW_ONE * total == 3.0
     script = [0.5, _LAST_BELOW_ONE]
-    path = _jump_path(_memo_moves(table), (5,), 1.0, _Scripted(script))
+    path = _jump_path(_memo_moves(_each(table)), (5,), 1.0, _Scripted(script))
     assert tuple(path.states) == ((5,), (0,))
     assert path.absorbed
     assert (tuple(path.times), tuple(path.states), path.t_end,
@@ -918,7 +923,7 @@ def test_lockstep_tally_keeps_paths_in_states_without_moves():
             return [], [], 0.0
         return [(n[0] + 1,), (n[0] - 1,)], [1.5, 1.0], 2.5
 
-    model = SimpleNamespace(r=1, _moves=_memo_moves(table))
+    model = SimpleNamespace(r=1, _moves=_memo_moves(_each(table)))
     counts, *_ = _assert_tally_matches(model, (2,), 3.0, RngPlan(6), 0, 300)
     assert set(counts) >= {(3,)}
 
@@ -975,10 +980,10 @@ def _boundary_cases():
 @pytest.mark.parametrize("case", sorted(_boundary_cases()))
 def test_lockstep_tally_on_scripted_boundaries(case):
     table, t, script = _boundary_cases()[case]
-    model = SimpleNamespace(r=1, _moves=_memo_moves(table))
+    model = SimpleNamespace(r=1, _moves=_memo_moves(_each(table)))
     counts, events = _survivor_counts(model, (5,), t,
                                       _ScriptedPlan({0: script}), 0, 1)
-    path = _jump_path(_memo_moves(table), (5,), t, _Scripted(script))
+    path = _jump_path(_memo_moves(_each(table)), (5,), t, _Scripted(script))
     want = Counter() if path.absorbed else Counter([path.final_state])
     assert (counts, events) == (want, len(path.times) - 1)
     if case.startswith("wait"):
@@ -1034,7 +1039,7 @@ def _unit_walk():
     def table(n):
         return [(n[0] + 1,), (n[0] - 1,)], [0.5, 0.5], 1.0
 
-    return SimpleNamespace(r=1, _moves=_memo_moves(table),
+    return SimpleNamespace(r=1, _moves=_memo_moves(_each(table)),
                            transition_table=table)
 
 
@@ -1130,7 +1135,7 @@ def test_particles_keep_walkers_in_states_without_moves():
             return [], [], 0.0
         return [(n[0] + 1,), (n[0] - 1,)], [1.5, 1.0], 2.5
 
-    model = SimpleNamespace(r=1, _moves=_memo_moves(table),
+    model = SimpleNamespace(r=1, _moves=_memo_moves(_each(table)),
                             transition_table=table)
     result = _assert_particles_match(model, (1,), 40, 3.0, RngPlan(6))
     assert result.deaths > 0 and result.law.mass_at((3,)) > 0.5
