@@ -275,20 +275,6 @@ def _cmd_check(cfg, args, out, overrides):
     model = build_model(cfg)
     n_check = cfg.n_check
     eps = cfg.eps if cfg.eps is not None else PotentialParams.for_model(model).eps
-    # The conditional drift runs first, so that its flow never holds memory
-    # at once with the shell sweep that the checkers below share.
-    space = enumerate_space(cfg.r, cfg.truncation_n)
-    if len(space.states) <= _CONDITIONAL_CHECK_CAP:
-        times = np.arange(0.0, 5.0 + 1e-12, 0.01)
-        conditional = check_conditional_drift(
-            model, assemble(model, space),
-            space.point_mass(_initials(cfg)[0]), times, eps)
-    else:
-        conditional = AssumptionReport(
-            name="conditional-drift", verdict=INCONCLUSIVE, checked_range=0,
-            notes=[f"not run: the truncated space has {len(space.states)} "
-                   f"states, above _CONDITIONAL_CHECK_CAP = "
-                   f"{_CONDITIONAL_CHECK_CAP}"])
     reports = [
         check_growth_envelope(model, n_check),
         check_competition_dominance(model, n_check),
@@ -297,8 +283,19 @@ def _cmd_check(cfg, args, out, overrides):
         check_drift(model, eps, n_check),
         check_catastrophes(model, n_check),
         check_multibirth(model),
-        conditional,
     ]
+    space = enumerate_space(cfg.r, cfg.truncation_n)
+    if len(space.states) <= _CONDITIONAL_CHECK_CAP:
+        times = np.arange(0.0, 5.0 + 1e-12, 0.01)
+        reports.append(check_conditional_drift(
+            model, assemble(model, space),
+            space.point_mass(_initials(cfg)[0]), times, eps))
+    else:
+        reports.append(AssumptionReport(
+            name="conditional-drift", verdict=INCONCLUSIVE, checked_range=0,
+            notes=[f"not run: the truncated space has {len(space.states)} "
+                   f"states, above _CONDITIONAL_CHECK_CAP = "
+                   f"{_CONDITIONAL_CHECK_CAP}"]))
     payload = _summary(cfg, overrides, eps=eps,
                        reports=[rep.to_dict() for rep in reports])
     report_path = os.path.join(out, "check_report.json")

@@ -45,9 +45,6 @@ _GROWTH_THRESHOLD = 10.0
 _DECAY_THRESHOLD = 0.1
 # Points on the geometric grid of potential exponents for the threshold.
 _THRESHOLD_GRID = 600
-# States per move table in the drift sweep: enough to spread the table's
-# fixed cost, few enough to bound its memory.
-_DRIFT_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -231,27 +228,40 @@ class _Sweep:
 
     Shell ``k`` has total size ``sizes[k]`` and its states start at
     ``starts[k]``; ``shell`` maps each state to its shell.  Per state:
-    ``n`` and ``size`` as floats, ``b`` and ``d`` of shape ``(m, r)``,
-    ``c`` of shape ``(m, r, r)`` and its diagonal ``diag``, and ``loss``,
-    the catastrophe rates (``None`` without that channel), as the model's
-    callables give them, for :meth:`Model.move_table` to read the moves out
-    of every state in one pass.  Build a sweep with :func:`_sweep`, so that
-    the checkers of one run share it.
+    ``states``, an int array of shape ``(m, r)``, ``b`` and ``d`` of shape
+    ``(m, r)``, ``c`` of shape ``(m, r, r)`` and its diagonal ``diag``, and
+    ``loss``, the catastrophe rates (``None`` without that channel), as the
+    model's callables give them, for :meth:`Model.move_table` to read the
+    moves out of every state in one pass; ``n`` and ``size``, the state and
+    its size as floats, are derived on each use.  The checkers of one run
+    share a sweep (build it with :func:`_sweep`), so it keeps arrays alone,
+    no Python object per state and nothing it can derive.
     """
 
     def __init__(self, model: Model, n_check: int):
         shells = sample_shells(model.r, n_check)
         ordered = sorted(shells)
         counts = [len(shells[s]) for s in ordered]
-        self.states = [n for s in ordered for n in shells[s]]
+        states = [n for s in ordered for n in shells[s]]
+        self.states = np.array(states, dtype=np.int64).reshape(-1, model.r)
         self.sizes = np.array(ordered, dtype=float)
         self.starts = np.cumsum([0] + counts[:-1])
         self.shell = np.repeat(np.arange(len(ordered)), counts)
-        self.size = self.sizes[self.shell]
-        self.n = np.array(self.states, dtype=float)
-        self.coefficients = model._coefficients(self.states)
+        self.coefficients = model._coefficients(states)
         self.b, self.d, self.c, self.loss = self.coefficients
         self.diag = np.diagonal(self.c, axis1=1, axis2=2)
+
+    @property
+    def n(self) -> np.ndarray:
+        return self.states.astype(float)
+
+    @property
+    def size(self) -> np.ndarray:
+        return self.sizes[self.shell]
+
+    def state(self, i) -> tuple:
+        """Sampled state ``i`` as a tuple of ints."""
+        return tuple(self.states[i].tolist())
 
     def size_power(self, expo: float) -> np.ndarray:
         """``size ** expo`` per state by scalar pow, which numpy's vectorised
@@ -274,7 +284,8 @@ def _sweep(model: Model, n_check: int) -> _Sweep:
 
 
 def _per_shell(sweep: _Sweep, values: np.ndarray, pick):
-    """Per-shell extreme of per-state ``values`` and the state attaining it.
+    """Per-shell extreme of per-state ``values`` and the index of the state
+    attaining it.
 
     ``pick`` is ``np.argmin`` or ``np.argmax``.  Like them, and like a
     running strict comparison, a tie goes to the first state of the shell;
@@ -282,7 +293,7 @@ def _per_shell(sweep: _Sweep, values: np.ndarray, pick):
     """
     key = -values if pick is np.argmax else values
     first = np.lexsort((key, sweep.shell))[sweep.starts]
-    return values[first], [sweep.states[i] for i in first.tolist()]
+    return values[first], first
 
 
 def _loglog_slope(sizes, values):
@@ -435,7 +446,7 @@ def check_growth_envelope(model: Model, n_check: int = 10000) -> AssumptionRepor
     if not positive.all():
         return AssumptionReport(
             name="growth-envelope", verdict=FAIL, checked_range=n_check,
-            witness=sw.states[int(np.argmin(positive))],
+            witness=sw.state(np.argmin(positive)),
             notes=["rate positivity fails: need b > 0, d >= 0, "
                    "c >= 0 with positive diagonal"])
     sizes = sw.sizes
@@ -528,7 +539,8 @@ def check_competition_dominance(model: Model,
     if slope is not None and slope < _FLAT_SLOPE:
         return AssumptionReport(
             name="competition-dominance", verdict=FAIL, checked_range=n_check,
-            constants=constants, margins=margins, witness=minimizers[-1],
+            constants=constants, margins=margins,
+            witness=sw.state(minimizers[-1]),
             notes=["dominance ratio stays bounded over the sampled range"])
     return AssumptionReport(
         name="competition-dominance", verdict=INCONCLUSIVE,
@@ -561,12 +573,13 @@ def check_boundary_pressure(model: Model, n_check: int = 10000,
 
     sw = _sweep(model, n_check)
     sizes = sw.sizes
-    powered = np.matmul(sw.c, sw.n[:, :, None])[:, :, 0] ** model.gamma
+    n, size = sw.n, sw.size
+    powered = np.matmul(sw.c, n[:, :, None])[:, :, 0] ** model.gamma
     # Masked entries add exact zeros, and numpy sums rows of fewer than
     # eight entries left to right, so up to r = 7 these are the sums of the
     # bulk and the edge entries alone, bit for bit.
-    edge = sw.n == 1
-    lhs = np.where(edge, 0.0, (sw.n / sw.size[:, None]) * powered).sum(axis=1)
+    edge = n == 1
+    lhs = np.where(edge, 0.0, (n / size[:, None]) * powered).sum(axis=1)
     rhs = np.where(edge, powered, 0.0).sum(axis=1)
     bulk_curve, bulk_arg = _per_shell(sw, lhs / sw.size_power(target),
                                       np.argmin)
@@ -581,7 +594,7 @@ def check_boundary_pressure(model: Model, n_check: int = 10000,
         return AssumptionReport(
             name="boundary-pressure", verdict=FAIL, checked_range=n_check,
             constants=constants,
-            witness=sw.states[violations[-1]] if len(violations) else None,
+            witness=sw.state(violations[-1]) if len(violations) else None,
             notes=["edge pressure still beats bulk pressure in the top half "
                    "of the range"])
     constants["clean_from_size"] = int(sizes[clean])
@@ -598,7 +611,8 @@ def check_boundary_pressure(model: Model, n_check: int = 10000,
     if slope is not None and slope < _FLAT_SLOPE:
         return AssumptionReport(
             name="boundary-pressure", verdict=FAIL, checked_range=n_check,
-            constants=constants, margins=margins, witness=bulk_arg[-1],
+            constants=constants, margins=margins,
+            witness=sw.state(bulk_arg[-1]),
             notes=["scaled bulk pressure stays bounded over the sampled "
                    "range"])
     return AssumptionReport(
@@ -698,14 +712,10 @@ def check_drift(model: Model, eps: float, n_check: int = 10000) -> DriftReport:
 
     sw = _sweep(model, n_check)
     sizes = sw.sizes
-    # Move tables of a block of states at a time bound the memory they take.
-    drift = []
-    for lo in range(0, len(sw.states), _DRIFT_BLOCK):
-        block = slice(lo, lo + _DRIFT_BLOCK)
-        moves = model.move_table(sw.states[block], [
-            None if part is None else part[block] for part in sw.coefficients])
-        drift.append(_potential_drift(moves, eps)[1])
-    curve, argmax = _per_shell(sw, np.concatenate(drift), np.argmax)
+    drift = _potential_drift(
+        model.move_table(map(tuple, sw.states.tolist()), sw.coefficients),
+        eps)[1]
+    curve, argmax = _per_shell(sw, drift, np.argmax)
 
     notes: list = []
     # Eventually negative on the range?
@@ -714,7 +724,7 @@ def check_drift(model: Model, eps: float, n_check: int = 10000) -> DriftReport:
         return DriftReport(
             verdict=FAIL, eps=eps, exponent=exponent, offset=math.nan,
             coercivity=math.nan, curve_sizes=sizes, curve_values=curve,
-            checked_range=n_check, witness=argmax[positive[-1]],
+            checked_range=n_check, witness=sw.state(argmax[positive[-1]]),
             notes=["generator applied to the potential is not eventually "
                    "negative on the range"])
 
@@ -725,7 +735,7 @@ def check_drift(model: Model, eps: float, n_check: int = 10000) -> DriftReport:
         return DriftReport(
             verdict=FAIL, eps=eps, exponent=exponent, offset=math.nan,
             coercivity=math.nan, curve_sizes=sizes, curve_values=curve,
-            checked_range=n_check, witness=argmax[-1],
+            checked_range=n_check, witness=sw.state(argmax[-1]),
             notes=["no coercive decay: the drift curve does not fall like "
                    f"size^{exponent:.4g} on the top decade"])
     coercivity = -slope / 2.0
@@ -914,7 +924,8 @@ def check_catastrophes(model: Model, n_check: int = 10000) -> AssumptionReport:
     if slope is not None and slope > -_FLAT_SLOPE and curve[-1] > _DECAY_THRESHOLD:
         return AssumptionReport(
             name="catastrophe-smallness", verdict=FAIL, checked_range=n_check,
-            constants=constants, margins=margins, witness=argmax[-1],
+            constants=constants, margins=margins,
+            witness=sw.state(argmax[-1]),
             notes=["loss-to-competition ratio does not decay on the range"])
     return AssumptionReport(
         name="catastrophe-smallness", verdict=INCONCLUSIVE,
