@@ -122,8 +122,8 @@ def survival_profile_error(Q: SubGenerator, qsd: QsdResult, t: float,
     grows the gap falls to a plateau set by the subdominant spectral mass.
     ``alive``, the survival at t from a caller's own pass, saves the flow.
     """
-    if t < 0:
-        raise DomainError(f"t must be nonnegative, got {t}")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"t must be finite and nonnegative, got {t}")
     scale = qsd.decay_rate * t
     if scale > 600.0:
         raise NumericalError(
@@ -143,9 +143,9 @@ class MinorizationCertificate:
 
     ``mass`` bounds, uniformly over every start x, the probability that the
     chain sits at ``reference`` at time ``t0`` given survival.  The bound is
-    re-verified at the minimizing start by propagating a point mass forward
-    (a route through different code and different roundoff);
-    ``reproduction`` is the disagreement between the two routes.
+    re-checked at the minimizing start by flowing its point mass forward,
+    the other direction of the same semigroup kernel, which rounds apart;
+    ``reproduction`` is the disagreement between the two directions.
     """
 
     reference: tuple
@@ -170,10 +170,11 @@ def certify_minorization(Q: SubGenerator, t0: float,
     mode of the solved law ``qsd``.
 
     For every start x, ``P_x(at reference at t0) / P_x(alive at t0)`` is
-    computed by one adjoint propagation of the indicator of the reference
-    and the constant one, as a two-column block; the minimum over x is the
-    certificate mass.  ``t0 = 0`` is allowed but yields mass 0 — an invalid
-    certificate — because the indicator of the reference has zeros.
+    computed by one backward flow of the indicator of the reference and the
+    constant one, as a two-column block; the minimum over x is the
+    certificate mass, which one forward flow from the minimizer re-checks.
+    ``t0 = 0`` is allowed but yields mass 0 — an invalid certificate —
+    because the indicator of the reference has zeros.
     """
     if not 0 <= t0 < math.inf:
         raise DomainError(f"t0 must be finite and nonnegative, got {t0}")
@@ -190,8 +191,8 @@ def certify_minorization(Q: SubGenerator, t0: float,
     i = int(np.argmin(ratios))
     mass = float(ratios[i])
 
-    # Independent re-verification at the minimizer: push its point mass
-    # forward and read off the same two numbers from the measure side.
+    # Re-check at the minimizer: push its point mass forward and read off
+    # the same two numbers from the measure side.
     point = np.zeros(size)
     point[i] = 1.0
     row = evolve_measure(Q, point, t0)

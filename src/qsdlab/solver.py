@@ -18,15 +18,16 @@ conditioned dynamics:
 Everything is computed with the uniformized kernel ``P = I + Q/Lambda``:
 power iteration for the eigenpairs, Poisson-weighted sums of powers for
 ``exp(tQ)``.  ``P`` has nonnegative entries by construction, which keeps all
-transient quantities nonnegative.  A time grid flows along one power
-sequence read at every grid time or, where that costs more, along dense
-propagators ``exp(dt Q)``, one per distinct grid step, built from the same
-sums of powers (see :func:`_grid_flow`).  Neither makes survival
-nonincreasing in floating point: the mass of ``mu P^k`` can rise by an ulp
-in a step, and so can that of a dense step.  Along a time grid, survival
-gives up ``POISSON_TAIL`` per grid time, the most that the discarded
-Poisson tails could take, and that margin keeps it decreasing (see
-:func:`conditional_path`).
+transient quantities nonnegative.  Every action of ``exp(tQ)``, forward or
+backward, runs through one kernel, :func:`_grid_flow`; a flow to one time
+is a grid of one time.  A grid flows along one power sequence read at every
+grid time or, where that costs more, along dense propagators ``exp(dt Q)``,
+one per distinct grid step, built from the same sums of powers.  Neither
+makes survival nonincreasing in floating point: the mass of ``mu P^k`` can
+rise by an ulp in a step, and so can that of a dense step.  Along a time
+grid, survival gives up ``POISSON_TAIL`` per grid time, the most that the
+discarded Poisson tails could take, and that margin keeps it decreasing
+(see :func:`conditional_path`).
 """
 
 from __future__ import annotations
@@ -134,13 +135,12 @@ class SubGenerator:
     Immutable and safe to share between threads; the matrix is CSR and must
     not be modified in place.  ``matrix_t`` is the cached CSR transpose, and
     every forward product ``nu Q`` is computed as ``matrix_t nu``: in
-    :func:`solve_qsd` and in the forward semigroup (:func:`evolve_measure`,
-    :func:`conditional_path`, :func:`conditional_moments`).  It gives the
-    same bits as ``nu @ matrix`` at a fraction of the cost, because scipy's
-    row-vector path rebuilds the transpose on every product.  These products,
-    forward and backward, run through the product kernel
-    :func:`_product`, which has the bits of ``matrix_t @ nu`` without
-    scipy's per-call dispatch.
+    :func:`solve_qsd` and in every forward flow of :func:`_grid_flow`, the
+    one semigroup kernel.  It gives the same bits as ``nu @ matrix`` at a
+    fraction of the cost, because scipy's row-vector path rebuilds the
+    transpose on every product.  These products, forward and backward, run
+    through the product kernel :func:`_product`, which has the bits of
+    ``matrix_t @ nu`` without scipy's per-call dispatch.
     """
 
     space: TruncatedSpace
@@ -367,9 +367,11 @@ def _decay_bracket(Q: SubGenerator, h: np.ndarray):
     return float((ratio - margin).min()), float((ratio + margin).max())
 
 
-def _window_end(mean: float) -> int:
-    """Last index that :func:`_poisson_weights` evaluates."""
-    return int(math.ceil(mean + 10.0 * math.sqrt(mean) + 30.0))
+def _window_end(mean):
+    """Last index that :func:`_poisson_weights` evaluates: an int for one
+    mean, an int array for an array of means."""
+    end = np.ceil(mean + 10.0 * np.sqrt(mean) + 30.0).astype(np.int64)
+    return end if end.ndim else int(end)
 
 
 def _check_window(lam: float, t: float) -> float:
@@ -466,43 +468,9 @@ def _step(mat, lam, p, out, y):
     return out
 
 
-def _powers(mat, lam, p, count):
-    """Yield ``p, P p, ..., P^count p`` for ``P = I + mat/lam``, one
-    :func:`_step` per power.  Two buffers take turns, so a yielded power is
-    overwritten two steps later: read it before asking for the next."""
-    yield p
-    buffers = [np.empty(p.shape), np.empty(p.shape)]
-    for k in range(count):
-        out = buffers[k % 2]
-        p = _step(mat, lam, p, out, out)
-        yield p
-
-
-def _flow(mat, lam, block, t):
-    """Uniformized ``sum_k Poisson(lam t; k) (I + mat/lam)^k block``.
-
-    The flow to one time; a grid of times flows by :func:`_grid_flow`.
-    ``block`` is a vector or an ``(n, k)`` block of columns; each column
-    gets the same bits as it would alone, because a CSR product sums every
-    row in the same order for one column or many.
-    Forward flows pass the transpose ``Q.matrix_t``, backward flows
-    ``Q.matrix``.
-    """
-    if not 0 <= t < math.inf:
-        raise DomainError(f"t must be finite and >= 0, got {t}")
-    if t == 0:
-        return block.copy()
-    first, weights = _poisson_weights(lam, t)
-    acc = np.zeros_like(block)
-    for k, p in enumerate(_powers(mat, lam, block, first + len(weights) - 1)):
-        if k >= first:
-            acc += weights[k - first] * p
-    return acc
-
-
-#: Powers stacked per dense product in :func:`_sequence_flow`: up to
-#: ``_GRID_BLOCK``, and fewer where a column of them would pass
-#: ``_GRID_BYTES``.
+#: Powers stacked per dense product in :func:`_sequence_flow` and
+#: :func:`_propagators`: up to ``_GRID_BLOCK``, and fewer where a column of
+#: them would pass ``_GRID_BYTES``.
 _GRID_BLOCK = 64
 _GRID_BYTES = 1 << 20
 
@@ -522,15 +490,18 @@ _PROPAGATOR_BYTES = 1 << 22
 
 def _grid_flow(mat, lam, columns, times, read=None):
     """Uniformized flows of the ``(n, c)`` block ``columns`` to every time of
-    the increasing grid ``times``.
+    the increasing grid ``times``: the one kernel of ``exp(tQ)``, which the
+    flows to one time (:func:`evolve_measure`, :func:`evolve_function`)
+    take on a grid of one time.  Forward flows pass the transpose
+    ``Q.matrix_t``, backward flows ``Q.matrix``.
 
     Yields ``(i, end, acc)`` in grid order: ``acc`` is the ``(c, d)`` flow
     to ``times[i]``, one row per column, and ``end`` the number of products
-    made so far, so the last ``end`` is the number of products.  With
-    ``read``, an ``(n, d)`` matrix, each flow is contracted with it, so ``d``
-    is its width; otherwise ``d = n``.  ``acc`` is overwritten once the next
-    item is asked for, so read it first.  Each column has the bits it has
-    alone.
+    made so far, one for all the columns, so the last ``end`` is the number
+    of products.  With ``read``, an ``(n, d)`` matrix, each flow is
+    contracted with it, so ``d`` is its width; otherwise ``d = n``.  ``acc``
+    is overwritten once the next item is asked for, so read it first.  Each
+    column has the bits it has alone.
 
     The flows take one of two ways, whichever :func:`_propagators_pay`
     puts at the fewer multiply-adds: one power sequence read at every grid
@@ -558,9 +529,10 @@ def _propagators_pay(mat, lam, times):
     to the longest window, and add each power into every propagator whose
     window holds it, ``n^2`` apiece; then each nonzero step is one dense
     product.  So propagators win where ``lam`` times the step is large
-    against ``n``, and never on a grid of one time.  The cost is that of one
-    column: a block takes the way each of its columns takes alone, so each
-    keeps its bits.  Propagators that would not fit together in
+    against ``n``, and never on a grid of one positive time; the grid
+    ``[0]`` builds none and makes no product either way.  The cost is that
+    of one column: a block takes the way each of its columns takes alone,
+    so each keeps its bits.  Propagators that would not fit together in
     :data:`_PROPAGATOR_BYTES` are never built.
     """
     n, nnz = mat.shape[0], mat.nnz
@@ -570,13 +542,27 @@ def _propagators_pay(mat, lam, times):
     if 8 * n * n * len(distinct) > _PROPAGATOR_BYTES:
         return False
     means = lam * distinct
-    windows = np.ceil(means + 10.0 * np.sqrt(means) + 30.0)  # _window_end
+    windows = _window_end(means)
     sequence = (_window_end(lam * times[-1]) * (nnz + _PRODUCT_OVERHEAD)
                 + len(times) * _WINDOW_COST)
     dense = (windows.max(initial=0.0) * (n * nnz + _PRODUCT_OVERHEAD)
              + windows.sum() * n * n + len(distinct) * _WINDOW_COST
              + moves * (n * n + _PRODUCT_OVERHEAD))
     return dense < sequence
+
+
+def _stack_powers(mat, lam, prev, stack, k0, k1):
+    """Rows ``0, ..., k1 - k0 - 1`` of ``stack`` become the powers ``P^k0 x,
+    ..., P^(k1 - 1) x`` for ``P = I + mat/lam``, one :func:`_step` per
+    power.  ``prev``, a buffer of its own, holds ``x`` for ``k0 = 0`` and
+    ``P^(k0 - 1) x`` past it; it then holds the last power, for the next
+    block."""
+    for r in range(k1 - k0):
+        if k0 + r:
+            _step(mat, lam, stack[r - 1] if r else prev, stack[r], stack[r])
+        else:
+            stack[0] = prev
+    prev[...] = stack[k1 - k0 - 1]
 
 
 def _propagators(mat, lam, steps, tail):
@@ -586,28 +572,27 @@ def _propagators(mat, lam, steps, tail):
     and the number of products.
 
     The powers of the identity are made once, up to the longest window, in
-    blocks of at most ``_GRID_BLOCK`` that fit in ``_GRID_BYTES``, and each
-    block adds into every propagator by one dense product of their weights
-    and its stacked powers.
+    blocks of at most ``_GRID_BLOCK`` that fit in ``_GRID_BYTES`` (see
+    :func:`_stack_powers`), and each block adds into every propagator by
+    one dense product of their weights and its stacked powers.
     """
     n = mat.shape[0]
     windows = [_poisson_weights(lam, dt, tail) for dt in steps]
     count = max(first + len(w) - 1 for first, w in windows)
     rows = max(1, min(_GRID_BLOCK, _GRID_BYTES // (8 * n * n)))
-    stack = np.empty((rows, n * n))
+    stack = np.empty((rows, n, n))
+    prev = np.eye(n)
     weights = np.empty((len(steps), rows))
     out = np.zeros((len(steps), n * n))
-    powers = _powers(mat, lam, np.eye(n), count)
     for k0 in range(0, count + 1, rows):
         k1 = min(k0 + rows, count + 1)
-        for r, p in zip(range(k1 - k0), powers):
-            stack[r] = p.ravel()
+        _stack_powers(mat, lam, prev, stack, k0, k1)
         weights.fill(0.0)
         for row, (first, w) in zip(weights, windows):
             lo, hi = max(first, k0), min(first + len(w), k1)
             if lo < hi:
                 row[lo - k0:hi - k0] = w[lo - first:hi - first]
-        out += weights[:, :k1 - k0] @ stack[:k1 - k0]
+        out += weights[:, :k1 - k0] @ stack[:k1 - k0].reshape(k1 - k0, n * n)
     return out.reshape(len(steps), n, n), count
 
 
@@ -656,13 +641,14 @@ def _sequence_flow(mat, lam, columns, times, read):
     has the single weight 1, and ``end`` is the last power read so far.  A
     window never opens before the previous one: where rounding puts its
     first power earlier, that power's weight is dropped.  The powers run in
-    blocks of ``_GRID_BLOCK``, fewer where a column of them would pass
-    ``_GRID_BYTES``.  Each block adds into the accumulators of the open
-    windows, as one dense product of their weights and its stacked powers
-    per column, so each column has the bits it has alone.  With ``read``,
-    each power is contracted with it first.  An accumulator is yielded once
-    the windows up to its own have ended, so only the open windows and
-    their weights are held.
+    blocks of ``_GRID_BLOCK``, fewer where they would pass ``_GRID_BYTES``,
+    one column after another through one stack (see :func:`_stack_powers`),
+    each column's last power kept for its next block.  Each block adds into the accumulators of the
+    open windows by one dense product of their weights and its stacked
+    powers, so each column has the bits it has alone and a block of columns
+    holds one column's stack.  With ``read``, each power is contracted with
+    it first.  An accumulator is yielded once the windows up to its own
+    have ended, so only the open windows and their weights are held.
     """
     means = lam * times
     last = lam * times[-1]
@@ -678,7 +664,8 @@ def _sequence_flow(mat, lam, columns, times, read):
     # rows move to the top when the next would fall off the end.
     weights = np.empty((slots + 1, 2 * reach + 1))
     acc = np.empty((slots + 1, c, n if read is None else read.shape[1]))
-    stack = np.empty((rows, n, c))
+    stack = np.empty((rows, n))
+    latest = columns.T.copy()  # the last power of each column so far
     firsts = np.zeros(len(times), dtype=int)
     lengths = np.zeros(len(times), dtype=int)
     ends = np.zeros(len(times), dtype=int)  # the last power up to time i
@@ -705,19 +692,15 @@ def _sequence_flow(mat, lam, columns, times, read):
                 ahead = _poisson_weights(lam, times[opened])
         if opened == len(times):
             k1 = min(k1, ends[-1] + 1)
-        for r in range(k1 - k0):
-            if k0 + r:
-                _step(mat, lam, stack[r - 1], stack[r], stack[r])
-            else:
-                stack[0] = columns
         live = np.arange(yielded, opened)
         rel = np.arange(k0, k1) - firsts[live, None]
         inside = (rel >= 0) & (rel < lengths[live, None])
         block_weights = np.where(
             inside, weights[live[:, None] - base, np.where(inside, rel, 0)],
             0.0)
-        for j in range(c):
-            block = np.ascontiguousarray(stack[:k1 - k0, :, j])
+        for j, prev in enumerate(latest):
+            _stack_powers(mat, lam, prev, stack, k0, k1)
+            block = stack[:k1 - k0]
             if read is not None:
                 block = block @ read
             acc[yielded - base:opened - base, j] += block_weights @ block
@@ -728,21 +711,28 @@ def _sequence_flow(mat, lam, columns, times, read):
 
 
 def evolve_measure(Q: SubGenerator, nu: np.ndarray, t: float) -> np.ndarray:
-    """Unnormalized forward flow ``nu exp(tQ)`` by uniformization.
+    """Unnormalized forward flow ``nu exp(tQ)``: :func:`_grid_flow` to ``t``.
 
     ``nu`` is one measure of shape ``(n,)`` or ``k`` measures as the columns
-    of an ``(n, k)`` block.
+    of an ``(n, k)`` block; the flow is a new array of that shape.
     """
-    return _flow(Q.matrix_t, Q.lam, _check_block(Q, nu, "nu"), t)
+    nu = _check_block(Q, nu, "nu")
+    (_, _, acc), = _grid_flow(Q.matrix_t, Q.lam, nu.reshape(len(nu), -1),
+                              _check_grid([t]))
+    return acc.T.reshape(nu.shape).copy()
 
 
 def evolve_function(Q: SubGenerator, f: np.ndarray, t: float) -> np.ndarray:
-    """Backward flow ``exp(tQ) f``: survival-weighted expectations per start state.
+    """Backward flow ``exp(tQ) f``: survival-weighted expectations per start
+    state, by :func:`_grid_flow` to ``t``.
 
     ``f`` is one function of shape ``(n,)`` or ``k`` functions as the columns
-    of an ``(n, k)`` block.
+    of an ``(n, k)`` block; the flow is a new array of that shape.
     """
-    return _flow(Q.matrix, Q.lam, _check_block(Q, f, "f"), t)
+    f = _check_block(Q, f, "f")
+    (_, _, acc), = _grid_flow(Q.matrix, Q.lam, f.reshape(len(f), -1),
+                              _check_grid([t]))
+    return acc.T.reshape(f.shape).copy()
 
 
 def transient_conditional(Q: SubGenerator, mu0: np.ndarray, t: float):

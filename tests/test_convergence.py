@@ -239,6 +239,17 @@ def test_profile_route_error_decays_with_the_horizon(logistic30_system):
     assert errors[2] < 1e-8
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("passed", [False, True], ids=["flowed", "passed"])
+def test_profile_error_refuses_times_outside_zero_to_infinity(
+        logistic30_system, t, passed):
+    """Checked up front: with ``alive`` passed, no flow would catch it."""
+    *_, generator, result = logistic30_system
+    alive = np.ones(len(result.law)) if passed else None
+    with pytest.raises(DomainError, match="t must be finite and nonnegative"):
+        survival_profile_error(generator, result, t, alive)
+
+
 # ---------------------------------------------------------------------------
 # minorization certificate
 # ---------------------------------------------------------------------------

@@ -402,15 +402,26 @@ def test_exhausted_adjoint_reports_the_residual_of_the_plain_loops(
 
 
 def test_evolution_matches_dense_expm():
+    """Forward and backward, a vector and a 2-column block: each column
+    within 1e-12 of the dense exponential in L1."""
     generator = assemble(logistic_1d(), enumerate_space(1, 25))
     dense = generator.matrix.toarray()
     rng = np.random.default_rng(5)
     mu0 = rng.random(25)
     mu0 /= mu0.sum()
+    f = rng.random(25)
+    block = rng.random((25, 2))
+    block /= block.sum(axis=0)
     for t in (0.3, 1.0, 2.7):
-        expected = mu0 @ sla.expm(t * dense)
-        got = evolve_measure(generator, mu0, t)
-        assert np.abs(got - expected).sum() < 1e-12
+        exact = sla.expm(t * dense)
+        for flow, start, expected in (
+                (evolve_measure, mu0, mu0 @ exact),
+                (evolve_function, f, exact @ f),
+                (evolve_measure, block, exact.T @ block),
+                (evolve_function, block, exact @ block)):
+            got = flow(generator, start, t)
+            assert got.shape == start.shape
+            assert np.abs(got - expected).sum(axis=0).max() < 1e-12
 
 
 def test_evolution_composes(two_state):
@@ -451,6 +462,16 @@ def test_block_flow_equals_its_columns_bit_for_bit(ref2d_30, flow):
     assert out.shape == block.shape
     for j in range(block.shape[1]):
         assert np.array_equal(out[:, j], flow(ref2d_30, block[:, j], 0.8))
+
+
+@pytest.mark.parametrize("flow", [evolve_measure, evolve_function])
+def test_flow_to_time_zero_is_an_equal_fresh_array(ref2d_30, flow):
+    rng = np.random.default_rng(13)
+    n = len(ref2d_30.space)
+    for start in (rng.random(n), rng.random((n, 2))):
+        out = flow(ref2d_30, start, 0.0)
+        assert np.array_equal(out, start)
+        assert not np.shares_memory(out, start)
 
 
 def test_poisson_weights_match_the_poisson_pmf():
@@ -497,6 +518,25 @@ def test_window_cap_admits_exactly_its_own_length(ref2d_30, monkeypatch):
     monkeypatch.setattr(solver, "MAX_WINDOW", k_hi - 1)
     with pytest.raises(NumericalError):
         evolve_function(ref2d_30, f, 0.8)
+
+
+@pytest.mark.parametrize("name, per_row", [("ref2d_30", lambda n: n),
+                                           ("logistic50", lambda n: n * n)],
+                         ids=["sequence", "propagators"])
+def test_blocks_of_the_fewest_powers_flow_as_the_default_blocks(
+        name, per_row, request, monkeypatch):
+    """Where one power fills ``_GRID_BYTES`` (a sequence on a space past
+    131,072 states, propagators past 362), the one power of a block steps
+    from the last of the block before, not from itself."""
+    Q = request.getfixturevalue(name)
+    n = len(Q.space)
+    mu0 = np.full(n, 1.0 / n)
+    times = np.linspace(0.1, 2.0, 20)
+    want = conditional_path(Q, mu0, times)
+    monkeypatch.setattr(solver, "_GRID_BYTES", 8 * per_row(n))
+    got = conditional_path(Q, mu0, times)
+    for a, b in zip(got, want):
+        assert np.allclose(a, b, rtol=1e-12, atol=0.0)
 
 
 def test_forward_products_have_the_bits_of_the_row_vector_path(ref2d_30):
