@@ -172,7 +172,7 @@ class Model:
         _require_positive_diag(b, c)
         bv, dv, cm = b.copy(), d.copy(), c.copy()
         return cls(r=len(b), gamma=float(gamma),
-                   birth=lambda n: bv, death=lambda n: dv, competition=lambda n: cm,
+                   birth=_Constant(bv), death=_Constant(dv), competition=_Constant(cm),
                    family="constant", beta1=0.0, beta2=0.0,
                    catastrophe=catastrophe, litter=litter,
                    c_coef=cm)
@@ -322,9 +322,10 @@ class Model:
         and the catastrophe rates (``None`` without that channel) at each of
         ``states``, as the callables give them: nothing is validated."""
         m, r = len(states), self.r
-        b = np.array([self.birth(n) for n in states], dtype=float)
-        d = np.array([self.death(n) for n in states], dtype=float)
-        c = np.array([self.competition(n) for n in states], dtype=float)
+        b, d, c = (np.tile(f.value, (m,) + (1,) * f.value.ndim)
+                   if isinstance(f, _Constant) else
+                   np.array([f(n) for n in states], dtype=float)
+                   for f in (self.birth, self.death, self.competition))
         loss = (None if self.catastrophe is None else
                 np.array([float(self.catastrophe(n)) for n in states]))
         return b.reshape(m, r), d.reshape(m, r), c.reshape(m, r, r), loss
@@ -369,6 +370,18 @@ class MoveTable:
         keep = self.keep[i]
         return (list(map(tuple, self.targets[i][keep].tolist())),
                 self.rates[i][keep].tolist(), float(self.total[i]))
+
+
+class _Constant:
+    """A rate callable that gives the float array ``value`` at every state,
+    so that :meth:`Model._coefficients` can tile it instead of calling it
+    once per state."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __call__(self, n):
+        return self.value
 
 
 def _coef_vector(name, values):

@@ -548,6 +548,19 @@ def test_array_pass_over_a_ten_thousand_state_sweep(name):
     assert _bits(table.total) == _bits(want[2] for want in expected)
 
 
+def test_a_constant_label_does_not_make_state_dependent_rates_constant():
+    model = replace(Model.constant([1.0, 2.0], [0.1, 0.2],
+                                   [[1.0, 0.1], [0.2, 1.0]], 1.0),
+                    birth=lambda n: np.array([1.0 + n[0], 2.0 / n[1]]),
+                    competition=lambda n: np.array([[1.0, n[0] / 10.0],
+                                                    [0.2, 1.0]]))
+    assert model.family == "constant"
+    states = enumerate_space(2, 7).states
+    _assert_array_pass_matches(model, states)
+    b, _, c, _ = model._coefficients(states)
+    assert len(set(b[:, 0])) > 1 and len(set(c[:, 0, 1])) > 1
+
+
 # ---------------------------------------------------------------------------
 # errors of the array pass: those of the states evaluated one at a time
 # ---------------------------------------------------------------------------

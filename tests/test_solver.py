@@ -13,8 +13,11 @@ everything is solvable by hand:
 
 import ast
 import math
+import os
 import pathlib
 import re
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -397,6 +400,198 @@ def test_exhausted_adjoint_reports_the_residual_of_the_plain_loops(
 
 
 # ---------------------------------------------------------------------------
+# the forward iteration's child process
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every child that ``os.fork`` starts from here on."""
+    pids = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def assert_reaped(pids):
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+def adjoint_budget():
+    """A generator and a ``max_iter`` that the forward iteration meets and
+    the adjoint one exhausts, as in the exhausted-adjoint test above."""
+    generator = assemble(reference_2d(), enumerate_space(2, 8))
+    _, forward = reference_solve(generator)
+    return generator, forward + 1
+
+
+def test_the_child_is_reaped_after_a_solve(forks):
+    solve_qsd(assemble(reference_2d(), enumerate_space(2, 8)))
+    assert_reaped(forks)
+
+
+def test_the_child_is_reaped_when_the_forward_budget_runs_out(forks):
+    generator = assemble(Model.constant([1.0], [0.0], [[1.0]], 1.0),
+                         enumerate_space(1, 25))
+    with pytest.raises(ConvergenceError, match="forward iteration"):
+        solve_qsd(generator, max_iter=3)
+    assert_reaped(forks)
+
+
+def test_the_child_is_reaped_when_the_adjoint_budget_runs_out(forks):
+    generator, max_iter = adjoint_budget()
+    with pytest.raises(ConvergenceError, match="adjoint iteration"):
+        solve_qsd(generator, max_iter=max_iter)
+    assert_reaped(forks)
+
+
+def test_a_forward_error_wins_over_an_adjoint_error(forks, monkeypatch):
+    iterate = solver._iterate
+
+    def failing(*args):
+        if args[-1] == "adjoint iteration":
+            raise ArithmeticError("adjoint")
+        return iterate(*args)
+
+    monkeypatch.setattr(solver, "_iterate", failing)
+    generator = assemble(Model.constant([1.0], [0.0], [[1.0]], 1.0),
+                         enumerate_space(1, 25))
+    with pytest.raises(ConvergenceError, match="forward iteration"):
+        solve_qsd(generator, max_iter=3)
+    assert_reaped(forks)
+    with pytest.raises(ArithmeticError, match="adjoint"):
+        solve_qsd(generator)
+    assert len(forks) == 2
+
+
+def test_an_interrupt_kills_the_child_instead_of_waiting(forks, monkeypatch):
+    iterate = solver._iterate
+
+    def slow_forward(*args):
+        if args[-1] == "adjoint iteration":
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return iterate(*args)
+
+    monkeypatch.setattr(solver, "_iterate", slow_forward)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        solve_qsd(assemble(reference_2d(), enumerate_space(2, 8)))
+    assert time.monotonic() - start < 30
+    assert_reaped(forks)
+
+
+@pytest.fixture
+def interrupt_in(monkeypatch):
+    """Sends a ``KeyboardInterrupt`` into whatever runs ``seconds`` from
+    now, as Ctrl+C would, for one solve whose forward child sleeps for a
+    minute first and whose adjoint iteration raises ``adjoint_error``
+    (or runs as usual)."""
+    iterate = solver._iterate
+
+    def interrupt(*_):
+        raise KeyboardInterrupt
+
+    def arm(seconds, adjoint_error=None):
+        def slow_forward(*args):
+            if args[-1] == "forward iteration":
+                time.sleep(60)
+            elif adjoint_error is not None:
+                raise adjoint_error
+            return iterate(*args)
+
+        monkeypatch.setattr(solver, "_iterate", slow_forward)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        return previous
+
+    yield arm
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, signal.SIG_DFL)
+
+
+@pytest.mark.parametrize("adjoint_error", [None, ArithmeticError("adjoint")],
+                         ids=["at-the-residual", "after-an-adjoint-error"])
+def test_an_interrupt_during_the_wait_kills_and_reaps_the_child(
+        forks, interrupt_in, adjoint_error):
+    interrupt_in(0.5, adjoint_error)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        solve_qsd(assemble(reference_2d(), enumerate_space(2, 8)))
+    assert time.monotonic() - start < 30
+    assert_reaped(forks)
+
+
+def test_an_interrupt_while_reaping_still_reaps_the_child(forks,
+                                                          monkeypatch):
+    waitpid = os.waitpid
+    calls = []
+
+    def interrupted_once(pid, options):
+        calls.append(pid)
+        if len(calls) == 1:
+            raise KeyboardInterrupt
+        return waitpid(pid, options)
+
+    monkeypatch.setattr(os, "waitpid", interrupted_once)
+    with pytest.raises(KeyboardInterrupt):
+        solve_qsd(assemble(reference_2d(), enumerate_space(2, 8)))
+    assert calls == forks * 2
+    assert_reaped(forks)
+
+
+def test_a_child_that_dies_without_a_result_is_an_error(forks, monkeypatch):
+    iterate = solver._iterate
+
+    def dying_forward(*args):
+        if args[-1] == "forward iteration":
+            os._exit(3)  # as a child killed before it could write
+        return iterate(*args)
+
+    monkeypatch.setattr(solver, "_iterate", dying_forward)
+    with pytest.raises(RuntimeError, match="ended without a result"):
+        solve_qsd(assemble(reference_2d(), enumerate_space(2, 8)))
+    assert_reaped(forks)
+
+
+def refuse_to_fork():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("fork", [None, refuse_to_fork],
+                         ids=["missing", "refused"])
+def test_without_fork_the_solve_runs_here_with_the_same_bits(monkeypatch,
+                                                              fork):
+    cases = [assemble(logistic_1d(), enumerate_space(1, 20)),
+             assemble(reference_2d(), enumerate_space(2, 8)),
+             assemble(neutral(), enumerate_space(3, 6))]
+    generator, max_iter = adjoint_budget()
+    forked = [solve_qsd(Q) for Q in cases]
+    exhausted = [outcome(solve_qsd, generator, max_iter),
+                 outcome(solve_qsd, cases[0], 3)]
+    if fork is None:
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", fork)
+    for Q, want in zip(cases, forked):
+        got = solve_qsd(Q)
+        for name in ("law", "survival_profile"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert (got.decay_rate, got.iterations) == (want.decay_rate,
+                                                    want.iterations)
+    assert [outcome(solve_qsd, generator, max_iter),
+            outcome(solve_qsd, cases[0], 3)] == exhausted
+
+
+# ---------------------------------------------------------------------------
 # semigroup action
 # ---------------------------------------------------------------------------
 
@@ -577,9 +772,9 @@ def test_semigroup_rejects_misshapen_blocks(two_state):
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
 def test_semigroup_rejects_times_outside_zero_to_infinity(two_state, t):
     *_, generator = two_state
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^t must be a finite number >= 0"):
         evolve_measure(generator, np.array([1.0, 0.0]), t)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^t must be a finite number >= 0"):
         evolve_function(generator, np.ones(2), t)
     with pytest.raises(DomainError):
         conditional_path(generator, np.array([1.0, 0.0]), [0.5, t])
