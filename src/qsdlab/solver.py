@@ -38,7 +38,7 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy import sparse
@@ -58,6 +58,11 @@ SURVIVAL_FLOOR = 1e-300
 #: Longest Poisson window a flow may sum: one product and one weight per
 #: index, so a window past this is refused before it allocates.
 MAX_WINDOW = 10 ** 7
+
+#: Most states a truncated space may hold: enumeration keeps a tuple and an
+#: index entry per state, about 150 bytes each, so a truncation past this
+#: is refused before it enumerates.
+MAX_STATES = 10 ** 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,6 +121,11 @@ def enumerate_space(r: int, N: int) -> TruncatedSpace:
     if N < r:
         raise EmptySpaceError(
             f"truncation N = {N} leaves no interior state for r = {r}")
+    count = math.comb(N, r)  # the compositions of at most N into r parts
+    if count > MAX_STATES:
+        raise DomainError(
+            f"truncation N = {N} gives {count} states for r = {r}, past the "
+            f"cap of {MAX_STATES}")
     states = tuple(_lex_states(r, N))
     index = {n: i for i, n in enumerate(states)}
     return TruncatedSpace(r=r, N=N, states=states, index=index)
@@ -142,7 +152,7 @@ class SubGenerator:
     one semigroup kernel.  It gives the same bits as ``nu @ matrix`` at a
     fraction of the cost, because scipy's row-vector path rebuilds the
     transpose on every product.  These products, forward and backward, run
-    through the product kernel :func:`_product`, which has the bits of
+    through :func:`_steps` or :func:`_product`, which have the bits of
     ``matrix_t @ nu`` without scipy's per-call dispatch.
     """
 
@@ -236,11 +246,11 @@ def solve_qsd(Q: SubGenerator, tol: float = 1e-12, max_iter: int = 10 ** 6) -> Q
 
     Both iterations run their steps into a block of rows (see
     :func:`_iterate`) and evaluate the successive-difference test once per
-    block for all its rows, then the eigen-residual, in order, only on the
-    rows that pass it.  Each row has the bits of a step-by-step run, so the
-    stopping step, its iterate, ``decay_rate``, the residuals and
-    ``iterations`` are those of evaluating both tests on every step; the steps
-    computed past the stopping row are discarded.  Raises
+    block for all its rows, then the eigen-residual once, on the rows from
+    the first that passes it to the last.  Each row has the bits of a
+    step-by-step run, so the stopping step, its iterate, ``decay_rate``, the
+    residuals and ``iterations`` are those of evaluating both tests on every
+    step; the steps computed past the stopping row are discarded.  Raises
     :class:`ConvergenceError` with the residual of the last iterate if
     ``max_iter`` is hit, and :class:`ReducibleSpaceError` if the converged
     vectors are not strictly positive.
@@ -269,10 +279,15 @@ def solve_qsd(Q: SubGenerator, tol: float = 1e-12, max_iter: int = 10 ** 6) -> Q
     # Renormalize by the actual sum rather than the predicted mass-loss
     # factor 1 - decay/lam: the latter leaves unit mass as an unstable
     # fixed point, and rounding drift compounds over long iterations.
-    forward = _Forked(lambda: _iterate(
-        mat_t, lam, np.full(n, 1.0 / n), np.ndarray.sum,
-        lambda d: 0.5 * d.sum(axis=1), _law_residual, tol, max_iter,
-        "forward iteration"))
+    def forward_iteration():
+        law, prev, steps = _iterate(
+            mat_t, lam, np.full(n, 1.0 / n), np.add.reduce,
+            lambda d: 0.5 * np.add.reduce(d, axis=1), _law_residual, tol,
+            max_iter, "forward iteration")
+        # the decay rate that the stopping step's residual read
+        return law, -float(np.add.reduce(_product(mat_t, prev, np.empty(n)))), steps
+
+    forward = _Forked(forward_iteration)
 
     with forward:
         # Per-row relative residual scale: rounding noise in (Q h)_i grows
@@ -282,13 +297,19 @@ def solve_qsd(Q: SubGenerator, tol: float = 1e-12, max_iter: int = 10 ** 6) -> Q
         # magnitudes.
         diag_abs = np.abs(mat.diagonal())
 
-        def relative_residual(z, h):
-            decay = -float(forward.result()[1].sum())
-            return float((np.abs(z + decay * h) / (diag_abs * h + decay + 1.0)).max())
+        def relative_residual(z, h, out):
+            decay = forward.result()[1]
+            z += np.multiply(h, decay, out=out)
+            np.abs(z, out=z)
+            np.multiply(h, diag_abs, out=out)
+            out += decay
+            out += 1.0
+            return np.maximum.reduce(np.divide(z, out, out=z), axis=-1)
 
         profile, _, steps = _iterate(
-            mat, lam, np.ones(n), np.ndarray.max, lambda d: d.max(axis=1),
-            relative_residual, tol, max_iter, "adjoint iteration")
+            mat, lam, np.ones(n), np.maximum.reduce,
+            lambda d: np.maximum.reduce(d, axis=1), relative_residual, tol,
+            max_iter, "adjoint iteration")
     law, _, used = forward.result()
     used += steps
 
@@ -300,8 +321,8 @@ def solve_qsd(Q: SubGenerator, tol: float = 1e-12, max_iter: int = 10 ** 6) -> Q
     profile = profile / float(law @ profile)
     y = _product(mat_t, law, np.empty(n))
     decay = -float(y.sum())
-    law_residual = _law_residual(y, law)
     z = _product(mat, profile, np.empty(n))
+    law_residual = float(_law_residual(y, law, np.empty(n)))
     profile_residual = float(np.abs(z + decay * profile).max())
     return QsdResult(law=law, decay_rate=decay, survival_profile=profile,
                      law_residual=law_residual, profile_residual=profile_residual,
@@ -312,8 +333,8 @@ def solve_qsd(Q: SubGenerator, tol: float = 1e-12, max_iter: int = 10 ** 6) -> Q
 class _Forked:
     """The outcome of ``work()``, run in a forked child beside the caller.
 
-    Not a thread: the power iteration's one to three small numpy and scipy
-    calls per step hold the interpreter lock most of the time, and two
+    Not a thread: the power iteration's few small numpy and scipy calls
+    per step hold the interpreter lock most of the time, and two
     iterations on two threads took longer than one after the other.
 
     The child runs ``work()``, writes its pickled value or exception to a
@@ -334,10 +355,10 @@ class _Forked:
     held in the child.  ``work()`` must therefore take no lock that
     another thread may hold: it makes no BLAS call and imports nothing.
     The power iteration takes none: its products are scipy's sparse
-    kernel, the rest are numpy ufuncs and reductions, and ``pickle`` is
-    loaded with numpy.  Where ``os.fork`` does not exist or fails,
-    ``work()`` runs here, at construction, and its error propagates from
-    there.
+    kernel, the rest, residuals included, are numpy ufuncs and reductions,
+    and ``pickle`` is loaded with numpy.  Where ``os.fork`` does not exist
+    or fails, ``work()`` runs here, at construction, and its error
+    propagates from there.
     """
 
     def __init__(self, work):
@@ -413,12 +434,13 @@ def _iterate(mat, lam, start, norm, difference, residual, tol, max_iter, what):
     below ``tol`` and whose previous iterate ``x`` has ``residual(mat x, x)``
     below ``10 * tol``.
 
-    The steps of a block run back to back into its rows.  After the block,
-    ``difference`` reduces the rows of ``|x_k - x_{k-1}|`` all at once --
-    a reduction over a contiguous row has the bits of the same reduction of
-    one vector -- and ``residual`` runs, in order, on the rows that pass.
-    Returns the iterate at the stopping step, the product ``mat x`` of the
-    iterate before it, and the number of steps.  Raises
+    A block's steps run into its rows by one call of :func:`_steps`.  Then
+    ``difference`` reduces the rows of ``|x_k - x_{k-1}|`` -- a reduction
+    over a contiguous row has the bits of the same reduction of one vector
+    -- and ``residual(z, h, out)`` the rows of products and iterates from
+    the first that passes to the last, into one residual each, with its
+    temporaries in ``out`` and maybe in ``z``.  Returns the iterate at the
+    stopping step, the one before it and the number of steps.  Raises
     :class:`ConvergenceError` with the residual of the last iterate once
     ``max_iter`` steps have run.
     """
@@ -426,23 +448,27 @@ def _iterate(mat, lam, start, norm, difference, residual, tol, max_iter, what):
     rows = max(1, min(_BLOCK_ROWS, max_iter, _BLOCK_BYTES // (8 * n)))
     x = np.empty((rows + 1, n))  # x[0] is the iterate the block starts from
     y = np.empty((rows, n))      # y[i] = mat x[i]
-    d = np.empty((rows, n))
+    d = np.empty((rows, n))      # |x[i + 1] - x[i]|, then residual scratch
     x[0] = start
-    x_rows, y_rows = list(x), list(y)
     done = 0
     while True:
         k = min(rows, max_iter - done)
-        for i in range(k):
-            step = _step(mat, lam, x_rows[i], x_rows[i + 1], y_rows[i])
-            step /= norm(step)
+        _steps(mat, lam, x[0], x[1:k + 1], y[:k], norm)
         diff = np.subtract(x[1:k + 1], x[:k], out=d[:k])
-        np.abs(diff, out=diff)
-        for i in np.flatnonzero(difference(diff) < tol).tolist():
-            if residual(y[i], x[i]) < 10.0 * tol:
-                return x[i + 1].copy(), y[i].copy(), done + i + 1
+        passing = difference(np.abs(diff, out=diff)) < tol
         done += k
+        tested = np.flatnonzero(passing).tolist()
+        if done == max_iter:  # the last residual goes into the error
+            tested.append(k - 1)
+        if tested:
+            lo, hi = tested[0], tested[-1] + 1
+            res = residual(y[lo:hi], x[lo:hi], d[:hi - lo])
+            stops = np.flatnonzero(passing[lo:hi] & (res < 10.0 * tol))
+            if len(stops):
+                i = lo + int(stops[0])
+                return x[i + 1].copy(), x[i].copy(), done - k + i + 1
         if done == max_iter:
-            last = residual(y[k - 1], x[k - 1])
+            last = float(res[-1])
             raise ConvergenceError(
                 f"{what} did not converge in {max_iter} steps "
                 f"(last residual {last:.3e})",
@@ -450,11 +476,14 @@ def _iterate(mat, lam, start, norm, difference, residual, tol, max_iter, what):
         x[0] = x[k]
 
 
-def _law_residual(y, law):
-    """L1 eigen-residual ``|law Q + decay law|`` from ``y = law Q``, with the
-    decay rate read off the mass-loss identity ``decay = -y . 1``."""
-    decay = -float(y.sum())
-    return float(np.abs(y + decay * law).sum())
+def _law_residual(y, law, out):
+    """L1 eigen-residuals ``|law Q + decay law|`` of the rows of ``law`` (or
+    of one vector) from those of ``y = law Q``, with ``decay = -y . 1`` row by
+    row; ``out``, of their shape, takes the temporaries."""
+    decay = -np.add.reduce(y, axis=-1, keepdims=True)
+    np.multiply(law, decay, out=out)
+    out += y
+    return np.add.reduce(np.abs(out, out=out), axis=-1)
 
 
 def _decay_bracket(Q: SubGenerator, h: np.ndarray):
@@ -549,33 +578,42 @@ def _check_block(Q, block, name):
     return block
 
 
-def _product(mat, x, out):
-    """``mat @ x`` for a CSR ``mat`` into the C-contiguous ``out``, with its bits.
-
-    This is the call scipy's ``mat @ x`` makes after its dispatch: zero the
-    output, then ``csr_matvec`` for a vector or a single column and
-    ``csr_matvecs`` for an ``(n, k)`` block.  Skipping the dispatch saves a
-    few microseconds per product, which is most of a step on small spaces.
-    """
-    out.fill(0.0)
+def _matvec(mat, width):
+    """The call scipy's ``mat @ x`` makes after its dispatch for ``width``
+    columns, with the CSR ``mat`` bound: it adds the product of a flat
+    operand into a flat output.  Skipping the dispatch saves a few
+    microseconds per product, which is most of a step on small spaces."""
     n, m = mat.shape
-    if x.ndim == 1:
-        _sparsetools.csr_matvec(n, m, mat.indptr, mat.indices, mat.data, x, out)
-    elif x.shape[1] == 1:
-        _sparsetools.csr_matvec(n, m, mat.indptr, mat.indices, mat.data,
-                                x.ravel(), out.ravel())
-    else:
-        _sparsetools.csr_matvecs(n, m, x.shape[1], mat.indptr, mat.indices,
-                                 mat.data, x.ravel(), out.ravel())
+    if width == 1:
+        return partial(_sparsetools.csr_matvec, n, m, mat.indptr,
+                       mat.indices, mat.data)
+    return partial(_sparsetools.csr_matvecs, n, m, width, mat.indptr,
+                   mat.indices, mat.data)
+
+
+def _product(mat, x, out):
+    """``mat @ x`` for a CSR ``mat`` into the C-contiguous ``out``, with its bits."""
+    out.fill(0.0)
+    _matvec(mat, x.size // mat.shape[1])(x.ravel(), out.ravel())
     return out
 
 
-def _step(mat, lam, p, out, y):
-    """The uniformized step ``out = p + (mat p)/lam``, leaving ``y = mat p``;
-    ``y`` may be ``out`` itself when the product is not read."""
-    np.divide(_product(mat, p, y), lam, out=out)
-    out += p
-    return out
+def _steps(mat, lam, start, rows, products, norm=None):
+    """The uniformized steps ``rows[i] = x + (mat x)/lam``, divided by
+    ``norm(rows[i])`` if given, from ``x = start`` and then ``rows[i - 1]``,
+    leaving ``products[i] = mat x`` (``products`` may be ``rows``).  Rows are
+    C-contiguous vectors or ``(n, w)`` blocks; one fill zeroes all the
+    products, so each has the bits of :func:`_product`."""
+    x = start.reshape(-1)
+    matvec = _matvec(mat, x.size // mat.shape[1])
+    products.fill(0.0)
+    for out, y in zip(rows.reshape(-1, x.size), products.reshape(-1, x.size)):
+        matvec(x, y)
+        np.divide(y, lam, out=out)
+        out += x
+        if norm is not None:
+            out /= norm(out)
+        x = out
 
 
 #: Powers stacked per dense product in :func:`_sequence_flow` and
@@ -663,16 +701,17 @@ def _propagators_pay(mat, lam, times):
 
 def _stack_powers(mat, lam, prev, stack, k0, k1):
     """Rows ``0, ..., k1 - k0 - 1`` of ``stack`` become the powers ``P^k0 x,
-    ..., P^(k1 - 1) x`` for ``P = I + mat/lam``, one :func:`_step` per
-    power.  ``prev``, a buffer of its own, holds ``x`` for ``k0 = 0`` and
-    ``P^(k0 - 1) x`` past it; it then holds the last power, for the next
-    block."""
-    for r in range(k1 - k0):
-        if k0 + r:
-            _step(mat, lam, stack[r - 1] if r else prev, stack[r], stack[r])
-        else:
-            stack[0] = prev
-    prev[...] = stack[k1 - k0 - 1]
+    ..., P^(k1 - 1) x`` for ``P = I + mat/lam``, by one call of the step
+    kernel :func:`_steps`.  ``prev``, a buffer of its own, holds ``x`` for
+    ``k0 = 0`` and ``P^(k0 - 1) x`` past it; it then holds the last power,
+    for the next block."""
+    block = stack[:k1 - k0]
+    if k0:
+        _steps(mat, lam, prev, block, block)
+    else:
+        block[0] = prev
+        _steps(mat, lam, prev, block[1:], block[1:])
+    prev[...] = block[-1]
 
 
 def _propagators(mat, lam, steps, tail):

@@ -257,6 +257,24 @@ def test_time_grid_point_count_is_bounded(tmp_path, capsys, monkeypatch):
         assert "[converge] t_grid" in capsys.readouterr().err
 
 
+def test_a_truncation_past_the_state_cap_is_refused_before_enumerating(
+        tmp_path, capsys, monkeypatch):
+    # C(20, 2) = 190 states against a cap of 100; C(14, 2) = 91 fit
+    monkeypatch.setattr(solver, "MAX_STATES", 100)
+    assert len(enumerate_space(2, 14)) == 91
+
+    def no_states(*args):
+        raise AssertionError("no state may be enumerated")
+
+    monkeypatch.setattr(solver, "_lex_states", no_states)
+    cfg = str(CONFIGS / "ref2d.cfg")
+    assert main(["solve", "--config", cfg, "--trunc", "20",
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "N = 20" in err and "190 states" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_defaults_applied_are_those_of_the_schema():
     # An [extensions] "none" default is recorded only when the section is
     # written: multibirth1d has one, ref2d has none.

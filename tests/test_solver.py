@@ -337,6 +337,39 @@ def test_product_kernel_has_the_bits_of_matmul(ref2d_30, shape):
                                   mat @ view)
 
 
+@pytest.mark.parametrize("width", [None, 1, "n"],
+                         ids=["vector", "column", "power-row"])
+@pytest.mark.parametrize("norm", [None, np.add.reduce, np.maximum.reduce],
+                         ids=["powers", "sum-normalized", "max-normalized"])
+def test_step_kernel_has_the_bits_of_matmul(width, norm):
+    """Three steps of the block kernel against ``mat @ x`` step by step,
+    for a vector, an ``(n, 1)`` column and an ``(n, n)`` power row, with
+    the products in their own rows and in the steps' rows."""
+    generator = assemble(reference_2d(), enumerate_space(2, 12))
+    n, lam = len(generator.space), generator.lam
+    shape = (n,) if width is None else (n, n if width == "n" else width)
+    start = np.random.default_rng(22).random(shape)
+    for mat in (generator.matrix, generator.matrix_t):
+        want, x = [], start
+        for _ in range(3):
+            y = mat @ x
+            nxt = x + y / lam
+            if norm is not None:
+                nxt = nxt / norm(nxt.ravel())
+            want.append((nxt, y))
+            x = nxt
+        rows = np.full((3,) + shape, np.nan)  # stale contents must not leak
+        products = np.full((3,) + shape, np.nan)
+        solver._steps(mat, lam, start, rows, products, norm)
+        for i, (nxt, y) in enumerate(want):
+            assert np.array_equal(rows[i], nxt) and np.array_equal(products[i], y)
+        if norm is None:
+            rows.fill(np.nan)
+            solver._steps(mat, lam, start, rows, rows)
+            assert all(np.array_equal(rows[i], nxt)
+                       for i, (nxt, _) in enumerate(want))
+
+
 @pytest.mark.parametrize("name, n_max", [
     ("ref2d", 30), ("neutral3d", 15), ("logistic1d", None),
     ("catastrophe1d", None), ("multibirth1d", None)])
@@ -397,6 +430,82 @@ def test_exhausted_adjoint_reports_the_residual_of_the_plain_loops(
             got = outcome(solve_qsd, generator, max_iter)
             assert got[0] == "ConvergenceError"
             assert got == outcome(reference_fields, generator, max_iter)
+
+
+def spy_on_the_residuals(monkeypatch):
+    """Runs both iterations here, where the spies see them, and counts each
+    one's blocks, rows that pass the difference test and residual calls,
+    keyed by its name."""
+    monkeypatch.delattr(os, "fork")
+    blocks, passing, calls = {}, {}, {}
+    iterate, steps = solver._iterate, solver._steps
+
+    def spy_iterate(mat, lam, start, norm, difference, residual, *rest):
+        tol, what = rest[0], rest[-1]
+        blocks[what] = passing[what] = calls[what] = 0
+
+        def counted_difference(d):
+            values = difference(d)
+            passing[what] += int((values < tol).sum())
+            return values
+
+        def counted_residual(z, h, out):
+            calls[what] += 1
+            return residual(z, h, out)
+
+        def counted_steps(*args):
+            blocks[what] += 1
+            return steps(*args)
+
+        monkeypatch.setattr(solver, "_steps", counted_steps)
+        return iterate(mat, lam, start, norm, counted_difference,
+                       counted_residual, *rest)
+
+    monkeypatch.setattr(solver, "_iterate", spy_iterate)
+    return blocks, passing, calls
+
+
+@pytest.mark.parametrize("rows", [1, 3, 64])
+@pytest.mark.parametrize("name, n_max", [("ref2d", 30), ("logistic1d", None)])
+def test_the_residual_runs_at_most_once_per_block(name, n_max, rows,
+                                                  monkeypatch):
+    cfg = load_config(str(CONFIGS / f"{name}.cfg"))
+    generator = assemble(build_model(cfg),
+                         enumerate_space(cfg.r, n_max or cfg.truncation_n))
+    fields, _ = reference_solve(generator, cfg.tol, cfg.max_iter)
+    monkeypatch.setattr(solver, "_BLOCK_ROWS", rows)
+    blocks, passing, calls = spy_on_the_residuals(monkeypatch)
+    assert_same_solve(solve_qsd(generator, cfg.tol, cfg.max_iter), fields)
+    assert set(calls) == {"forward iteration", "adjoint iteration"}
+    for what in calls:
+        # one call per block with a passing row, where there was one per
+        # passing row: 35 to 65 times fewer at the shipped block size
+        assert 1 <= calls[what] <= min(blocks[what], passing[what]), what
+        if rows == 64:
+            assert 10 * calls[what] < passing[what], what
+
+
+@pytest.mark.parametrize("max_iter, what", [
+    (100, "forward iteration"), (360, "forward iteration"),
+    (370, "adjoint iteration")])
+def test_a_budget_that_ends_mid_block_reports_the_last_residual(
+        max_iter, what, monkeypatch):
+    """64-row blocks: 100 steps end 36 rows into the second block, 360 and
+    370 steps 40 and 50 rows into the sixth.  From step 348 on, the forward
+    rows pass the difference test but not the residual, so the last block
+    of 360 steps holds other rows that the residual reads; 370 steps pass
+    the forward iteration's 368."""
+    generator = assemble(reference_2d(), enumerate_space(2, 8))
+    _, forward = reference_solve(generator)
+    assert forward == 368
+    monkeypatch.setattr(solver, "_BLOCK_ROWS", 64)
+    blocks, _, calls = spy_on_the_residuals(monkeypatch)
+    with pytest.raises(ConvergenceError, match=what) as info:
+        solve_qsd(generator, max_iter=max_iter)
+    assert blocks[what] == -(-max_iter // 64) and calls[what] <= blocks[what]
+    want = outcome(reference_fields, generator, max_iter)
+    assert ("ConvergenceError", info.value.iterations,
+            info.value.residual) == want
 
 
 # ---------------------------------------------------------------------------
@@ -859,15 +968,23 @@ def test_transient_conditional_rejects_nan_in_mu0():
 
 
 class _CountingKernel:
-    """Wraps the solver's product kernel and counts the products."""
+    """Counts the solver's sparse products: one per call of the product
+    kernel and one per row of the block step kernel."""
 
-    def __init__(self, kernel):
-        self.kernel = kernel
+    def __init__(self, monkeypatch):
         self.products = 0
+        product, steps = solver._product, solver._steps
 
-    def __call__(self, mat, x, out):
-        self.products += 1
-        return self.kernel(mat, x, out)
+        def counted_product(mat, x, out):
+            self.products += 1
+            return product(mat, x, out)
+
+        def counted_steps(mat, lam, start, rows, products, norm=None):
+            self.products += len(rows)
+            return steps(mat, lam, start, rows, products, norm)
+
+        monkeypatch.setattr(solver, "_product", counted_product)
+        monkeypatch.setattr(solver, "_steps", counted_steps)
 
 
 @pytest.mark.parametrize("model, r, n_max, start", [
@@ -882,8 +999,7 @@ def test_moments_equal_the_contracted_conditional_path(model, r, n_max, start,
     times = np.arange(0.0, 5.0 + 1e-12, 0.01)
     laws, survivals = conditional_path(generator, mu0, times)
     expected = laws @ F
-    counting = _CountingKernel(solver._product)
-    monkeypatch.setattr(solver, "_product", counting)
+    counting = _CountingKernel(monkeypatch)
     built = _spy_propagators(monkeypatch)
     means, mass, products = conditional_moments(generator, mu0, times, F)
     assert means.shape == expected.shape and mass.shape == times.shape
