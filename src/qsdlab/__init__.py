@@ -26,8 +26,7 @@ from .lyapunov import (FAIL, INCONCLUSIVE, PASS, AssumptionReport,
                        check_growth_envelope, check_multibirth,
                        check_neutral_threshold, sample_shells, size_potential,
                        size_potential_bracket)
-from .model import (LitterLaw, Model, absorbed_marker, build_model,
-                    is_absorbed, is_interior)
+from .model import LitterLaw, Model, build_model, is_absorbed, is_interior
 from .simulate import (ConditionalEstimate, EmpiricalLaw, ParticleResult,
                        RngPlan, Trajectory, estimate_conditional,
                        fleming_viot, occupation_measure, simulate_path,
@@ -50,7 +49,7 @@ __all__ = [
     "PotentialParams", "QsdResult", "QsdlabError", "RateFit",
     "RateOverflowError", "ReducibleSpaceError", "RngPlan", "SubGenerator",
     "SurvivalComparisonCertificate", "Trajectory",
-    "TruncatedSpace", "ValidationError", "absorbed_marker",
+    "TruncatedSpace", "ValidationError",
     "apply_generator", "assemble", "build_model", "certify_minorization",
     "certify_survival_comparison", "check_boundary_pressure",
     "check_catastrophes", "check_competition_dominance",

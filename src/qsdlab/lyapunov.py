@@ -16,7 +16,6 @@ summing the series.
 
 from dataclasses import dataclass, field
 import math
-import weakref
 
 import numpy as np
 
@@ -43,26 +42,17 @@ _DENSE_BUDGET = 4000
 _GROWTH_THRESHOLD = 10.0
 # A loss-to-competition ratio at the range end must not exceed this value.
 _DECAY_THRESHOLD = 0.1
-# Points on the geometric grid of potential exponents for the threshold.
-_THRESHOLD_GRID = 600
 
 
 # ---------------------------------------------------------------------------
 # bounded size potential
 # ---------------------------------------------------------------------------
 
-_POTENTIAL_CACHE: dict = {}
-
-
 def _potential_table(eps: float, size: int) -> np.ndarray:
-    """Cumulative sums of j**-(1+eps); entry s is the potential at size s."""
-    table = _POTENTIAL_CACHE.get(eps)
-    if table is None or len(table) <= size:
-        length = max(size + 1, 4096)
-        js = np.arange(1, length, dtype=float)
-        table = np.concatenate(([0.0], np.cumsum(js ** -(1.0 + eps))))
-        _POTENTIAL_CACHE[eps] = table
-    return table
+    """Cumulative sums of j**-(1+eps); entry s is the potential at size s,
+    with the bits it has in any longer table, since the sums run in order."""
+    js = np.arange(1, size + 1, dtype=float)
+    return np.concatenate(([0.0], np.cumsum(js ** -(1.0 + eps))))
 
 
 def size_potential(n, eps: float) -> float:
@@ -166,9 +156,8 @@ def _states_of_size(r: int, size: int):
 
 
 def _shell_representatives(r: int, size: int):
-    """A small deterministic cross-section of the shell |n| = size."""
-    if r == 1:
-        return [(size,)]
+    """A small deterministic cross-section of the shell |n| = size, for
+    ``r >= 2`` types."""
     reps = set()
     base, rem = divmod(size, r)
     if base >= 1:
@@ -182,7 +171,7 @@ def _shell_representatives(r: int, size: int):
         half = size // 2
         rest = size - half
         if half >= 1 and rest >= r - 1:
-            lop = [rest // (r - 1)] * (r - 1) if r > 1 else []
+            lop = [rest // (r - 1)] * (r - 1)
             for k in range(rest - sum(lop)):
                 lop[k % (r - 1)] += 1
             state = lop[:i] + [half] + lop[i:]
@@ -234,8 +223,9 @@ class _Sweep:
     model's callables give them, for :meth:`Model.move_table` to read the
     moves out of every state in one pass; ``n`` and ``size``, the state and
     its size as floats, are derived on each use.  The checkers of one run
-    share a sweep (build it with :func:`_sweep`), so it keeps arrays alone,
-    no Python object per state and nothing it can derive.
+    share a sweep (build it with :func:`_sweep`, which keeps it on the
+    model), so it keeps arrays alone, no Python object per state and
+    nothing it can derive.
     """
 
     def __init__(self, model: Model, n_check: int):
@@ -269,15 +259,12 @@ class _Sweep:
         return np.array([s ** expo for s in self.sizes.tolist()])[self.shell]
 
 
-_SWEEPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _sweep(model: Model, n_check: int) -> _Sweep:
     """The sweep of ``model`` up to ``n_check``, built once for the checkers
     that ask for it in turn.  A model is immutable and its rates are
-    functions of the state alone, so its sweeps hold for as long as it
-    lives, and go with it."""
-    sweeps = _SWEEPS.setdefault(model, {})
+    functions of the state alone, so the sweep is memoised on the model
+    itself (``Model._sweeps``) and goes with it."""
+    sweeps = model._sweeps
     if n_check not in sweeps:
         sweeps[n_check] = _Sweep(model, n_check)
     return sweeps[n_check]
@@ -509,6 +496,31 @@ def check_growth_envelope(model: Model, n_check: int = 10000) -> AssumptionRepor
 # self-regulation vs cross-pressure
 # ---------------------------------------------------------------------------
 
+def _growth_report(name: str, n_check: int, sw: _Sweep, curve, arg,
+                   constants: dict, bounded: str,
+                   short: str) -> AssumptionReport:
+    """Growth verdict on a per-shell minimum ``curve`` attained at the
+    states ``arg``: pass when it is nondecreasing on the top half of the
+    range and reaches ``_GROWTH_THRESHOLD`` at its end, fail with the last
+    shell's minimizer as witness and the note ``bounded`` when its top-half
+    log-log slope is flat, inconclusive with the note ``short`` otherwise."""
+    sizes = sw.sizes
+    top = sizes >= sizes[-1] / 2.0
+    slope = _loglog_slope(sizes[top], curve[top])
+    witness = None
+    if _nondecreasing(curve[top]) and curve[-1] >= _GROWTH_THRESHOLD:
+        verdict, notes = PASS, []
+    elif slope is not None and slope < _FLAT_SLOPE:
+        verdict, notes, witness = FAIL, [bounded], sw.state(arg[-1])
+    else:
+        verdict, notes = INCONCLUSIVE, [short]
+    return AssumptionReport(
+        name=name, verdict=verdict, checked_range=n_check,
+        constants=constants,
+        margins={"top_half_slope": slope if slope is not None else math.nan},
+        witness=witness, notes=notes)
+
+
 def check_competition_dominance(model: Model,
                                 n_check: int = 10000) -> AssumptionReport:
     """Does self-competition outgrow cross-competition along every direction?
@@ -526,26 +538,11 @@ def check_competition_dominance(model: Model,
     ratio = diag.min(axis=1) / (
         (sw.c.sum(axis=(1, 2)) - diag_sum) + diag_sum / sw.size)
     curve, minimizers = _per_shell(sw, ratio, np.argmin)
-    sizes = sw.sizes
-
-    top = sizes >= sizes[-1] / 2.0
-    slope = _loglog_slope(sizes[top], curve[top])
-    constants = {"ratio_at_range_end": float(curve[-1])}
-    margins = {"top_half_slope": slope if slope is not None else float("nan")}
-    if _nondecreasing(curve[top]) and curve[-1] >= _GROWTH_THRESHOLD:
-        return AssumptionReport(
-            name="competition-dominance", verdict=PASS, checked_range=n_check,
-            constants=constants, margins=margins)
-    if slope is not None and slope < _FLAT_SLOPE:
-        return AssumptionReport(
-            name="competition-dominance", verdict=FAIL, checked_range=n_check,
-            constants=constants, margins=margins,
-            witness=sw.state(minimizers[-1]),
-            notes=["dominance ratio stays bounded over the sampled range"])
-    return AssumptionReport(
-        name="competition-dominance", verdict=INCONCLUSIVE,
-        checked_range=n_check, constants=constants, margins=margins,
-        notes=["ratio grows but has not cleared the threshold on this range"])
+    return _growth_report(
+        "competition-dominance", n_check, sw, curve, minimizers,
+        {"ratio_at_range_end": float(curve[-1])},
+        "dominance ratio stays bounded over the sampled range",
+        "ratio grows but has not cleared the threshold on this range")
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +584,6 @@ def check_boundary_pressure(model: Model, n_check: int = 10000,
     # Clause 1: the comparison holds from the shell after the last violation.
     violations = np.flatnonzero(lhs < comparison_coef * rhs)
     clean = sw.shell[violations[-1]] + 1 if len(violations) else 0
-    notes = []
     constants = {"comparison_coef": float(comparison_coef),
                  "exponent_target": float(target)}
     if clean == len(sizes) or sizes[clean] > n_check / 2:
@@ -600,25 +596,11 @@ def check_boundary_pressure(model: Model, n_check: int = 10000,
     constants["clean_from_size"] = int(sizes[clean])
 
     # Clause 2: growth of the scaled bulk pressure.
-    top = sizes >= sizes[-1] / 2.0
-    slope = _loglog_slope(sizes[top], bulk_curve[top])
     constants["scaled_pressure_at_range_end"] = float(bulk_curve[-1])
-    margins = {"top_half_slope": slope if slope is not None else float("nan")}
-    if _nondecreasing(bulk_curve[top]) and bulk_curve[-1] >= _GROWTH_THRESHOLD:
-        return AssumptionReport(
-            name="boundary-pressure", verdict=PASS, checked_range=n_check,
-            constants=constants, margins=margins, notes=notes)
-    if slope is not None and slope < _FLAT_SLOPE:
-        return AssumptionReport(
-            name="boundary-pressure", verdict=FAIL, checked_range=n_check,
-            constants=constants, margins=margins,
-            witness=sw.state(bulk_arg[-1]),
-            notes=["scaled bulk pressure stays bounded over the sampled "
-                   "range"])
-    return AssumptionReport(
-        name="boundary-pressure", verdict=INCONCLUSIVE, checked_range=n_check,
-        constants=constants, margins=margins,
-        notes=["bulk pressure grows but has not cleared the threshold"])
+    return _growth_report(
+        "boundary-pressure", n_check, sw, bulk_curve, bulk_arg, constants,
+        "scaled bulk pressure stays bounded over the sampled range",
+        "bulk pressure grows but has not cleared the threshold")
 
 
 # ---------------------------------------------------------------------------
@@ -631,10 +613,13 @@ def check_neutral_threshold(model: Model | None = None, r: int | None = None,
 
     With all competition entries equal, coexistence of ``r`` types holds
     exactly when ``r < 1 + e*gamma``.  Beyond the arithmetic test this
-    searches a geometric grid of potential exponents for a constructive
-    margin ``delta > 0`` with ``(r-1)/gamma * (1 - eps/gamma)**(gamma/eps -
-    1) <= 1 - delta``, and re-verifies the winning pair exactly in floating
-    point before reporting it.
+    finds a constructive margin ``delta > 0`` with ``(r-1)/gamma * (1 -
+    eps/gamma)**(gamma/eps - 1) <= 1 - delta`` and re-verifies it exactly
+    in floating point before reporting it.  The factor is ``(r-1)/gamma *
+    exp(g(eps/gamma))`` with ``g(x) = ((1-x)/x) log(1-x)``, which rises in
+    x (``g'(x) = sum over k >= 0 of x**k/(k+2) > 0``), so the smallest
+    exponent gives the widest margin and no search is needed: it is
+    evaluated once, at ``x = 1e-4``.
     """
     notes: list = []
     if model is not None:
@@ -657,27 +642,18 @@ def check_neutral_threshold(model: Model | None = None, r: int | None = None,
     constants = {"threshold": threshold, "types": int(r), "gamma": float(gamma)}
     margins = {"threshold_margin": float(threshold - r)}
 
-    best_eps = None
-    best_factor = math.inf
-    for x in np.geomspace(1e-4, 0.999, _THRESHOLD_GRID):
-        factor = (r - 1) / gamma * math.exp((1.0 - x) / x * math.log1p(-x))
-        if factor < best_factor:
-            best_factor = factor
-            best_eps = x * gamma
-    found = best_factor < 1.0
-    best_delta = None
+    x = 1e-4
+    eps = x * gamma
+    found = (r - 1) / gamma * math.exp((1.0 - x) / x * math.log1p(-x)) < 1.0
     if found:
         # Derive the reported margin from the same float expression that the
         # re-verification uses, so the certificate is self-consistent.
-        eps = best_eps
         lhs = (r - 1) / gamma * (1.0 - eps / gamma) ** (gamma / eps - 1.0)
-        best_delta = (1.0 - lhs) * (1.0 - 1e-9)
-        found = best_delta > 0 and lhs <= 1.0 - best_delta
-        if best_factor < 1.0 and not found:
+        delta = (1.0 - lhs) * (1.0 - 1e-9)
+        if not (delta > 0 and lhs <= 1.0 - delta):
             raise NumericalError("threshold certificate failed re-verification")
-    if found:
-        constants["eps"] = float(best_eps)
-        constants["delta"] = float(best_delta)
+        constants["eps"] = float(eps)
+        constants["delta"] = float(delta)
 
     if arithmetic and found:
         verdict = PASS
@@ -687,10 +663,9 @@ def check_neutral_threshold(model: Model | None = None, r: int | None = None,
     else:
         verdict = INCONCLUSIVE
         notes.append("below the threshold but no constructive margin found "
-                     "on the exponent grid")
+                     "at the smallest exponent")
     return AssumptionReport(
-        name="neutral-threshold", verdict=verdict,
-        checked_range=_THRESHOLD_GRID,
+        name="neutral-threshold", verdict=verdict, checked_range=1,
         constants=constants, margins=margins, notes=notes)
 
 

@@ -44,11 +44,6 @@ def is_absorbed(n: State) -> bool:
     return any(x == 0 for x in n)
 
 
-def absorbed_marker(r: int) -> State:
-    """Canonical representative of the absorbing boundary."""
-    return (0,) * r
-
-
 @dataclass(frozen=True, eq=False)
 class LitterLaw:
     """Distribution of the litter vector added by one birth event.
@@ -132,7 +127,8 @@ class Model:
     have their rates validated per state.  Every rate callable must be a
     function of the state alone: the simulators evaluate each state's
     moves once and reuse them for the life of the model, and the checkers
-    of one run share one evaluation of the sampled states.
+    of one run share one evaluation of the sampled states, which the model
+    keeps for its own life (``_sweeps``).
     """
 
     r: int
@@ -264,6 +260,11 @@ class Model:
             table = self.move_table(states)
             return map(table.row, range(len(states)))
         return _memo_moves(rows)
+
+    @cached_property
+    def _sweeps(self):
+        """The checkers' shell sweeps of this model, by ``n_check``."""
+        return {}
 
     def transition_table(self, n):
         """Raw ``(targets, rates, total)`` of all nonzero moves out of ``n``.

@@ -5,17 +5,22 @@ written files are observed exactly as a shell would see them.
 """
 
 import csv
+import gc
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qsdlab
 from qsdlab import cli, config, convergence, lyapunov, solver
 from qsdlab.cli import _build_parser, main
 from qsdlab.config import load_config
@@ -441,6 +446,76 @@ def test_one_check_run_builds_one_sweep(tmp_path, monkeypatch):
     for _ in range(2):
         assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert built == [load_config(cfg).n_check] * 2
+
+
+def _module_container_sizes():
+    """``len`` of every dict, list, set and weak container held at module
+    level in a ``qsdlab`` module."""
+    kinds = (dict, list, set, weakref.WeakKeyDictionary,
+             weakref.WeakValueDictionary, weakref.WeakSet)
+    return {(module.__name__, name): len(value)
+            for module in (importlib.import_module(f"qsdlab.{info.name}")
+                           for info in pkgutil.iter_modules(qsdlab.__path__))
+            for name, value in vars(module).items()
+            if not name.startswith("__") and isinstance(value, kinds)}
+
+
+def test_runs_leave_no_state_at_module_level(tmp_path, monkeypatch):
+    # Every shipped config has eps = 0.5, so an earlier test may already
+    # have left whatever a run keeps for that value.
+    text = (CONFIGS / "catastrophe1d.cfg").read_text()
+    assert "eps = 0.5\n" in text
+    cfg = write_cfg(tmp_path, text.replace("eps = 0.5\n", "eps = 0.123\n"))
+    # Keep every built model alive, so that no weak entry can drop out.
+    models = []
+
+    def keeping(document):
+        models.append(build_model(document))
+        return models[-1]
+
+    monkeypatch.setattr(cli, "build_model", keeping)
+    gc.collect()
+    before = _module_container_sizes()
+    assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["solve", "--config", str(CONFIGS / "logistic1d.cfg"),
+                 "--out", str(tmp_path)]) == 0
+    assert len(models) == 2
+    assert _module_container_sizes() == before
+
+
+def test_default_initials_without_the_config_key(tmp_path, monkeypatch):
+    text = (CONFIGS / "ref2d.cfg").read_text()
+    assert "initials = (1,1); (20,20)\n" in text
+    cfg = write_cfg(tmp_path, text.replace("initials = (1,1); (20,20)\n", ""))
+    assert load_config(cfg).initials is None
+
+    def curve_columns(*extra):
+        out = tmp_path / "converge"
+        assert main(["converge", "--config", cfg, "--out", str(out),
+                     *extra]) == 0
+        with open(out / "convergence_curves.csv", newline="") as handle:
+            return next(csv.reader(handle))[1:]
+
+    # The second start sits at N/(2r) per type while it fits in the space.
+    assert curve_columns() == ["tv_1_1", "survival_1_1",
+                               "tv_15_15", "survival_15_15"]
+    assert curve_columns("--trunc", "3") == ["tv_1_1", "survival_1_1"]
+
+    starts = []
+    check_conditional_drift = cli.check_conditional_drift
+
+    def spy(model, Q, mu0, times, eps):
+        starts.append([Q.space.states[i] for i in np.flatnonzero(mu0)])
+        return check_conditional_drift(model, Q, mu0, times, eps)
+
+    monkeypatch.setattr(cli, "check_conditional_drift", spy)
+    assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert starts == [[(1, 1)]]
+    out = tmp_path / "simulate"
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--traj", "20", "--t", "1"]) == 0
+    summary = json.loads((out / "simulate_summary.json").read_text())
+    assert summary["initial"] == [1, 1]
 
 
 def test_check_reports_a_skipped_conditional_drift(tmp_path, capsys,

@@ -295,6 +295,53 @@ def test_threshold_constants_reverify_exactly():
         assert lhs <= 1.0 - delta
 
 
+def _scanned_threshold(r, gamma):
+    """Verdict, eps and delta of the search over 600 geometric exponents
+    that the closed form replaced, step for step."""
+    best_eps, best_factor = None, math.inf
+    for x in np.geomspace(1e-4, 0.999, 600):
+        factor = (r - 1) / gamma * math.exp((1.0 - x) / x * math.log1p(-x))
+        if factor < best_factor:
+            best_factor, best_eps = factor, x * gamma
+    eps = delta = None
+    if best_factor < 1.0:
+        lhs = (r - 1) / gamma * (1.0 - best_eps / gamma) ** (
+            gamma / best_eps - 1.0)
+        eps, delta = float(best_eps), float((1.0 - lhs) * (1.0 - 1e-9))
+    arithmetic = r < 1.0 + math.e * gamma
+    if arithmetic and eps is not None:
+        return "pass-on-range", eps, delta
+    return ("inconclusive" if arithmetic else "fail"), eps, delta
+
+
+def test_threshold_closed_form_has_the_bits_of_the_exponent_search():
+    cases = [(r, float(gamma)) for r in range(1, 13)
+             for gamma in np.geomspace(1e-3, 1e3, 61)]
+    near = {}
+    for r in range(2, 13):
+        for s in (1e-4, 1e-5, -1e-5, -1e-4):
+            near[r, s] = (r - 1) / math.e * (1.0 + s)
+            cases.append((r, near[r, s]))
+    for r, gamma in cases:
+        report = check_neutral_threshold(r=r, gamma=gamma)
+        assert report.checked_range == 1
+        got = (report.verdict, report.constants.get("eps"),
+               report.constants.get("delta"))
+        assert got == _scanned_threshold(r, gamma), (r, gamma)
+    # Just above the threshold's gamma the one exponent certifies; closer
+    # in it cannot, though the arithmetic still holds; below it fails.
+    expected = {1e-4: "pass-on-range", 1e-5: "inconclusive",
+                -1e-5: "fail", -1e-4: "fail"}
+    for r in (2, 3, 5):
+        for s, verdict in expected.items():
+            report = check_neutral_threshold(r=r, gamma=near[r, s])
+            assert report.verdict == verdict, (r, s)
+    report = check_neutral_threshold(r=3, gamma=near[3, 1e-5])
+    assert "eps" not in report.constants
+    assert report.notes == ["below the threshold but no constructive margin "
+                            "found at the smallest exponent"]
+
+
 def test_threshold_reads_the_neutral_preset():
     report = check_neutral_threshold(model=neutral(r=3))
     assert report.verdict == "pass-on-range"

@@ -15,7 +15,7 @@ from qsdlab.config import load_config
 from qsdlab.errors import RateOverflowError, ValidationError
 from qsdlab.lyapunov import check_drift, sample_shells
 from qsdlab.model import (LitterLaw, Model, _catastrophe_from_config,
-                          absorbed_marker, build_model, is_absorbed)
+                          build_model, is_absorbed)
 from qsdlab.presets import (
     catastrophe_logistic_1d,
     logistic_1d,
@@ -38,12 +38,7 @@ def test_absorbed_iff_some_coordinate_zero():
     assert is_absorbed((0, 5, 2))
     assert not is_absorbed((1,))
     assert not is_absorbed((2, 1, 7))
-
-
-def test_absorbed_marker_shape():
-    assert absorbed_marker(1) == (0,)
-    assert absorbed_marker(3) == (0, 0, 0)
-    assert is_absorbed(absorbed_marker(2))
+    assert is_absorbed((0, 0))
 
 
 # ---------------------------------------------------------------------------
