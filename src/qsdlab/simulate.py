@@ -98,7 +98,12 @@ class RngPlan:
         rng = self.stream(first)
         bits = rng.bit_generator
         fresh = bits.state
-        key, counter = fresh["state"]["key"], fresh["state"]["counter"]
+        # The state setter reads these entry by entry, which costs less
+        # from lists than from numpy arrays.
+        state = fresh["state"]
+        key = state["key"] = state["key"].tolist()
+        counter = state["counter"] = state["counter"].tolist()
+        fresh["buffer"] = fresh["buffer"].tolist()
 
         def rekey(k, pos=0):
             key[1] = k

@@ -151,9 +151,13 @@ class SubGenerator:
     :func:`solve_qsd` and in every forward flow of :func:`_grid_flow`, the
     one semigroup kernel.  It gives the same bits as ``nu @ matrix`` at a
     fraction of the cost, because scipy's row-vector path rebuilds the
-    transpose on every product.  These products, forward and backward, run
-    through :func:`_steps` or :func:`_product`, which have the bits of
-    ``matrix_t @ nu`` without scipy's per-call dispatch.
+    transpose on every product.  The power iteration's products, forward and
+    backward, run through :func:`_steps` or :func:`_product`, which have the
+    bits of ``matrix_t @ nu`` without scipy's per-call dispatch.  A flow
+    builds the kernel ``I + matrix/lam`` (or that of ``matrix_t``) for its
+    own duration, with the same sparsity pattern (:func:`_uniformized`), and
+    makes one product of it per power (:func:`_stack_powers`); neither
+    matrix is changed.
     """
 
     space: TruncatedSpace
@@ -598,12 +602,12 @@ def _product(mat, x, out):
     return out
 
 
-def _steps(mat, lam, start, rows, products, norm=None):
-    """The uniformized steps ``rows[i] = x + (mat x)/lam``, divided by
-    ``norm(rows[i])`` if given, from ``x = start`` and then ``rows[i - 1]``,
-    leaving ``products[i] = mat x`` (``products`` may be ``rows``).  Rows are
-    C-contiguous vectors or ``(n, w)`` blocks; one fill zeroes all the
-    products, so each has the bits of :func:`_product`."""
+def _steps(mat, lam, start, rows, products, norm):
+    """The normalized uniformized steps ``rows[i] = s / norm(s)``, ``s = x +
+    (mat x)/lam``, of the power iteration, from ``x = start`` and then
+    ``rows[i - 1]``, leaving ``products[i] = mat x``.  Rows are C-contiguous
+    vectors or ``(n, w)`` blocks; one fill zeroes all the products, so each
+    has the bits of :func:`_product`."""
     x = start.reshape(-1)
     matvec = _matvec(mat, x.size // mat.shape[1])
     products.fill(0.0)
@@ -611,8 +615,7 @@ def _steps(mat, lam, start, rows, products, norm=None):
         matvec(x, y)
         np.divide(y, lam, out=out)
         out += x
-        if norm is not None:
-            out /= norm(out)
+        out /= norm(out)
         x = out
 
 
@@ -656,12 +659,27 @@ def _grid_flow(mat, lam, columns, times, read=None):
     time (:func:`_sequence_flow`), or one dense propagator per distinct
     grid step, applied from each grid time to the next
     (:func:`_propagated_flow`).  Either way a grid whose last window passes
-    :data:`MAX_WINDOW` is refused here, before the first product.
+    :data:`MAX_WINDOW` is refused here, before the first product, and the
+    powers are those of the kernel ``P = I + mat/lam``, built here once
+    (:func:`_uniformized`), one sparse product of ``P`` each.
     """
     _check_window(lam, times[-1])
+    kernel = _uniformized(mat, lam)
     if _propagators_pay(mat, lam, times):
-        return _propagated_flow(mat, lam, columns, times, read)
-    return _sequence_flow(mat, lam, columns, times, read)
+        return _propagated_flow(kernel, lam, columns, times, read)
+    return _sequence_flow(kernel, lam, columns, times, read)
+
+
+def _uniformized(mat, lam):
+    """The kernel ``P = I + mat/lam`` of a flow, as a CSR with the
+    ``indices`` and ``indptr`` of ``mat``, which must store each diagonal
+    entry once, as :func:`assemble` does.  ``lam`` exceeds every ``|q_ii|``,
+    so ``P`` has no negative entry, and a product with it sums nonnegative
+    terms, without the cancellation of ``x + (mat x)/lam``."""
+    data = mat.data / lam
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    data[mat.indices == rows] += 1.0
+    return sparse.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
 
 
 def _propagators_pay(mat, lam, times):
@@ -699,33 +717,41 @@ def _propagators_pay(mat, lam, times):
     return dense < sequence
 
 
-def _stack_powers(mat, lam, prev, stack, k0, k1):
+def _stack_powers(kernel, prev, stack, k0, k1):
     """Rows ``0, ..., k1 - k0 - 1`` of ``stack`` become the powers ``P^k0 x,
-    ..., P^(k1 - 1) x`` for ``P = I + mat/lam``, by one call of the step
-    kernel :func:`_steps`.  ``prev``, a buffer of its own, holds ``x`` for
-    ``k0 = 0`` and ``P^(k0 - 1) x`` past it; it then holds the last power,
-    for the next block."""
+    ..., P^(k1 - 1) x`` of the CSR ``kernel`` ``P`` (see
+    :func:`_uniformized`), each by one product of ``P`` into a zeroed row,
+    so each has the bits of ``P @`` its predecessor.  Rows are C-contiguous
+    vectors or ``(n, w)`` blocks.  ``prev``, a buffer of its own, holds ``x``
+    for ``k0 = 0`` and ``P^(k0 - 1) x`` past it; it then holds the last
+    power, for the next block."""
     block = stack[:k1 - k0]
-    if k0:
-        _steps(mat, lam, prev, block, block)
-    else:
-        block[0] = prev
-        _steps(mat, lam, prev, block[1:], block[1:])
+    x = prev.reshape(-1)
+    powers = block.reshape(k1 - k0, -1)
+    if not k0:
+        powers[0] = x
+        powers = powers[1:]
+    powers.fill(0.0)
+    matvec = _matvec(kernel, x.size // kernel.shape[1])
+    for out in powers:
+        matvec(x, out)
+        x = out
     prev[...] = block[-1]
 
 
-def _propagators(mat, lam, steps, tail):
+def _propagators(kernel, lam, steps, tail):
     """The ``(len(steps), n, n)`` dense propagators ``sum_k Poisson(lam dt; k)
-    (I + mat/lam)^k``, one per ``dt`` of ``steps``, each summed over its own
-    window (see :func:`_poisson_weights`) that leaves out at most ``tail``,
-    and the number of products.
+    P^k`` of the CSR ``kernel`` ``P``, one per ``dt`` of ``steps``, each
+    summed over its own window (see :func:`_poisson_weights`) that leaves
+    out at most ``tail``, and the number of products.
 
     The powers of the identity are made once, up to the longest window, in
-    blocks of at most ``_GRID_BLOCK`` that fit in ``_GRID_BYTES`` (see
+    blocks of at most ``_GRID_BLOCK`` that fit in ``_GRID_BYTES``, one
+    sparse product of ``P`` with all ``n`` columns per power (see
     :func:`_stack_powers`), and each block adds into every propagator by
     one dense product of their weights and its stacked powers.
     """
-    n = mat.shape[0]
+    n = kernel.shape[0]
     windows = [_poisson_weights(lam, dt, tail) for dt in steps]
     count = max(first + len(w) - 1 for first, w in windows)
     rows = max(1, min(_GRID_BLOCK, _GRID_BYTES // (8 * n * n)))
@@ -735,7 +761,7 @@ def _propagators(mat, lam, steps, tail):
     out = np.zeros((len(steps), n * n))
     for k0 in range(0, count + 1, rows):
         k1 = min(k0 + rows, count + 1)
-        _stack_powers(mat, lam, prev, stack, k0, k1)
+        _stack_powers(kernel, prev, stack, k0, k1)
         weights.fill(0.0)
         for row, (first, w) in zip(weights, windows):
             lo, hi = max(first, k0), min(first + len(w), k1)
@@ -745,7 +771,7 @@ def _propagators(mat, lam, steps, tail):
     return out.reshape(len(steps), n, n), count
 
 
-def _propagated_flow(mat, lam, columns, times, read):
+def _propagated_flow(kernel, lam, columns, times, read):
     """:func:`_grid_flow` by one dense propagator per distinct step.
 
     Step ``i`` moves the flow from ``times[i - 1]`` (0 for ``i = 0``) to
@@ -762,18 +788,18 @@ def _propagated_flow(mat, lam, columns, times, read):
     distinct = np.unique(steps[steps > 0])
     products = 0
     if moves:
-        kernels, products = _propagators(mat, lam, distinct,
-                                         POISSON_TAIL / moves)
-        kernels = dict(zip(distinct.tolist(), kernels))
+        dense, products = _propagators(kernel, lam, distinct,
+                                       POISSON_TAIL / moves)
+        dense = dict(zip(distinct.tolist(), dense))
     c = columns.shape[1]
     now = columns.T.copy()
     ahead = np.empty_like(now)
     acc = None if read is None else np.empty((c, read.shape[1]))
     for i, dt in enumerate(steps.tolist()):
         if dt:
-            kernel = kernels[dt]
+            step = dense[dt]
             for j in range(c):
-                np.dot(kernel, now[j], out=ahead[j])
+                np.dot(step, now[j], out=ahead[j])
             now, ahead = ahead, now
             products += 1
         if read is not None:
@@ -782,8 +808,8 @@ def _propagated_flow(mat, lam, columns, times, read):
         yield i, products, now if read is None else acc
 
 
-def _sequence_flow(mat, lam, columns, times, read):
-    """:func:`_grid_flow` from one power sequence.
+def _sequence_flow(kernel, lam, columns, times, read):
+    """:func:`_grid_flow` from one sequence of powers of the CSR ``kernel``.
 
     Grid time ``i`` weights the powers on its own Poisson window (see
     :func:`_poisson_weights`), computed when the powers reach it; a time 0
@@ -791,13 +817,14 @@ def _sequence_flow(mat, lam, columns, times, read):
     window never opens before the previous one: where rounding puts its
     first power earlier, that power's weight is dropped.  The powers run in
     blocks of ``_GRID_BLOCK``, fewer where they would pass ``_GRID_BYTES``,
-    one column after another through one stack (see :func:`_stack_powers`),
-    each column's last power kept for its next block.  Each block adds into the accumulators of the
-    open windows by one dense product of their weights and its stacked
-    powers, so each column has the bits it has alone and a block of columns
-    holds one column's stack.  With ``read``, each power is contracted with
-    it first.  An accumulator is yielded once the windows up to its own
-    have ended, so only the open windows and their weights are held.
+    one column after another through one stack, one sparse product per
+    power (see :func:`_stack_powers`), each column's last power kept for
+    its next block.  Each block adds into the accumulators of the open
+    windows by one dense product of their weights and its stacked powers,
+    so each column has the bits it has alone and a block of columns holds
+    one column's stack.  With ``read``, each power is contracted with it
+    first.  An accumulator is yielded once the windows up to its own have
+    ended, so only the open windows and their weights are held.
     """
     means = lam * times
     last = lam * times[-1]
@@ -848,7 +875,7 @@ def _sequence_flow(mat, lam, columns, times, read):
             inside, weights[live[:, None] - base, np.where(inside, rel, 0)],
             0.0)
         for j, prev in enumerate(latest):
-            _stack_powers(mat, lam, prev, stack, k0, k1)
+            _stack_powers(kernel, prev, stack, k0, k1)
             block = stack[:k1 - k0]
             if read is not None:
                 block = block @ read

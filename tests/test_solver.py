@@ -339,12 +339,12 @@ def test_product_kernel_has_the_bits_of_matmul(ref2d_30, shape):
 
 @pytest.mark.parametrize("width", [None, 1, "n"],
                          ids=["vector", "column", "power-row"])
-@pytest.mark.parametrize("norm", [None, np.add.reduce, np.maximum.reduce],
-                         ids=["powers", "sum-normalized", "max-normalized"])
+@pytest.mark.parametrize("norm", [np.add.reduce, np.maximum.reduce],
+                         ids=["sum-normalized", "max-normalized"])
 def test_step_kernel_has_the_bits_of_matmul(width, norm):
-    """Three steps of the block kernel against ``mat @ x`` step by step,
-    for a vector, an ``(n, 1)`` column and an ``(n, n)`` power row, with
-    the products in their own rows and in the steps' rows."""
+    """Three normalized steps of the power iteration's block kernel against
+    ``mat @ x`` step by step, for a vector, an ``(n, 1)`` column and an
+    ``(n, n)`` power row."""
     generator = assemble(reference_2d(), enumerate_space(2, 12))
     n, lam = len(generator.space), generator.lam
     shape = (n,) if width is None else (n, n if width == "n" else width)
@@ -354,8 +354,7 @@ def test_step_kernel_has_the_bits_of_matmul(width, norm):
         for _ in range(3):
             y = mat @ x
             nxt = x + y / lam
-            if norm is not None:
-                nxt = nxt / norm(nxt.ravel())
+            nxt = nxt / norm(nxt.ravel())
             want.append((nxt, y))
             x = nxt
         rows = np.full((3,) + shape, np.nan)  # stale contents must not leak
@@ -363,11 +362,71 @@ def test_step_kernel_has_the_bits_of_matmul(width, norm):
         solver._steps(mat, lam, start, rows, products, norm)
         for i, (nxt, y) in enumerate(want):
             assert np.array_equal(rows[i], nxt) and np.array_equal(products[i], y)
-        if norm is None:
-            rows.fill(np.nan)
-            solver._steps(mat, lam, start, rows, rows)
-            assert all(np.array_equal(rows[i], nxt)
-                       for i, (nxt, _) in enumerate(want))
+
+
+@pytest.mark.parametrize("name", ["ref2d", "neutral3d", "logistic1d",
+                                  "catastrophe1d", "multibirth1d"])
+def test_flow_kernel_is_nonnegative_on_the_configs(name):
+    """``P = I + Q/lam`` has no negative entry, backward and forward, and
+    shares its sparsity pattern with the generator it is built from."""
+    cfg = load_config(str(CONFIGS / f"{name}.cfg"))
+    generator = assemble(build_model(cfg),
+                         enumerate_space(cfg.r, cfg.truncation_n))
+    for mat in (generator.matrix, generator.matrix_t):
+        kernel = solver._uniformized(mat, generator.lam)
+        assert np.shares_memory(kernel.indices, mat.indices)
+        assert np.shares_memory(kernel.indptr, mat.indptr)
+        assert (kernel.data >= 0.0).all()
+
+
+@pytest.mark.parametrize("width", [None, 1, "n"],
+                         ids=["vector", "column", "power-row"])
+def test_flow_kernel_powers_have_the_bits_of_matmul(width):
+    """Five powers of ``P`` in two blocks of the power stack, from NaN-filled
+    buffers, against ``P @ x`` step by step, for a vector, an ``(n, 1)``
+    column and an ``(n, n)`` power row; ``P`` is ``I + mat/lam`` entry by
+    entry."""
+    generator = assemble(reference_2d(), enumerate_space(2, 12))
+    n, lam = len(generator.space), generator.lam
+    shape = (n,) if width is None else (n, n if width == "n" else width)
+    start = np.random.default_rng(22).random(shape)
+    for mat in (generator.matrix, generator.matrix_t):
+        kernel = solver._uniformized(mat, lam)
+        assert np.array_equal(kernel.toarray(), np.eye(n) + mat.toarray() / lam)
+        want = [start]
+        for _ in range(4):
+            want.append(kernel @ want[-1])
+        prev = start.copy()
+        stack = np.full((3,) + shape, np.nan)  # stale contents must not leak
+        solver._stack_powers(kernel, prev, stack, 0, 3)
+        assert all(np.array_equal(stack[k], want[k]) for k in range(3))
+        assert np.array_equal(prev, want[2])
+        stack.fill(np.nan)
+        solver._stack_powers(kernel, prev, stack, 3, 5)
+        assert all(np.array_equal(stack[k - 3], want[k]) for k in (3, 4))
+        assert np.array_equal(prev, want[4])
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["sequence", "propagated"])
+def test_three_type_flows_match_expm_at_every_grid_time(dense, monkeypatch):
+    """On a 56-state neutral 3-type space, either way of the grid kernel
+    flows one and two columns, forward and backward, within 1e-12 of the
+    dense exponential at every grid time, relative to the largest entry of
+    the columns: the discarded Poisson tail holds early powers, whose size
+    is that of the columns, not of the decayed flow."""
+    cfg = load_config(str(CONFIGS / "neutral3d.cfg"))
+    Q = assemble(build_model(cfg), enumerate_space(3, 8))
+    n = len(Q.space)
+    monkeypatch.setattr(solver, "_propagators_pay", lambda *args: dense)
+    times = np.arange(0.0, 2.0 + 1e-12, 0.25)
+    block = np.random.default_rng(23).random((n, 2))
+    generator = Q.matrix.toarray()
+    for mat, oracle in ((Q.matrix_t, generator.T), (Q.matrix, generator)):
+        exact = [sla.expm(t * oracle) for t in times]
+        for columns in (block[:, :1], block):
+            for i, _, acc in solver._grid_flow(mat, Q.lam, columns, times):
+                want = (exact[i] @ columns).T
+                assert np.abs(acc - want).max() <= 1e-12 * columns.max()
 
 
 @pytest.mark.parametrize("name, n_max", [
@@ -968,23 +1027,24 @@ def test_transient_conditional_rejects_nan_in_mu0():
 
 
 class _CountingKernel:
-    """Counts the solver's sparse products: one per call of the product
-    kernel and one per row of the block step kernel."""
+    """Counts the solver's sparse products: one per call of a CSR product
+    that :func:`solver._matvec` binds, which every kernel makes its
+    products by."""
 
     def __init__(self, monkeypatch):
         self.products = 0
-        product, steps = solver._product, solver._steps
+        matvec = solver._matvec
 
-        def counted_product(mat, x, out):
-            self.products += 1
-            return product(mat, x, out)
+        def counted_matvec(mat, width):
+            product = matvec(mat, width)
 
-        def counted_steps(mat, lam, start, rows, products, norm=None):
-            self.products += len(rows)
-            return steps(mat, lam, start, rows, products, norm)
+            def counted(x, out):
+                self.products += 1
+                product(x, out)
 
-        monkeypatch.setattr(solver, "_product", counted_product)
-        monkeypatch.setattr(solver, "_steps", counted_steps)
+            return counted
+
+        monkeypatch.setattr(solver, "_matvec", counted_matvec)
 
 
 @pytest.mark.parametrize("model, r, n_max, start", [
