@@ -13,9 +13,10 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NoFitError, NumericalError
-from .solver import (QsdResult, SubGenerator, _grid_flow, conditional_path,
-                     evolve_function, evolve_measure)
+from .errors import (ConditioningImpossibleError, DomainError, NoFitError,
+                     NumericalError)
+from .solver import (SURVIVAL_FLOOR, QsdResult, SubGenerator, _grid_flow,
+                     conditional_path, evolve_function, evolve_measure)
 
 
 def tv_distance(p, q) -> float:
@@ -245,6 +246,8 @@ def certify_survival_comparison(
     grid is reported as ``reproduction``.  Given ``qsd``, the same
     pass gives ``plateau``, the :func:`survival_profile_error` at half the
     horizon and at the horizon, which join the doubled grid if off it.
+    Survival from every start below ``SURVIVAL_FLOOR`` at a grid time
+    raises :class:`ConditioningImpossibleError`.
     """
     reference = tuple(int(v) for v in reference)
     if reference not in Q.space.index:
@@ -266,7 +269,11 @@ def certify_survival_comparison(
     for i, _, (alive,) in _grid_flow(
             Q.matrix, Q.lam, np.ones((len(Q.space.states), 1)), fine):
         t = fine[i]
-        ratios[i] = alive[ref] / alive.max()
+        top = alive.max()
+        if top < SURVIVAL_FLOOR:
+            raise ConditioningImpossibleError(
+                f"survival mass underflowed at grid time {t}")
+        ratios[i] = alive[ref] / top
         if t in probes:
             plateau[float(t)] = survival_profile_error(Q, qsd, t, alive)
     coarse = ratios[np.isin(fine, times)]

@@ -22,12 +22,13 @@ transient quantities nonnegative.  Every action of ``exp(tQ)``, forward or
 backward, runs through one kernel, :func:`_grid_flow`; a flow to one time
 is a grid of one time.  A grid flows along one power sequence read at every
 grid time or, where that costs more, along dense propagators ``exp(dt Q)``,
-one per distinct grid step, built from the same sums of powers.  Neither
-makes survival nonincreasing in floating point: the mass of ``mu P^k`` can
-rise by an ulp in a step, and so can that of a dense step.  Along a time
-grid, survival gives up ``POISSON_TAIL`` per grid time, the most that the
-discarded Poisson tails could take, and that margin keeps it decreasing
-(see :func:`conditional_path`).
+one per distinct grid step, which are the power-sequence flow of the
+identity: every Poisson sum of powers is made by :func:`_sequence_flow`.
+Neither way makes survival nonincreasing in floating point: the mass of
+``mu P^k`` can rise by an ulp in a step, and so can that of a dense step.
+Along a time grid, survival gives up ``POISSON_TAIL`` per grid time, the
+most that the discarded Poisson tails could take, and that margin keeps it
+decreasing (see :func:`conditional_path`).
 """
 
 from __future__ import annotations
@@ -619,9 +620,9 @@ def _steps(mat, lam, start, rows, products, norm):
         x = out
 
 
-#: Powers stacked per dense product in :func:`_sequence_flow` and
-#: :func:`_propagators`: up to ``_GRID_BLOCK``, and fewer where a column of
-#: them would pass ``_GRID_BYTES``.
+#: Powers stacked per dense product in :func:`_sequence_flow`: up to
+#: ``_GRID_BLOCK``, and fewer where a column of them would pass
+#: ``_GRID_BYTES``.
 _GRID_BLOCK = 64
 _GRID_BYTES = 1 << 20
 
@@ -658,10 +659,11 @@ def _grid_flow(mat, lam, columns, times, read=None):
     puts at the fewer multiply-adds: one power sequence read at every grid
     time (:func:`_sequence_flow`), or one dense propagator per distinct
     grid step, applied from each grid time to the next
-    (:func:`_propagated_flow`).  Either way a grid whose last window passes
-    :data:`MAX_WINDOW` is refused here, before the first product, and the
-    powers are those of the kernel ``P = I + mat/lam``, built here once
-    (:func:`_uniformized`), one sparse product of ``P`` each.
+    (:func:`_propagated_flow`), built as the sequence flow of the
+    identity.  Either way a grid whose last window passes :data:`MAX_WINDOW`
+    is refused here, before the first product, and the powers are those of
+    the kernel ``P = I + mat/lam``, built here once (:func:`_uniformized`),
+    one sparse product of ``P`` each.
     """
     _check_window(lam, times[-1])
     kernel = _uniformized(mat, lam)
@@ -690,16 +692,17 @@ def _propagators_pay(mat, lam, times):
     block width, plus :data:`_PRODUCT_OVERHEAD` per product and
     :data:`_WINDOW_COST` per Poisson window.  The sequence makes about
     ``_window_end(lam * times[-1])`` sparse products and one window per grid
-    time.  The propagators take one window per distinct step and one
-    sequence of sparse products over the ``n`` columns of the identity, up
-    to the longest window, and add each power into every propagator whose
-    window holds it, ``n^2`` apiece; then each nonzero step is one dense
-    product.  So propagators win where ``lam`` times the step is large
-    against ``n``, and never on a grid of one positive time; the grid
-    ``[0]`` builds none and makes no product either way.  The cost is that
-    of one column: a block takes the way each of its columns takes alone,
-    so each keeps its bits.  Propagators that would not fit together in
-    :data:`_PROPAGATOR_BYTES` are never built.
+    time.  The propagators are the sequence flow of the identity, read at
+    the distinct steps: one window per step and one sparse product over the
+    ``n`` columns of the identity per power, up to the longest window, each
+    power added into every propagator whose window holds it, ``n^2``
+    apiece; then each nonzero step is one dense product.  So propagators
+    win where ``lam`` times the step is large against ``n``, and never on a
+    grid of one positive time; the grid ``[0]`` builds none and makes no
+    product either way.  The cost is that of one column: a block takes the
+    way each of its columns takes alone, so each keeps its bits.
+    Propagators that would not fit together in :data:`_PROPAGATOR_BYTES`
+    are never built.
     """
     n, nnz = mat.shape[0], mat.nnz
     steps = np.diff(times, prepend=0.0)
@@ -722,9 +725,10 @@ def _stack_powers(kernel, prev, stack, k0, k1):
     ..., P^(k1 - 1) x`` of the CSR ``kernel`` ``P`` (see
     :func:`_uniformized`), each by one product of ``P`` into a zeroed row,
     so each has the bits of ``P @`` its predecessor.  Rows are C-contiguous
-    vectors or ``(n, w)`` blocks.  ``prev``, a buffer of its own, holds ``x``
-    for ``k0 = 0`` and ``P^(k0 - 1) x`` past it; it then holds the last
-    power, for the next block."""
+    vectors or ``(n, w)`` blocks; a flat row of ``n w`` entries is one
+    ``(n, w)`` block, stepped by one product of width ``w``.  ``prev``, a
+    buffer of its own, holds ``x`` for ``k0 = 0`` and ``P^(k0 - 1) x`` past
+    it; it then holds the last power, for the next block."""
     block = stack[:k1 - k0]
     x = prev.reshape(-1)
     powers = block.reshape(k1 - k0, -1)
@@ -739,38 +743,6 @@ def _stack_powers(kernel, prev, stack, k0, k1):
     prev[...] = block[-1]
 
 
-def _propagators(kernel, lam, steps, tail):
-    """The ``(len(steps), n, n)`` dense propagators ``sum_k Poisson(lam dt; k)
-    P^k`` of the CSR ``kernel`` ``P``, one per ``dt`` of ``steps``, each
-    summed over its own window (see :func:`_poisson_weights`) that leaves
-    out at most ``tail``, and the number of products.
-
-    The powers of the identity are made once, up to the longest window, in
-    blocks of at most ``_GRID_BLOCK`` that fit in ``_GRID_BYTES``, one
-    sparse product of ``P`` with all ``n`` columns per power (see
-    :func:`_stack_powers`), and each block adds into every propagator by
-    one dense product of their weights and its stacked powers.
-    """
-    n = kernel.shape[0]
-    windows = [_poisson_weights(lam, dt, tail) for dt in steps]
-    count = max(first + len(w) - 1 for first, w in windows)
-    rows = max(1, min(_GRID_BLOCK, _GRID_BYTES // (8 * n * n)))
-    stack = np.empty((rows, n, n))
-    prev = np.eye(n)
-    weights = np.empty((len(steps), rows))
-    out = np.zeros((len(steps), n * n))
-    for k0 in range(0, count + 1, rows):
-        k1 = min(k0 + rows, count + 1)
-        _stack_powers(kernel, prev, stack, k0, k1)
-        weights.fill(0.0)
-        for row, (first, w) in zip(weights, windows):
-            lo, hi = max(first, k0), min(first + len(w), k1)
-            if lo < hi:
-                row[lo - k0:hi - k0] = w[lo - first:hi - first]
-        out += weights[:, :k1 - k0] @ stack[:k1 - k0].reshape(k1 - k0, n * n)
-    return out.reshape(len(steps), n, n), count
-
-
 def _propagated_flow(kernel, lam, columns, times, read):
     """:func:`_grid_flow` by one dense propagator per distinct step.
 
@@ -779,18 +751,24 @@ def _propagated_flow(kernel, lam, columns, times, read):
     a zero first step is the identity.  Every propagator drops at most
     ``POISSON_TAIL`` over the number of nonzero steps, so the flow to any
     grid time has dropped at most ``POISSON_TAIL`` in all, as one power
-    sequence does.  Each column moves by its own dense product, so it has
-    the bits it has alone; ``end`` counts the sparse products that built
-    the propagators and then one dense product per nonzero step.
+    sequence does.  The propagators are the :func:`_sequence_flow` of one
+    item, the flattened identity, along the sorted distinct steps with that
+    tail: its ``(n, n)`` block of powers ``P^k`` steps by one sparse product
+    of width ``n`` per power, and its flow to ``dt`` is the propagator of
+    ``dt``.  Each column moves by its own dense product, so
+    it has the bits it has alone; ``end`` counts the sparse products that
+    built the propagators and then one dense product per nonzero step.
     """
     steps = np.diff(times, prepend=0.0)
     moves = int(np.count_nonzero(steps))
     distinct = np.unique(steps[steps > 0])
-    products = 0
+    dense, products = {}, 0
     if moves:
-        dense, products = _propagators(kernel, lam, distinct,
-                                       POISSON_TAIL / moves)
-        dense = dict(zip(distinct.tolist(), dense))
+        n = kernel.shape[0]
+        for i, products, acc in _sequence_flow(
+                kernel, lam, np.eye(n).reshape(-1, 1), distinct, None,
+                POISSON_TAIL / moves):
+            dense[distinct[i]] = acc[0].reshape(n, n).copy()
     c = columns.shape[1]
     now = columns.T.copy()
     ahead = np.empty_like(now)
@@ -808,23 +786,30 @@ def _propagated_flow(kernel, lam, columns, times, read):
         yield i, products, now if read is None else acc
 
 
-def _sequence_flow(kernel, lam, columns, times, read):
+def _sequence_flow(kernel, lam, columns, times, read,
+                   tail=POISSON_TAIL):
     """:func:`_grid_flow` from one sequence of powers of the CSR ``kernel``.
 
     Grid time ``i`` weights the powers on its own Poisson window (see
-    :func:`_poisson_weights`), computed when the powers reach it; a time 0
-    has the single weight 1, and ``end`` is the last power read so far.  A
-    window never opens before the previous one: where rounding puts its
-    first power earlier, that power's weight is dropped.  The powers run in
-    blocks of ``_GRID_BLOCK``, fewer where they would pass ``_GRID_BYTES``,
-    one column after another through one stack, one sparse product per
-    power (see :func:`_stack_powers`), each column's last power kept for
-    its next block.  Each block adds into the accumulators of the open
-    windows by one dense product of their weights and its stacked powers,
-    so each column has the bits it has alone and a block of columns holds
-    one column's stack.  With ``read``, each power is contracted with it
-    first.  An accumulator is yielded once the windows up to its own have
-    ended, so only the open windows and their weights are held.
+    :func:`_poisson_weights`), which leaves out at most ``tail``, computed
+    when the powers reach it; a time 0 has the single weight 1, and ``end``
+    is the last power read so far.  A window never opens before the
+    previous one: where rounding puts its first power earlier, that power's
+    weight is dropped.  The powers run in blocks of ``_GRID_BLOCK``, fewer
+    where they would pass ``_GRID_BYTES``, one column after another through
+    one stack, one sparse product per power (see :func:`_stack_powers`),
+    each column's last power kept for its next block.  Each block adds into
+    the accumulators of the open windows by one dense product of their
+    weights and its stacked powers, so each column has the bits it has
+    alone and a block of columns holds one column's stack.  With ``read``,
+    each power is contracted with it first.  An accumulator is yielded once
+    the windows up to its own have ended, so only the open windows and
+    their weights are held.
+
+    A column may be wide: a flat ``(n, w)`` block of ``n w`` entries, which
+    steps by one product of width ``w`` per power and is summed by the same
+    dense products.  The dense propagators of :func:`_propagated_flow` are
+    the flow of one such item, the flattened ``(n, n)`` identity.
     """
     means = lam * times
     last = lam * times[-1]
@@ -845,7 +830,8 @@ def _sequence_flow(kernel, lam, columns, times, read):
     firsts = np.zeros(len(times), dtype=int)
     lengths = np.zeros(len(times), dtype=int)
     ends = np.zeros(len(times), dtype=int)  # the last power up to time i
-    ahead = (0, np.ones(1)) if times[0] == 0 else _poisson_weights(lam, times[0])
+    ahead = ((0, np.ones(1)) if times[0] == 0
+             else _poisson_weights(lam, times[0], tail))
     opened = yielded = base = k0 = 0
     while yielded < len(times):
         k1 = k0 + rows
@@ -865,7 +851,7 @@ def _sequence_flow(kernel, lam, columns, times, read):
             acc[opened - base] = 0.0
             opened += 1
             if opened < len(times):
-                ahead = _poisson_weights(lam, times[opened])
+                ahead = _poisson_weights(lam, times[opened], tail)
         if opened == len(times):
             k1 = min(k1, ends[-1] + 1)
         live = np.arange(yielded, opened)

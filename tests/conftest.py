@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qsdlab import solver
 from qsdlab.presets import logistic_1d, reference_2d
 from qsdlab.solver import assemble, enumerate_space, solve_qsd
 
@@ -35,3 +36,21 @@ def delta_start():
         return mu
 
     return make
+
+
+@pytest.fixture()
+def built_propagators(monkeypatch):
+    """The number of steps of every set of dense propagators built, each
+    recorded when its power-sequence flow of the flattened identity starts."""
+    built = []
+    flow = solver._sequence_flow
+
+    def spy(kernel, lam, columns, times, *rest):
+        n = kernel.shape[0]
+        if columns.shape == (n * n, 1) and np.array_equal(
+                columns[:, 0], np.eye(n).ravel()):
+            built.append(len(times))
+        return flow(kernel, lam, columns, times, *rest)
+
+    monkeypatch.setattr(solver, "_sequence_flow", spy)
+    return built

@@ -8,6 +8,7 @@ the tests.
 
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -27,13 +28,13 @@ from qsdlab.convergence import (
     tv_distance,
 )
 from qsdlab.config import load_config
-from qsdlab import solver
-from qsdlab.errors import DomainError, NoFitError
+from qsdlab.errors import (ConditioningImpossibleError, DomainError,
+                           NoFitError)
 from qsdlab.model import Model, build_model
-from qsdlab.presets import reference_2d
-from qsdlab.solver import (POISSON_TAIL, assemble, conditional_path,
-                           enumerate_space, evolve_function, evolve_measure,
-                           solve_qsd)
+from qsdlab.presets import logistic_1d, reference_2d
+from qsdlab.solver import (POISSON_TAIL, SURVIVAL_FLOOR, assemble,
+                           conditional_path, enumerate_space, evolve_function,
+                           evolve_measure, solve_qsd)
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -108,7 +109,8 @@ def test_flat_survival_still_decreases_on_a_fine_grid(ref2d_system):
     assert (np.diff(curve.survival) < 0).all() and curve.survival.max() < 1.0
 
 
-def test_flat_survival_still_decreases_along_dense_propagators(monkeypatch):
+def test_flat_survival_still_decreases_along_dense_propagators(
+        built_propagators):
     """A logistic chain settling at 40, started there and truncated at 100,
     keeps its survival within 1e-12 of 1 over 500 grid points.  There the
     curve runs on dense propagators, whose steps can round the mass up,
@@ -118,16 +120,8 @@ def test_flat_survival_still_decreases_along_dense_propagators(monkeypatch):
     generator = assemble(model, enumerate_space(1, 100))
     result = solve_qsd(generator)
     times = np.arange(1, 501) * 0.01
-    built = []
-    propagators = solver._propagators
-
-    def spy(mat, lam, steps, tail):
-        built.append(len(steps))
-        return propagators(mat, lam, steps, tail)
-
-    monkeypatch.setattr(solver, "_propagators", spy)
     curve = convergence_curve(generator, result, (40,), times)
-    assert built
+    assert built_propagators
     start = generator.space.point_mass((40,))
     assert evolve_measure(generator, start, times[-1]).sum() > 1.0 - 1e-12
     assert (np.diff(curve.survival) < 0).all() and curve.survival.max() < 1.0
@@ -353,6 +347,23 @@ def test_survival_comparison_at_zero_horizon_is_not_a_certificate(
     mixing = mixing_certificate(generator, result, t0=1.0, horizon=0.0)
     assert not mixing.valid
     assert mixing.rate_bound == 0.0
+
+
+def test_survival_comparison_refuses_a_grid_past_survival_underflow():
+    """Past the time where survival from every start underflows, the ratio
+    would be 0/0; the comparison raises at the first such time of its
+    doubled grid instead, with no runtime warning."""
+    generator = assemble(logistic_1d(), enumerate_space(1, 2))
+    times = np.linspace(0.0, 700.0, 8)
+    fine = np.arange(0.0, 700.0 + 1e-9, 50.0)
+    ones = np.ones(len(generator.space))
+    first = next(t for t in fine
+                 if evolve_function(generator, ones, t).max() < SURVIVAL_FLOOR)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConditioningImpossibleError,
+                           match=f"underflowed at grid time {first}$"):
+            certify_survival_comparison(generator, (1,), times)
 
 
 @pytest.fixture(scope="module")

@@ -1051,8 +1051,8 @@ class _CountingKernel:
     (reference_2d(), 2, 30, (1, 1)),
     (logistic_1d(), 1, 50, (1,)),
 ], ids=["ref2d", "logistic1d"])
-def test_moments_equal_the_contracted_conditional_path(model, r, n_max, start,
-                                                       delta_start, monkeypatch):
+def test_moments_equal_the_contracted_conditional_path(
+        model, r, n_max, start, delta_start, monkeypatch, built_propagators):
     generator = assemble(model, enumerate_space(r, n_max))
     mu0 = delta_start(generator.space, start)
     F = np.random.default_rng(13).normal(size=(len(mu0), 3))
@@ -1060,7 +1060,6 @@ def test_moments_equal_the_contracted_conditional_path(model, r, n_max, start,
     laws, survivals = conditional_path(generator, mu0, times)
     expected = laws @ F
     counting = _CountingKernel(monkeypatch)
-    built = _spy_propagators(monkeypatch)
     means, mass, products = conditional_moments(generator, mu0, times, F)
     assert means.shape == expected.shape and mass.shape == times.shape
     scale = np.abs(expected).max(axis=0)
@@ -1068,10 +1067,11 @@ def test_moments_equal_the_contracted_conditional_path(model, r, n_max, start,
     assert np.array_equal(means[0], mu0 @ F) and mass[0] == 1.0
     assert np.allclose(mass, survivals, rtol=1e-9, atol=0.0)
     # the stiff chain takes the propagators, the 465-state space the sequence
-    assert bool(built) == (r == 1)
+    assert bool(built_propagators) == (r == 1)
     # one sparse product per power beyond the zeroth, up to the largest
     # window end; propagators add one dense product per nonzero step
-    dense = np.count_nonzero(np.diff(times, prepend=0.0)) if built else 0
+    steps = np.count_nonzero(np.diff(times, prepend=0.0))
+    dense = steps if built_propagators else 0
     assert counting.products + dense == products
     lam_t = generator.lam * times[-1]
     bound = math.ceil(lam_t + 10.0 * math.sqrt(lam_t) + 30.0)
@@ -1110,19 +1110,6 @@ def test_moments_reject_bad_inputs_and_underflow(two_state):
 # ---------------------------------------------------------------------------
 
 
-def _spy_propagators(monkeypatch):
-    """Record the steps of every set of propagators built."""
-    built = []
-    propagators = solver._propagators
-
-    def spy(mat, lam, steps, tail):
-        built.append(len(steps))
-        return propagators(mat, lam, steps, tail)
-
-    monkeypatch.setattr(solver, "_propagators", spy)
-    return built
-
-
 @pytest.mark.parametrize("times", [
     np.arange(0.0, 2.0 + 1e-12, 0.01),
     np.arange(0.05, 2.0 + 1e-12, 0.05),
@@ -1130,7 +1117,7 @@ def _spy_propagators(monkeypatch):
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_propagated_flows_match_expm_at_every_grid_time(logistic50, times,
                                                          direction,
-                                                         monkeypatch):
+                                                         built_propagators):
     """Forward and backward, 1 and 2 columns, with and without ``read``, on
     ``np.arange`` grids whose steps differ by an ulp: the laws agree with
     the dense exponential within 1e-13 in L1, and the means read through
@@ -1138,7 +1125,6 @@ def test_propagated_flows_match_expm_at_every_grid_time(logistic50, times,
     Q = logistic50
     n = len(Q.space)
     assert len(np.unique(np.diff(times))) > 1
-    built = _spy_propagators(monkeypatch)
     rng = np.random.default_rng(21)
     block = rng.random((n, 2))
     F = rng.normal(size=(n, 3))
@@ -1158,7 +1144,36 @@ def test_propagated_flows_match_expm_at_every_grid_time(logistic50, times,
             want = (exact[i] @ columns).T @ read
             gap = acc[:, 1:] / acc[:, :1] - want[:, 1:] / want[:, :1]
             assert np.abs(gap).sum(axis=1).max() < 1e-13 * np.abs(F).max()
-    assert len(built) == 4
+    assert len(built_propagators) == 4
+
+
+@pytest.mark.parametrize("name, n_max", [("logistic1d", 50), ("neutral3d", 8)])
+def test_identity_item_flows_every_column_at_once(name, n_max):
+    """The flattened identity is one wide item: its ``(n, n)`` block of
+    powers steps by one sparse product of width ``n``, and its flow to each
+    step is the dense propagator.  Column ``j`` of it matches the flow of
+    ``e_j`` alone within 1e-14 of that flow's largest entry (one dense
+    product spans all ``n^2`` entries, so the bits may differ), and the
+    last ``end`` is the longest window end."""
+    cfg = load_config(str(CONFIGS / f"{name}.cfg"))
+    Q = assemble(build_model(cfg), enumerate_space(cfg.r, n_max))
+    n = len(Q.space)
+    steps = np.array([0.01, 0.05, 0.25, 1.0])
+    tail = solver.POISSON_TAIL / len(steps)
+    windows = [solver._poisson_weights(Q.lam, dt, tail) for dt in steps]
+    longest = max(first + len(w) - 1 for first, w in windows)
+    for mat in (Q.matrix_t, Q.matrix):
+        kernel = solver._uniformized(mat, Q.lam)
+        dense = []
+        for i, end, acc in solver._sequence_flow(
+                kernel, Q.lam, np.eye(n).reshape(-1, 1), steps, None, tail):
+            dense.append(acc[0].reshape(n, n).copy())
+        assert len(dense) == len(steps) and end == longest
+        for j in range(n):
+            for i, _, acc in solver._sequence_flow(
+                    kernel, Q.lam, np.eye(n)[:, j:j + 1], steps, None, tail):
+                gap = np.abs(dense[i][:, j] - acc[0]).max()
+                assert gap <= 1e-14 * np.abs(acc[0]).max()
 
 
 _TABLE_GRID = np.arange(0.05, 4.0 + 1e-12, 0.05)
@@ -1186,26 +1201,24 @@ def test_grid_flows_take_the_cheaper_way(model, r, n_max, times, dense):
 
 @pytest.mark.parametrize("t", [1e-3, 0.05, 4.0, 50.0])
 def test_one_time_grid_never_builds_a_propagator(logistic50, two_state, t,
-                                                 monkeypatch):
-    built = _spy_propagators(monkeypatch)
+                                                 built_propagators):
     *_, small = two_state
     for Q in (logistic50, small):
         n = len(Q.space)
         block = np.full((n, 2), 1.0 / n)
         conditional_path(Q, block, [t])
         transient_conditional(Q, block[:, 0], t)
-    assert built == []
+    assert built_propagators == []
 
 
-def test_window_cap_refuses_a_propagated_grid_before_it_builds(logistic50,
-                                                               monkeypatch):
+def test_window_cap_refuses_a_propagated_grid_before_it_builds(
+        logistic50, monkeypatch, built_propagators):
     """Propagators never make ``lam * times[-1]`` products, but they refuse
     the grids the sequence refuses: the last window decides, whichever way
     the grid would take."""
     Q = logistic50
     times = np.arange(0.0, 5.0 + 1e-12, 0.01)
     assert solver._propagators_pay(Q.matrix_t, Q.lam, times)
-    built = _spy_propagators(monkeypatch)
     mu0 = Q.space.point_mass((1,))
     F = np.ones((len(mu0), 1))
     k_hi = solver._window_end(Q.lam * times[-1])
@@ -1214,10 +1227,10 @@ def test_window_cap_refuses_a_propagated_grid_before_it_builds(logistic50,
         conditional_moments(Q, mu0, times, F)
     with pytest.raises(NumericalError, match="past the cap"):
         conditional_path(Q, mu0, times)
-    assert built == []
+    assert built_propagators == []
     monkeypatch.setattr(solver, "MAX_WINDOW", k_hi)
     _, _, products = conditional_moments(Q, mu0, times, F)
-    assert built and products < k_hi
+    assert built_propagators and products < k_hi
 
 
 # ---------------------------------------------------------------------------
