@@ -149,11 +149,14 @@ def _initials(cfg):
     return [base, second]
 
 
-def _solved(cfg):
+def _solved(cfg, profile=True):
+    """The model, space and generator of ``cfg`` and their solve; with
+    ``profile=False``, a law-only one (see :func:`solve_qsd`)."""
     model = build_model(cfg)
     space = enumerate_space(cfg.r, cfg.truncation_n)
     Q = assemble(model, space)
-    return model, space, Q, solve_qsd(Q, tol=cfg.tol, max_iter=cfg.max_iter)
+    return model, space, Q, solve_qsd(Q, tol=cfg.tol, max_iter=cfg.max_iter,
+                                      profile=profile)
 
 
 def _empirical_rows(r, columns):
@@ -216,7 +219,7 @@ def _cmd_simulate(cfg, args, out, overrides):
 
 
 def _cmd_fv(cfg, args, out, overrides):
-    model, space, Q, res = _solved(cfg)
+    model, space, Q, res = _solved(cfg, profile=False)
     initial = _initials(cfg)[0]
     plan = RngPlan(cfg.seed)
     result = fleming_viot(model, initial, cfg.particles, cfg.t_max, plan)
@@ -308,7 +311,7 @@ def _cmd_check(cfg, args, out, overrides):
 
 
 def _cmd_converge(cfg, args, out, overrides):
-    model, space, Q, res = _solved(cfg)
+    model, space, Q, res = _solved(cfg, profile=False)
     grid = cfg.time_grid()
     times = grid[grid > 0]
     initials = _initials(cfg)

@@ -16,7 +16,8 @@ import numpy as np
 from .errors import (ConditioningImpossibleError, DomainError, NoFitError,
                      NumericalError)
 from .solver import (SURVIVAL_FLOOR, QsdResult, SubGenerator, _grid_flow,
-                     conditional_path, evolve_function, evolve_measure)
+                     _profile_of, conditional_path, evolve_function,
+                     evolve_measure)
 
 
 def tv_distance(p, q) -> float:
@@ -123,6 +124,7 @@ def survival_profile_error(Q: SubGenerator, qsd: QsdResult, t: float,
     grows the gap falls to a plateau set by the subdominant spectral mass.
     ``alive``, the survival at t from a caller's own pass, saves the flow.
     """
+    profile = _profile_of(qsd, "survival_profile_error")
     if not 0 <= t < math.inf:
         raise DomainError(f"t must be finite and nonnegative, got {t}")
     scale = qsd.decay_rate * t
@@ -131,7 +133,7 @@ def survival_profile_error(Q: SubGenerator, qsd: QsdResult, t: float,
             f"horizon too deep to rescale: decay_rate * t = {scale:g}")
     if alive is None:
         alive = evolve_function(Q, np.ones(len(Q.space.states)), t)
-    return float(np.max(np.abs(math.exp(scale) * alive - qsd.survival_profile)))
+    return float(np.max(np.abs(math.exp(scale) * alive - profile)))
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +167,8 @@ class MinorizationCertificate:
                 "reproduction": self.reproduction, "valid": self.valid}
 
 
-def certify_minorization(Q: SubGenerator, t0: float,
-                         qsd: QsdResult) -> MinorizationCertificate:
+def certify_minorization(Q: SubGenerator, t0: float, qsd: QsdResult,
+                         alive=None) -> MinorizationCertificate:
     """Uniform conditioned return-mass bound at the reference state, the
     mode of the solved law ``qsd``.
 
@@ -174,18 +176,23 @@ def certify_minorization(Q: SubGenerator, t0: float,
     computed by one backward flow of the indicator of the reference and the
     constant one, as a two-column block; the minimum over x is the
     certificate mass, which one forward flow from the minimizer re-checks.
-    ``t0 = 0`` is allowed but yields mass 0 — an invalid certificate —
-    because the indicator of the reference has zeros.
+    ``alive``, the survival at ``t0`` from a caller's own pass, saves the
+    flow of the constant one, so that only the indicator flows backward;
+    alone, each column has the bits it has in the block.  ``t0 = 0`` is
+    allowed but yields mass 0 — an invalid certificate — because the
+    indicator of the reference has zeros.
     """
-    if not 0 <= t0 < math.inf:
-        raise DomainError(f"t0 must be finite and nonnegative, got {t0}")
+    _check_t0(t0)
     ref = int(np.argmax(qsd.law))
     reference = Q.space.states[ref]
     size = len(Q.space.states)
-    start = np.zeros((size, 2))
+    start = np.zeros((size, 2 if alive is None else 1))
     start[ref, 0] = 1.0
-    start[:, 1] = 1.0
-    hit, alive = evolve_function(Q, start, t0).T
+    if alive is None:
+        start[:, 1] = 1.0
+        hit, alive = evolve_function(Q, start, t0).T
+    else:
+        hit = evolve_function(Q, start, t0)[:, 0]
     if not (alive > 0).all():
         raise NumericalError("survival underflowed at some start; shrink t0")
     ratios = hit / alive
@@ -202,6 +209,11 @@ def certify_minorization(Q: SubGenerator, t0: float,
     return MinorizationCertificate(
         reference=reference, t0=float(t0), mass=mass,
         minimizer=Q.space.states[i], reproduction=float(reproduction))
+
+
+def _check_t0(t0):
+    if not 0 <= t0 < math.inf:
+        raise DomainError(f"t0 must be finite and nonnegative, got {t0}")
 
 
 @dataclass(frozen=True)
@@ -249,6 +261,16 @@ def certify_survival_comparison(
     Survival from every start below ``SURVIVAL_FLOOR`` at a grid time
     raises :class:`ConditioningImpossibleError`.
     """
+    return _comparison_pass(Q, reference, times, qsd)[0]
+
+
+def _comparison_pass(Q, reference, times, qsd, t0=None):
+    """:func:`certify_survival_comparison`, and with ``t0`` the survival
+    function at ``t0`` from the same pass: ``(certificate, alive)``, with
+    ``alive`` ``None`` without ``t0``.  Off the doubled grid, ``t0`` joins
+    the pass as one more read time, past the horizon where it lies there,
+    and takes no part in ``ratio``, ``worst_time``, ``reproduction`` or the
+    underflow check."""
     reference = tuple(int(v) for v in reference)
     if reference not in Q.space.index:
         raise DomainError(f"reference state {reference} is outside the space")
@@ -262,13 +284,20 @@ def certify_survival_comparison(
     probes = () if qsd is None else (times[-1] / 2.0, times[-1])
     fine = np.unique(np.concatenate((times, (times[1:] + times[:-1]) / 2.0,
                                      probes)))
+    reads = fine if t0 is None else np.union1d(fine, [t0])
+    scanned = np.isin(reads, fine)
 
     ref = Q.space.index[reference]
-    ratios = np.empty(len(fine))
+    ratios = np.empty(len(reads))
     plateau = {}
+    kept = None
     for i, _, (alive,) in _grid_flow(
-            Q.matrix, Q.lam, np.ones((len(Q.space.states), 1)), fine):
-        t = fine[i]
+            Q.matrix, Q.lam, np.ones((len(Q.space.states), 1)), reads):
+        t = reads[i]
+        if t == t0:
+            kept = alive.copy()
+        if not scanned[i]:
+            continue
         top = alive.max()
         if top < SURVIVAL_FLOOR:
             raise ConditioningImpossibleError(
@@ -276,13 +305,14 @@ def certify_survival_comparison(
         ratios[i] = alive[ref] / top
         if t in probes:
             plateau[float(t)] = survival_profile_error(Q, qsd, t, alive)
+    ratios = ratios[scanned]
     coarse = ratios[np.isin(fine, times)]
     k = int(np.argmin(coarse))
     ratio = float(coarse[k])
     return SurvivalComparisonCertificate(
         reference=reference, horizon=float(times[-1]), ratio=ratio,
         worst_time=float(times[k]),
-        reproduction=abs(ratio - float(ratios.min())), plateau=plateau)
+        reproduction=abs(ratio - float(ratios.min())), plateau=plateau), kept
 
 
 @dataclass(frozen=True)
@@ -315,16 +345,25 @@ def mixing_certificate(Q: SubGenerator, qsd: QsdResult, t0: float,
     The survival comparison is scanned on a uniform grid of 64 points over
     ``[0, horizon]`` (default ``8 * t0``); its pass also gives the profile
     plateau, so a horizon too deep for :func:`survival_profile_error`
-    raises its :class:`NumericalError`.  The rate bound is
-    ``-log(1 - product) / t0``, with ``product`` the return mass times the
-    survival ratio, when both certificates are valid and ``product < 1``;
-    otherwise nothing is certified and the bound is 0.
+    raises its :class:`NumericalError`, and a ``qsd`` from a law-only solve
+    is refused with a :class:`DomainError` before any flow.  The same pass
+    reads the survival function at ``t0``, one more read time, past the
+    horizon where ``t0`` lies there, and hands it to
+    :func:`certify_minorization`, which then flows only the indicator of
+    the reference backward: one backward pass of the constant one serves
+    both certificates.  The rate bound is ``-log(1 - product) / t0``, with
+    ``product`` the return mass times the survival ratio, when both
+    certificates are valid and ``product < 1``; otherwise nothing is
+    certified and the bound is 0.
     """
+    _profile_of(qsd, "mixing_certificate")
+    _check_t0(t0)
     if horizon is None:
         horizon = 8.0 * t0
-    minor = certify_minorization(Q, t0, qsd=qsd)
+    reference = Q.space.states[int(np.argmax(qsd.law))]
     grid = np.linspace(0.0, horizon, 64)
-    comp = certify_survival_comparison(Q, minor.reference, grid, qsd)
+    comp, alive = _comparison_pass(Q, reference, grid, qsd, t0)
+    minor = certify_minorization(Q, t0, qsd, alive)
     product = minor.mass * comp.ratio
     certified = minor.valid and comp.valid and product < 1
     rate = -math.log1p(-product) / t0 if certified else 0.0

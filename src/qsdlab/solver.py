@@ -211,13 +211,13 @@ class QsdResult:
 
     law: np.ndarray
     decay_rate: float
-    survival_profile: np.ndarray
+    survival_profile: np.ndarray | None  # None for a law-only solve
     law_residual: float      # L1 norm of law Q + decay_rate * law
-    profile_residual: float  # sup norm of Q profile + decay_rate * profile
+    profile_residual: float | None  # sup norm of Q profile + decay_rate * profile
     iterations: int
     tol: float
     space: TruncatedSpace
-    decay_bracket: tuple     # Collatz--Wielandt enclosure (lo, hi) of decay_rate
+    decay_bracket: tuple | None  # Collatz--Wielandt enclosure (lo, hi) of decay_rate
 
     @property
     def edge_mass(self) -> float:
@@ -226,7 +226,18 @@ class QsdResult:
         return float(self.law[edge].sum())
 
 
-def solve_qsd(Q: SubGenerator, tol: float = 1e-12, max_iter: int = 10 ** 6) -> QsdResult:
+def _profile_of(qsd: QsdResult, reader: str) -> np.ndarray:
+    """The survival profile of ``qsd``, or :class:`DomainError` naming
+    ``reader`` when ``qsd`` comes from a law-only solve."""
+    if qsd.survival_profile is None:
+        raise DomainError(
+            f"{reader} needs the survival profile, which a law-only solve "
+            f"(solve_qsd(..., profile=False)) leaves out")
+    return qsd.survival_profile
+
+
+def solve_qsd(Q: SubGenerator, tol: float = 1e-12, max_iter: int = 10 ** 6,
+              profile: bool = True) -> QsdResult:
     """Power iteration for the quasi-stationary law, decay rate and profile.
 
     Iterates the uniformized kernel ``P = I + Q/Lambda`` from the uniform
@@ -266,6 +277,13 @@ def solve_qsd(Q: SubGenerator, tol: float = 1e-12, max_iter: int = 10 ** 6) -> Q
     not a bound on the error of ``decay_rate``: the certified enclosure is
     ``decay_bracket``, which on the shipped configs at ``tol = 1e-12`` is
     80 to 2,400 times wider than ``tol``.
+
+    With ``profile=False`` only the forward iteration runs, here, with no
+    fork: ``law``, ``decay_rate``, ``law_residual`` and ``iterations``
+    (the forward steps) have the bits of a full solve's law side, and
+    ``survival_profile``, ``profile_residual`` and ``decay_bracket`` are
+    ``None``; every reader of the profile refuses such a result with a
+    :class:`DomainError`.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValidationError(f"tol must be a finite number > 0, got {tol}")
@@ -285,54 +303,65 @@ def solve_qsd(Q: SubGenerator, tol: float = 1e-12, max_iter: int = 10 ** 6) -> Q
     # factor 1 - decay/lam: the latter leaves unit mass as an unstable
     # fixed point, and rounding drift compounds over long iterations.
     def forward_iteration():
-        law, prev, steps = _iterate(
+        return _iterate(
             mat_t, lam, np.full(n, 1.0 / n), np.add.reduce,
             lambda d: 0.5 * np.add.reduce(d, axis=1), _law_residual, tol,
             max_iter, "forward iteration")
+
+    def forward_decay():
+        law, prev, steps = forward_iteration()
         # the decay rate that the stopping step's residual read
         return law, -float(np.add.reduce(_product(mat_t, prev, np.empty(n)))), steps
 
-    forward = _Forked(forward_iteration)
+    h = None
+    if not profile:
+        law, _, used = forward_iteration()
+    else:
+        forward = _Forked(forward_decay)
+        with forward:
+            # Per-row relative residual scale: rounding noise in (Q h)_i
+            # grows with |q_ii| h_i, so an absolute sup-norm test is
+            # unattainable on spaces with very fast states.  Dividing by
+            # |q_ii| h_i + decay + 1 makes the floor a few machine epsilons
+            # regardless of rate magnitudes.
+            diag_abs = np.abs(mat.diagonal())
 
-    with forward:
-        # Per-row relative residual scale: rounding noise in (Q h)_i grows
-        # with |q_ii| h_i, so an absolute sup-norm test is unattainable on
-        # spaces with very fast states.  Dividing by |q_ii| h_i + decay + 1
-        # makes the floor a few machine epsilons regardless of rate
-        # magnitudes.
-        diag_abs = np.abs(mat.diagonal())
+            def relative_residual(z, h, out):
+                decay = forward.result()[1]
+                z += np.multiply(h, decay, out=out)
+                np.abs(z, out=z)
+                np.multiply(h, diag_abs, out=out)
+                out += decay
+                out += 1.0
+                return np.maximum.reduce(np.divide(z, out, out=z), axis=-1)
 
-        def relative_residual(z, h, out):
-            decay = forward.result()[1]
-            z += np.multiply(h, decay, out=out)
-            np.abs(z, out=z)
-            np.multiply(h, diag_abs, out=out)
-            out += decay
-            out += 1.0
-            return np.maximum.reduce(np.divide(z, out, out=z), axis=-1)
+            h, _, steps = _iterate(
+                mat, lam, np.ones(n), np.maximum.reduce,
+                lambda d: np.maximum.reduce(d, axis=1), relative_residual,
+                tol, max_iter, "adjoint iteration")
+        law, _, used = forward.result()
+        used += steps
 
-        profile, _, steps = _iterate(
-            mat, lam, np.ones(n), np.maximum.reduce,
-            lambda d: np.maximum.reduce(d, axis=1), relative_residual, tol,
-            max_iter, "adjoint iteration")
-    law, _, used = forward.result()
-    used += steps
-
-    if (law <= 0).any() or (profile <= 0).any():
+    if (law <= 0).any() or (h is not None and (h <= 0).any()):
         raise ReducibleSpaceError(
             "converged eigenvectors are not strictly positive; the truncated "
             "chain looks reducible")
 
-    profile = profile / float(law @ profile)
     y = _product(mat_t, law, np.empty(n))
     decay = -float(y.sum())
-    z = _product(mat, profile, np.empty(n))
     law_residual = float(_law_residual(y, law, np.empty(n)))
-    profile_residual = float(np.abs(z + decay * profile).max())
-    return QsdResult(law=law, decay_rate=decay, survival_profile=profile,
-                     law_residual=law_residual, profile_residual=profile_residual,
+    if h is None:
+        return QsdResult(law=law, decay_rate=decay, survival_profile=None,
+                         law_residual=law_residual, profile_residual=None,
+                         iterations=used, tol=tol, space=Q.space,
+                         decay_bracket=None)
+    h = h / float(law @ h)
+    z = _product(mat, h, np.empty(n))
+    return QsdResult(law=law, decay_rate=decay, survival_profile=h,
+                     law_residual=law_residual,
+                     profile_residual=float(np.abs(z + decay * h).max()),
                      iterations=used, tol=tol, space=Q.space,
-                     decay_bracket=_decay_bracket(Q, profile))
+                     decay_bracket=_decay_bracket(Q, h))
 
 
 class _Forked:
@@ -531,38 +560,87 @@ def _check_window(lam: float, t: float) -> float:
     return mean
 
 
-def _poisson_weights(lam: float, t: float, tail: float = POISSON_TAIL):
-    """Poisson weights of a flow at rate ``lam`` to time ``t``: ``(first,
-    weights)``, ``weights[k - first]`` the weight of ``k``, on the window
-    that carries all but ``tail`` of the mass.
+def _poisson_windows(lam: float, times, tail: float = POISSON_TAIL):
+    """Poisson weights of flows at rate ``lam`` to every time of the
+    increasing grid ``times``: ``(firsts, lengths, weights)``, the window of
+    time ``i`` holding the ``lengths[i]`` weights of ``firsts[i],
+    firsts[i] + 1, ...``, stored in ``weights`` after the windows before it.
 
-    The weights run outward from the mode by the ratios of neighbouring
-    weights (Fox & Glynn 1988), ``mean / k`` above it and ``k / mean`` below,
-    up to ``10 sqrt(mean) + 30`` from the mean on either side, which leaves
-    out under ``1e-21`` of the mass (Bernstein's bound).  The window is the
-    narrowest that leaves at most ``tail / 2`` of the mass outside it
-    at each end, and its weights are scaled to sum to one: the law of the
-    Poisson count given that it falls in the window.  Raises
-    :class:`NumericalError` before allocating when :func:`_window_end`
-    passes :data:`MAX_WINDOW`.
+    Each window carries all but ``tail`` of its mass.  Its weights run
+    outward from the mode by the ratios of neighbouring weights (Fox &
+    Glynn 1988), ``mean / k`` above it and ``k / mean`` below, up to ``10
+    sqrt(mean) + 30`` from the mean on either side, which leaves out under
+    ``1e-21`` of the mass (Bernstein's bound).  The window is the narrowest
+    that leaves at most ``tail / 2`` of the mass outside it at each end,
+    and its weights are scaled to sum to one: the law of the Poisson count
+    given that it falls in the window.  Raises :class:`NumericalError`
+    before allocating when the last :func:`_window_end` passes
+    :data:`MAX_WINDOW`.
+
+    One vectorised pass makes every window, over chunks of grid times
+    whose temporaries stay under ``_GRID_BYTES``.  A chunk holds one row
+    per time, its mode in one column, the weights below it on the left
+    and those above on the right, with ratio 0, so weight 0, past either
+    end of the row's own span.  The running products and the tail sums
+    run along each row, one operation after another, so the zeros change
+    no bit; the total and the window's sum are one pairwise sum per row, of
+    exactly the weights summed alone.  Each window has the bits it has on
+    a grid of its own time alone (:func:`_poisson_weights`).
     """
-    mean = _check_window(lam, t)
-    k_hi = _window_end(mean)
-    mode = math.floor(mean)
-    k_lo = max(0, math.floor(mean - 10.0 * math.sqrt(mean) - 30.0))
-    m = mode - k_lo
-    weights = np.empty(k_hi - k_lo + 1)
-    weights[m] = 1.0
-    np.cumprod(mean / np.arange(mode + 1, k_hi + 1), out=weights[m + 1:])
-    if m:
-        np.cumprod(np.arange(mode, k_lo, -1) / mean, out=weights[m - 1::-1])
-    cut = 0.5 * tail * weights.sum()
-    # Each tail is summed from its small end, so no cancellation reads it.
-    first = int(np.searchsorted(np.cumsum(weights[:m]), cut, side="right"))
-    above = np.cumsum(weights[:m:-1])[::-1]  # above[j]: the mass past m + j
-    last = m + int(np.argmax(above <= cut))
-    window = weights[first:last + 1]
-    return k_lo + first, window / window.sum()
+    _check_window(lam, times[-1])
+    means = lam * np.asarray(times, dtype=float)
+    k_hi = _window_end(means)
+    modes = np.floor(means).astype(np.int64)
+    k_lo = np.maximum(np.floor(means - 10.0 * np.sqrt(means) - 30.0),
+                      0.0).astype(np.int64)
+    below, above = modes - k_lo, k_hi - modes
+    firsts, lengths = k_lo.copy(), np.empty_like(k_lo)
+    # Room for every whole span; only the trimmed windows are written.
+    weights = np.empty(int((below + above + 1).sum()))
+    rows = max(1, _GRID_BYTES // (32 * int((below + above).max() + 1)))
+    at = 0
+    for i in range(0, len(means), rows):
+        part = slice(i, i + rows)
+        lo, hi = int(below[part].max()), int(above[part].max())
+        mean, mode = means[part, None], modes[part, None]
+        w = np.empty((len(mean), lo + 1 + hi))
+        w[:, lo] = 1.0
+        down, up = w[:, :lo][:, ::-1], w[:, lo + 1:]
+        # A mean below 1 has mode 0 and no weight below it, so its
+        # divisor there changes nothing; it keeps a time 0 off 0 / 0.
+        np.divide(mode - np.arange(lo), np.maximum(mean, 1.0), out=down)
+        np.divide(mean, mode + np.arange(1, hi + 1), out=up)
+        for side, span in ((down, below[part]), (up, above[part])):
+            short = np.flatnonzero(span < side.shape[1])
+            side[short, span[short]] = 0.0
+            np.multiply.accumulate(side, axis=1, out=side)
+        total = [np.add.reduce(row[lo - b:lo + a + 1]) for row, b, a in
+                 zip(w, below[part].tolist(), above[part].tolist())]
+        cut = 0.5 * tail * np.array(total)[:, None]
+        # Each tail is summed from its small end, so no cancellation reads
+        # it.  The low one counts the zeros left of the span too, so the
+        # first weight kept sits in the column of its count.  The high one
+        # gives the first j whose mass past mode + j is at most the cut;
+        # where no j inside the span has it, the window ends at the mode.
+        starts = np.count_nonzero(np.cumsum(w[:, :lo], axis=1) <= cut, axis=1)
+        keep = (np.cumsum(up[:, ::-1], axis=1)[:, ::-1] <= cut).argmax(axis=1)
+        stops = lo + 1 + np.where(keep < above[part], keep, 0)
+        for row, s, e in zip(w, starts.tolist(), stops.tolist()):
+            window = row[s:e]
+            np.divide(window, np.add.reduce(window), out=weights[at:at + e - s])
+            at += e - s
+        firsts[part] += starts - (lo - below[part])
+        lengths[part] = stops - starts
+    return firsts, lengths, weights[:at]
+
+
+def _poisson_weights(lam: float, t: float, tail: float = POISSON_TAIL):
+    """``(first, weights)`` of a flow at rate ``lam`` to the one time
+    ``t``, ``weights[k - first]`` the weight of ``k``: the window of
+    :func:`_poisson_windows` on the grid ``[t]``."""
+    firsts, _, weights = _poisson_windows(lam, np.array([t], dtype=float),
+                                          tail)
+    return int(firsts[0]), weights
 
 
 def _check_vector(Q, vec, name):
@@ -633,7 +711,10 @@ _GRID_BYTES = 1 << 20
 _PRODUCT_OVERHEAD = 4000
 
 #: Cost of the Poisson weights of one window, in the same unit: 45 to 80 us
-#: on the same host.
+#: on the same host when each window was made alone.  The grid pass of
+#: :func:`_poisson_windows` makes one in about 20 us (the 501 windows of a
+#: grid of means up to 4,000 in 10 ms); the cost stays, so that every grid
+#: keeps the way it flows, and its bits.
 _WINDOW_COST = 10 * _PRODUCT_OVERHEAD
 
 #: Most bytes the propagators of one grid may hold together.
@@ -790,75 +871,60 @@ def _sequence_flow(kernel, lam, columns, times, read,
                    tail=POISSON_TAIL):
     """:func:`_grid_flow` from one sequence of powers of the CSR ``kernel``.
 
-    Grid time ``i`` weights the powers on its own Poisson window (see
-    :func:`_poisson_weights`), which leaves out at most ``tail``, computed
-    when the powers reach it; a time 0 has the single weight 1, and ``end``
-    is the last power read so far.  A window never opens before the
-    previous one: where rounding puts its first power earlier, that power's
-    weight is dropped.  The powers run in blocks of ``_GRID_BLOCK``, fewer
-    where they would pass ``_GRID_BYTES``, one column after another through
-    one stack, one sparse product per power (see :func:`_stack_powers`),
-    each column's last power kept for its next block.  Each block adds into
-    the accumulators of the open windows by one dense product of their
-    weights and its stacked powers, so each column has the bits it has
+    Grid time ``i`` weights the powers on its own Poisson window, which
+    leaves out at most ``tail``; one pass of :func:`_poisson_windows` makes
+    every window of the grid before the first power.  A time 0 has the
+    single weight 1, and ``end`` is the last power read so far.  A window
+    never opens before the previous one: where rounding puts its first
+    power earlier, that power's weight is dropped.  The powers run in
+    blocks of ``_GRID_BLOCK``, fewer where they would pass ``_GRID_BYTES``,
+    one column after another through one stack, one sparse product per
+    power (see :func:`_stack_powers`), each column's last power kept for
+    its next block.  Each block adds into the accumulators of the windows
+    that overlap it by one dense product of their weights, read from the
+    windows, and its stacked powers, so each column has the bits it has
     alone and a block of columns holds one column's stack.  With ``read``,
     each power is contracted with it first.  An accumulator is yielded once
-    the windows up to its own have ended, so only the open windows and
-    their weights are held.
+    the windows up to its own have ended, so only the accumulators of the
+    open windows are held, as many as overlap a block at most.
 
     A column may be wide: a flat ``(n, w)`` block of ``n w`` entries, which
     steps by one product of width ``w`` per power and is summed by the same
     dense products.  The dense propagators of :func:`_propagated_flow` are
     the flow of one such item, the flattened ``(n, n)`` identity.
     """
-    means = lam * times
-    last = lam * times[-1]
+    firsts, lengths, weights = _poisson_windows(lam, times, tail)
+    offsets = np.cumsum(lengths) - lengths
+    late = np.maximum.accumulate(firsts) - firsts
+    firsts += late
+    offsets += late
+    lengths = np.maximum(lengths - late, 0)
+    ends = np.maximum.accumulate(firsts + lengths - 1)  # the last power up to time i
     n, c = columns.shape
     rows = max(1, min(_GRID_BLOCK, _GRID_BYTES // (8 * n)))
-    # An open window's mean is within ``reach`` of the block, so at most
-    # ``slots`` windows are open at once.
-    reach = _window_end(last) - math.floor(last) + 1
-    starts = np.arange(0, _window_end(last) + 1, rows)
-    slots = int((np.searchsorted(means, starts + rows + reach)
-                 - np.searchsorted(means, starts - reach)).max())
-    # Time i sits in row i - base of the weights and the sums; the open
-    # rows move to the top when the next would fall off the end.
-    weights = np.empty((slots + 1, 2 * reach + 1))
-    acc = np.empty((slots + 1, c, n if read is None else read.shape[1]))
+    blocks = range(0, int(ends[-1]) + 1, rows)
+    # Block k0 adds into the windows opened before k0 + rows and not ended
+    # before k0.
+    opens = np.searchsorted(firsts, np.add(blocks, rows)).tolist()
+    most = int((opens - np.searchsorted(ends, blocks)).max())
+    # Time i sits in row i - base of the sums; the open rows move to the
+    # top when the next would fall off the end.
+    acc = np.empty((most, c, n if read is None else read.shape[1]))
     stack = np.empty((rows, n))
     latest = columns.T.copy()  # the last power of each column so far
-    firsts = np.zeros(len(times), dtype=int)
-    lengths = np.zeros(len(times), dtype=int)
-    ends = np.zeros(len(times), dtype=int)  # the last power up to time i
-    ahead = ((0, np.ones(1)) if times[0] == 0
-             else _poisson_weights(lam, times[0], tail))
-    opened = yielded = base = k0 = 0
-    while yielded < len(times):
-        k1 = k0 + rows
-        while opened < len(times) and ahead[0] < k1:
-            if opened - base == len(acc):
-                live = slice(yielded - base, opened - base)
-                weights[:opened - yielded] = weights[live]
-                acc[:opened - yielded] = acc[live]
-                base = yielded
-            first, w = ahead
-            if opened and first < firsts[opened - 1]:
-                w = w[firsts[opened - 1] - first:]
-                first = firsts[opened - 1]
-            firsts[opened], lengths[opened] = first, len(w)
-            ends[opened] = max(first + len(w) - 1, ends[opened - 1])
-            weights[opened - base, :len(w)] = w
-            acc[opened - base] = 0.0
-            opened += 1
-            if opened < len(times):
-                ahead = _poisson_weights(lam, times[opened], tail)
-        if opened == len(times):
-            k1 = min(k1, ends[-1] + 1)
+    opened = yielded = base = 0
+    for k0, now in zip(blocks, opens):
+        k1 = min(k0 + rows, int(ends[-1]) + 1)
+        if now - base > most:
+            acc[:opened - yielded] = acc[yielded - base:opened - base]
+            base = yielded
+        acc[opened - base:now - base] = 0.0
+        opened = now
         live = np.arange(yielded, opened)
         rel = np.arange(k0, k1) - firsts[live, None]
         inside = (rel >= 0) & (rel < lengths[live, None])
         block_weights = np.where(
-            inside, weights[live[:, None] - base, np.where(inside, rel, 0)],
+            inside, weights[np.where(inside, offsets[live, None] + rel, 0)],
             0.0)
         for j, prev in enumerate(latest):
             _stack_powers(kernel, prev, stack, k0, k1)
@@ -869,7 +935,6 @@ def _sequence_flow(kernel, lam, columns, times, read,
         while yielded < opened and ends[yielded] < k1:
             yield yielded, int(ends[yielded]), acc[yielded - base]
             yielded += 1
-        k0 = k1
 
 
 def evolve_measure(Q: SubGenerator, nu: np.ndarray, t: float) -> np.ndarray:
@@ -1004,7 +1069,7 @@ def _qprocess_table(model: Model, qsd: QsdResult) -> MoveTable:
     of the solved space: the moves of ``model`` inside the space at rates
     ``q(x, y) h(y) / h(x)``, ``total`` summed in move order, and none out
     of it (absorption or truncation overflow)."""
-    space, h = qsd.space, qsd.survival_profile
+    space, h = qsd.space, _profile_of(qsd, "the conditioned chain")
     moves = model.move_table(space.states)
     cols = space.locate(moves.targets)
     inside = moves.keep & (cols >= 0)

@@ -586,10 +586,40 @@ def test_each_command_flows_its_grid_the_cheaper_way(command, name, expected,
     assert ways == expected
 
 
+@pytest.mark.parametrize("argv", [
+    ["converge", "--config", str(CONFIGS / "catastrophe1d.cfg")],
+    ["fv", "--config", str(CONFIGS / "ref2d.cfg"), "--trunc", "30", "--t",
+     "2"]], ids=["converge", "fv"])
+def test_converge_and_fv_solve_the_law_alone(tmp_path, monkeypatch, argv):
+    """Neither command reads the survival profile: each solves for the law
+    alone, with no fork, and writes the bytes that a full solve gives."""
+    forks = []
+    fork = os.fork
+
+    def spy():
+        forks.append(fork())
+        return forks[-1]
+
+    monkeypatch.setattr(os, "fork", spy)
+    assert main(argv + ["--out", str(tmp_path / "alone")]) == 0
+    assert forks == []
+    monkeypatch.setattr(cli, "solve_qsd",
+                        lambda Q, tol, max_iter, profile: solve_qsd(
+                            Q, tol=tol, max_iter=max_iter))
+    assert main(argv + ["--out", str(tmp_path / "full")]) == 0
+    assert len(forks) == 1
+    names = sorted(p.name for p in (tmp_path / "full").iterdir())
+    assert sorted(p.name for p in (tmp_path / "alone").iterdir()) == names
+    for name in names:
+        assert ((tmp_path / "alone" / name).read_bytes()
+                == (tmp_path / "full" / name).read_bytes())
+
+
 def test_certify_reads_the_plateau_from_the_comparison_pass(tmp_path,
                                                             monkeypatch):
     """The plateau costs no flow of its own: ``certify`` makes exactly the
-    flows and grid passes of the mixing certificate alone."""
+    flows and grid passes of the mixing certificate alone, the comparison
+    pass first and then the minorization's one-column flow."""
     calls = []
 
     def counting(Q, f, t):
@@ -607,7 +637,7 @@ def test_certify_reads_the_plateau_from_the_comparison_pass(tmp_path,
     Q = assemble(model, enumerate_space(cfg.r, cfg.truncation_n))
     res = solve_qsd(Q, tol=cfg.tol, max_iter=cfg.max_iter)
     cert = mixing_certificate(Q, res, t0=1.0, horizon=cfg.t_max)
-    assert [type(call) for call in calls] == [float, tuple]
+    assert [type(call) for call in calls] == [tuple, float]
     alone = len(calls)
     calls.clear()
     out = tmp_path / "out"

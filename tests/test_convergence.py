@@ -16,6 +16,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsdlab import convergence, solver
 from qsdlab.convergence import (
     ConvergenceCurve,
     certify_minorization,
@@ -394,6 +395,93 @@ def test_plateau_is_read_from_the_comparison_pass(ref2d30_system, horizon):
     assert plain.plateau == {}
     if horizon == 10.0:
         assert cert.comparison.to_dict() == plain.to_dict()
+
+
+@pytest.mark.parametrize("name", ["ref2d", "neutral3d", "logistic1d",
+                                  "catastrophe1d", "multibirth1d"])
+def test_mixing_certificate_matches_the_standalone_certificates(name):
+    """One survival pass serves both certificates: the minorization reads
+    its survival at ``t0`` from the comparison pass, which may round
+    apart from the minorization's own two-column flow, but by no more than
+    1e-12; every state and time it reports is the same."""
+    cfg = load_config(str(CONFIGS / f"{name}.cfg"))
+    generator = assemble(build_model(cfg),
+                         enumerate_space(cfg.r, cfg.truncation_n))
+    result = solve_qsd(generator, tol=cfg.tol, max_iter=cfg.max_iter)
+    cert = mixing_certificate(generator, result, t0=1.0, horizon=cfg.t_max)
+    minor = certify_minorization(generator, 1.0, result)
+    comp = certify_survival_comparison(generator, minor.reference,
+                                       np.linspace(0.0, cfg.t_max, 64), result)
+    rate = -math.log1p(-minor.mass * comp.ratio)
+    assert abs(cert.minorization.mass - minor.mass) < 1e-12
+    assert abs(cert.comparison.ratio - comp.ratio) < 1e-12
+    assert abs(cert.rate_bound - rate) < 1e-12
+    assert (cert.minorization.reference, cert.minorization.minimizer,
+            cert.comparison.worst_time, cert.minorization.valid,
+            cert.comparison.valid) == (
+        minor.reference, minor.minimizer, comp.worst_time, minor.valid,
+        comp.valid)
+    assert cert.comparison.plateau.keys() == comp.plateau.keys()
+    for t, gap in comp.plateau.items():
+        assert abs(cert.comparison.plateau[t] - gap) < 1e-12
+
+
+@pytest.mark.parametrize("t0", [2.0, 10.0], ids=["inside", "past"])
+def test_mixing_certificate_flows_survival_once(logistic30_system,
+                                                monkeypatch, t0):
+    """The comparison pass reads survival at ``t0`` as one more time, and
+    runs past its horizon of 5 to a ``t0`` that lies there; then only the
+    indicator of the reference flows backward, as one column."""
+    *_, generator, result = logistic30_system
+    passes, flows = [], []
+
+    def counting_passes(mat, lam, columns, times, *rest):
+        passes.append((columns.shape[1], times[-1], t0 in times))
+        return solver._grid_flow(mat, lam, columns, times, *rest)
+
+    def counting_flows(Q, f, t):
+        flows.append((f.shape, t))
+        return evolve_function(Q, f, t)
+
+    monkeypatch.setattr(convergence, "_grid_flow", counting_passes)
+    monkeypatch.setattr(convergence, "evolve_function", counting_flows)
+    cert = mixing_certificate(generator, result, t0=t0, horizon=5.0)
+    assert passes == [(1, max(5.0, t0), True)]
+    assert flows == [((len(generator.space), 1), t0)]
+    monkeypatch.undo()
+    minor = certify_minorization(generator, t0, result)
+    assert abs(cert.minorization.mass - minor.mass) < 1e-12
+    grid = np.linspace(0.0, 5.0, 64)
+    comp = certify_survival_comparison(generator, minor.reference, grid,
+                                       result)
+    assert abs(cert.comparison.ratio - comp.ratio) < 1e-12
+    assert cert.comparison.worst_time == comp.worst_time
+
+
+@pytest.mark.parametrize("t0", [math.nan, -1.0, math.inf])
+def test_mixing_certificate_checks_t0_before_its_pass(logistic30_system,
+                                                      monkeypatch, t0):
+    *_, generator, result = logistic30_system
+    monkeypatch.setattr(convergence, "_grid_flow", None)
+    with pytest.raises(DomainError, match="t0 must be finite"):
+        mixing_certificate(generator, result, t0=t0, horizon=5.0)
+
+
+def test_survival_profile_error_refuses_a_law_only_solve(logistic30_system):
+    *_, generator, _ = logistic30_system
+    law_only = solve_qsd(generator, profile=False)
+    with pytest.raises(DomainError, match="needs the survival profile"):
+        survival_profile_error(generator, law_only, 1.0)
+
+
+def test_mixing_certificate_refuses_a_law_only_solve_before_any_flow(
+        logistic30_system, monkeypatch):
+    *_, generator, _ = logistic30_system
+    law_only = solve_qsd(generator, profile=False)
+    monkeypatch.setattr(convergence, "_grid_flow", None)
+    monkeypatch.setattr(convergence, "evolve_function", None)
+    with pytest.raises(DomainError, match="needs the survival profile"):
+        mixing_certificate(generator, law_only, t0=1.0)
 
 
 def test_mixing_certificate_assembles_a_positive_rate(logistic30_system):

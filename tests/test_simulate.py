@@ -366,6 +366,14 @@ def test_qprocess_checks_its_arguments(two_state_qsd, start, t_max):
         simulate_qprocess(model, result, start, t_max, RngPlan(0).stream(0))
 
 
+def test_qprocess_refuses_a_law_only_solve():
+    model = logistic_1d()
+    generator = assemble(model, enumerate_space(1, 20))
+    with pytest.raises(DomainError, match="needs the survival profile"):
+        simulate_qprocess(model, solve_qsd(generator, profile=False), (1,),
+                          10.0, RngPlan(0).stream(0))
+
+
 def test_qprocess_is_reproducible(two_state_qsd):
     model, _, result = two_state_qsd
     a = simulate_qprocess(model, result, (1,), 50.0, RngPlan(8).stream(0))

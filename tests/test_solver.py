@@ -18,6 +18,7 @@ import pathlib
 import re
 import signal
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -760,6 +761,50 @@ def test_without_fork_the_solve_runs_here_with_the_same_bits(monkeypatch,
 
 
 # ---------------------------------------------------------------------------
+# law-only solves
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", [
+    (logistic_1d(), 1, 20), (reference_2d(), 2, 8), (neutral(), 3, 6),
+    (catastrophe_logistic_1d(), 1, 15)], ids=["logistic", "ref2d", "neutral",
+                                              "catastrophe"])
+def test_law_only_solve_keeps_the_law_side_bits_without_a_fork(forks, case):
+    """``profile=False`` runs the forward iteration here: the law, decay
+    rate and law residual have the bits of the full solve, ``iterations``
+    counts the forward steps, and the profile fields are ``None``."""
+    model, r, n_max = case
+    Q = assemble(model, enumerate_space(r, n_max))
+    law_only = solve_qsd(Q, profile=False)
+    assert forks == []
+    full = solve_qsd(Q)
+    assert len(forks) == 1
+    assert law_only.law.tobytes() == full.law.tobytes()
+    assert (law_only.decay_rate, law_only.law_residual) == (
+        full.decay_rate, full.law_residual)
+    assert law_only.iterations == reference_solve(Q)[1] < full.iterations
+    assert (law_only.survival_profile, law_only.profile_residual,
+            law_only.decay_bracket) == (None, None, None)
+    assert law_only.edge_mass == full.edge_mass
+
+
+def test_law_only_solve_reports_an_exhausted_budget_as_a_full_solve_does(
+        forks):
+    Q = assemble(logistic_1d(), enumerate_space(1, 20))
+    want = outcome(solve_qsd, Q, 3)
+    law_only = partial(solve_qsd, profile=False)
+    assert outcome(law_only, Q, 3) == want
+    assert len(forks) == 1
+
+
+def test_qprocess_generator_refuses_a_law_only_solve():
+    model = logistic_1d()
+    Q = assemble(model, enumerate_space(1, 20))
+    with pytest.raises(DomainError, match="needs the survival profile"):
+        qprocess_generator(model, solve_qsd(Q, profile=False))
+
+
+# ---------------------------------------------------------------------------
 # semigroup action
 # ---------------------------------------------------------------------------
 
@@ -856,6 +901,57 @@ def test_poisson_weights_match_the_poisson_pmf():
         # and the window is no wider than that rule needs
         assert poisson.cdf(first, mean) > 0.999 * tail
         assert poisson.sf(last - 1, mean) > 0.999 * tail
+
+
+def one_window(lam, t, tail):
+    """The Fox--Glynn window of one time as it was computed alone, one
+    window per call: the oracle of the grid pass."""
+    mean = lam * t
+    k_hi = math.ceil(mean + 10.0 * math.sqrt(mean) + 30.0)
+    mode = math.floor(mean)
+    k_lo = max(0, math.floor(mean - 10.0 * math.sqrt(mean) - 30.0))
+    m = mode - k_lo
+    weights = np.empty(k_hi - k_lo + 1)
+    weights[m] = 1.0
+    np.cumprod(mean / np.arange(mode + 1, k_hi + 1), out=weights[m + 1:])
+    if m:
+        np.cumprod(np.arange(mode, k_lo, -1) / mean, out=weights[m - 1::-1])
+    cut = 0.5 * tail * weights.sum()
+    first = int(np.searchsorted(np.cumsum(weights[:m]), cut, side="right"))
+    above = np.cumsum(weights[:m:-1])[::-1]
+    last = m + int(np.argmax(above <= cut))
+    window = weights[first:last + 1]
+    return k_lo + first, window / window.sum()
+
+
+_MEANS = np.unique(np.concatenate([
+    [0.0, 0.5, 1.0, 1.5, 29.5, 30.0, 1599.5, 1600.0, 1600.5, 14576.0],
+    np.geomspace(1e-3, 1e6, 400)]))
+
+
+@pytest.mark.parametrize("lam, times", [
+    (1.0, _MEANS), (797.3, np.arange(0.0, 5.0 + 1e-12, 0.01)),
+    (2678.0, np.array([0.01, 0.01 + 1e-17, 0.02, 0.05]))],
+    ids=["means", "check-grid", "steps"])
+@pytest.mark.parametrize("moves", [1, 500])
+@pytest.mark.parametrize("grid_bytes", [None, 8])
+def test_grid_windows_have_the_bits_of_one_window_each(lam, times, moves,
+                                                       grid_bytes,
+                                                       monkeypatch):
+    """Every window of the vectorised pass is the window of its time
+    alone, bit for bit, at the tail of a sequence (``moves = 1``) and of
+    propagators over 500 steps, from chunks of the default size and from
+    chunks of one time each."""
+    if grid_bytes is not None:
+        monkeypatch.setattr(solver, "_GRID_BYTES", grid_bytes)
+    tail = solver.POISSON_TAIL / moves
+    firsts, lengths, weights = solver._poisson_windows(lam, times, tail)
+    assert len(weights) == lengths.sum()
+    ends = np.cumsum(lengths)
+    for t, first, end, length in zip(times, firsts, ends, lengths):
+        want_first, want = one_window(lam, t, tail)
+        assert first == want_first
+        assert weights[end - length:end].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("t", [1e6, 1e300])
