@@ -149,6 +149,13 @@ class MinorizationCertificate:
     re-checked at the minimizing start by flowing its point mass forward,
     the other direction of the same semigroup kernel, which rounds apart;
     ``reproduction`` is the disagreement between the two directions.
+
+    ``minimizer`` is a start that attains the minimum ratio to rounding:
+    where two starts nearly tie, a change of rounding anywhere in the flows
+    can name the other one.  On ``logistic1d`` at ``t0 = 10`` a change in
+    the survival vector's rounding alone moved it from (50,) to (49,), with
+    masses 0.7027998935820927 and 0.7027998935821198.  ``mass`` is sound
+    either way.
     """
 
     reference: tuple
@@ -180,7 +187,9 @@ def certify_minorization(Q: SubGenerator, t0: float, qsd: QsdResult,
     flow of the constant one, so that only the indicator flows backward;
     alone, each column has the bits it has in the block.  ``t0 = 0`` is
     allowed but yields mass 0 — an invalid certificate — because the
-    indicator of the reference has zeros.
+    indicator of the reference has zeros.  The minimizer is the argmin of
+    ratios that can tie to rounding, one of the starts that attain the
+    minimum to rounding (see :class:`MinorizationCertificate`).
     """
     _check_t0(t0)
     ref = int(np.argmax(qsd.law))

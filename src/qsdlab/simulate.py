@@ -8,9 +8,11 @@ bit and independent of batching order.
 Exponential waits use ``-log1p(-u) / rate`` and move selection bisects the
 running sums of the model's canonical move enumeration with a single
 uniform, so a simulated path is determined entirely by its stream.  Each
-state's moves are computed once and looked up afterwards, and each stream
-is drawn in blocks of ``_BLOCK`` uniforms, which are the same floats that
-single draws would give.
+state's moves are computed once, when a path first stands on it, and
+every loop then steps on integer state ids, reading the moves of an id,
+with their targets as ids, by indexing.  Each stream is drawn in blocks of
+``_BLOCK`` uniforms, which are the same floats that single draws would
+give.
 
 The paths of a conditioned estimate and the walkers of the particle system
 share one event loop, ``_Lockstep``, which moves many of them at once, one
@@ -21,8 +23,9 @@ still take ``math.log1p`` per uniform, because ``np.log1p`` differs from it
 in the last bit on some inputs.  The walkers advance through time windows:
 each moves on its own to the window's end or its absorption, and the
 absorptions, the only moments at which walkers interact, are then resolved
-one at a time in event order.  Each window's occupation is added in global
-event order, so every output keeps its bits whatever the windows.
+one at a time in event order.  Each window keeps the events of each of its
+steps and sorts them into global event order once, when it closes, to add
+their occupation, so every output keeps its bits whatever the windows.
 """
 
 import bisect
@@ -204,17 +207,34 @@ def _jump_path(moves, n, t_max: float, rng: np.random.Generator) -> Trajectory:
     """The event loop of a single path, over the moves ``moves(n)`` gives.
 
     ``moves(n)`` returns ``(targets, cum, total, dead)`` (see
-    ``model._memo_moves``).  The path stops at ``t_max``, when no move is
-    left, or on entering an absorbed state.
+    ``model._memo_moves``).  The loop steps on state ids: a state gets an
+    id when it first appears as a target, and its row, those moves with the
+    targets as ids, from one call of ``moves`` when the path first stands
+    on it, so an event costs list indexing.  The path stops at ``t_max``,
+    when no move is left, or on entering an absorbed state.
     """
     draw = _uniforms(rng).__next__
     bisect_right, log1p = bisect.bisect_right, math.log1p
+    ids = {n: 0}
+    state = [n]     # the state of each id
+    rows = [None]   # the row of each id, once the path has stood on it
     times = array("d", (0.0,))
     states = [n]
     add_time, add_state = times.append, states.append
     t = 0.0
+    s = 0
     for _ in range(_EVENT_BUDGET):
-        targets, cum, total, dead = moves(n)
+        row = rows[s]
+        if row is None:
+            targets, cum, total, dead = moves(state[s])
+            for target in targets:
+                if target not in ids:
+                    ids[target] = len(state)
+                    state.append(target)
+                    rows.append(None)
+            row = rows[s] = ([ids[target] for target in targets], cum,
+                             len(cum) - 1, total, dead)
+        targets, cum, last, total, dead = row
         if total <= 0.0:
             return Trajectory(times, states, t_max, False)
         t += -log1p(-draw()) / total
@@ -222,10 +242,10 @@ def _jump_path(moves, n, t_max: float, rng: np.random.Generator) -> Trajectory:
             return Trajectory(times, states, t_max, False)
         # The first move whose running sum exceeds u * total; the last move
         # when rounding leaves none.
-        i = bisect_right(cum, draw() * total, 0, len(cum) - 1)
-        n = targets[i]
+        i = bisect_right(cum, draw() * total, 0, last)
+        s = targets[i]
         add_time(t)
-        add_state(n)
+        add_state(state[s])
         if dead[i]:
             return Trajectory(times, states, t, True)
     raise NumericalError(f"event budget {_EVENT_BUDGET} exhausted before "
@@ -567,9 +587,10 @@ class _Lockstep:
             s = self.state.take(rows)
             at = self._take(rows, 2)
             # The pick of ``_jump_path``: the count of running sums but the
-            # last that are <= u * total.
+            # last that are <= u * total, by the ufunc that ``ndarray.sum``
+            # and ``np.count_nonzero`` call through Python wrappers.
             x = self.flat.take(at) * table.total.take(s)
-            pick = (table.cum[s] <= x[:, None]).sum(axis=1)
+            pick = np.add.reduce(table.cum.take(s, 0) <= x[:, None], 1)
             s = table.target.take(s * table.target.shape[1] + pick)
             self.state[rows] = s
             logs = self._logs(at + 1)
@@ -636,10 +657,15 @@ def fleming_viot(model: Model, initial, particles: int, t_max: float,
         keep = span > 0.0
         s, span = s[keep], span[keep]
         grow = len(table.states) - len(occupation)
-        occupation = np.pad(occupation, (0, grow))
+        if grow:
+            occupation = np.pad(occupation, (0, grow))
+        # The ids occupied for the first time, where they first appear: an
+        # occupied id has a positive sum.
+        new = s[occupation.take(s) == 0.0]
+        if len(new):
+            first = np.sort(np.unique(new, return_index=True)[1])
+            order.update(dict.fromkeys(new[first].tolist()))
         np.add.at(occupation, s, span)
-        first = np.sort(np.unique(s, return_index=True)[1])
-        order.update(dict.fromkeys(s[first].tolist()))
 
     def advance(rows, end):
         nonlocal events
@@ -711,10 +737,13 @@ class _Window:
     ``when[m, w]`` and leads to state id ``into[m, w]``: -1 for an
     absorption not yet resolved, whose ``(when[m, w], m, w)`` waits on the
     heap ``deaths``, and ``spare[w]`` holds the ``log1p(-u)`` of the
-    walker's wait after its teleport.  Before the window, the walker was in
-    state ``begin[w]`` since its last event at ``since[w]``, and ``rank[w]``
-    is the walker's index or, once it has moved, ``particles`` plus the
-    number of events that came before its last one.
+    walker's wait after its teleport.  ``steps`` holds the ``(m, w)`` of
+    each step's events, in step order, so that ``close`` reads the
+    window's events in time linear in their number.  Before the window,
+    the walker was in state ``begin[w]`` since its last event at
+    ``since[w]``, and ``rank[w]`` is the walker's index or, once it has
+    moved, ``particles`` plus the number of events that came before its
+    last one.
     """
 
     def __init__(self, walkers):
@@ -731,9 +760,11 @@ class _Window:
     def open(self):
         self.begin = self.walkers.state.copy()
         self.count[:] = 0
+        self.steps = []
 
     def record(self, rows, s, logs):
-        """Add one step of ``_Lockstep.run``: ``rows`` moved to ``s``."""
+        """Add one step of ``_Lockstep.run``: ``rows`` moved to ``s``, and
+        keep its ``(m, rows)`` for ``close``."""
         t = self.walkers.clock.take(rows)
         m = self.count.take(rows)
         try:
@@ -745,6 +776,7 @@ class _Window:
             self.when[m, rows] = t
         self.into[m, rows] = s
         self.count[rows] = m + 1
+        self.steps.append((m, rows))
         dead = s < 0
         if np.count_nonzero(dead):
             self.spare[rows[dead]] = logs[dead]
@@ -789,12 +821,14 @@ class _Window:
     def close(self, first, occupation_from):
         """The state and occupation span ending at each event, in event
         order; ``first`` is the number of events before the window."""
-        m, w = np.nonzero(np.arange(len(self.when))[:, None] < self.count)
+        m, w = map(np.concatenate, zip(*self.steps))
         t = self.when[m, w]
         start = m == 0
         before = np.where(start, self.begin[w], self.into[m - 1, w])
         since = np.where(start, self.since[w], self.when[m - 1, w])
-        order = np.argsort(t, kind="stable")
+        # Distinct times have one order, and tied ones are sorted by ``key``,
+        # a total order, so the sort need not be stable.
+        order = t.argsort()
         ts = t[order]
         if (ts[1:] == ts[:-1]).any():
             order = np.array(sorted(order.tolist(),

@@ -484,10 +484,12 @@ def _iterate(mat, lam, start, norm, difference, residual, tol, max_iter, what):
     y = np.empty((rows, n))      # y[i] = mat x[i]
     d = np.empty((rows, n))      # |x[i + 1] - x[i]|, then residual scratch
     x[0] = start
+    # The matvec and the views of the rows, bound once for every block.
+    bound = _matvec(mat, 1), list(zip(x[1:], y))
     done = 0
     while True:
         k = min(rows, max_iter - done)
-        _steps(mat, lam, x[0], x[1:k + 1], y[:k], norm)
+        _steps(mat, lam, x[0], x[1:k + 1], y[:k], norm, bound)
         diff = np.subtract(x[1:k + 1], x[:k], out=d[:k])
         passing = difference(np.abs(diff, out=diff)) < tol
         done += k
@@ -681,18 +683,25 @@ def _product(mat, x, out):
     return out
 
 
-def _steps(mat, lam, start, rows, products, norm):
+def _steps(mat, lam, start, rows, products, norm, bound=None):
     """The normalized uniformized steps ``rows[i] = s / norm(s)``, ``s = x +
     (mat x)/lam``, of the power iteration, from ``x = start`` and then
     ``rows[i - 1]``, leaving ``products[i] = mat x``.  Rows are C-contiguous
     vectors or ``(n, w)`` blocks; one fill zeroes all the products, so each
-    has the bits of :func:`_product`."""
+    has the bits of :func:`_product`.  A caller that runs many blocks into
+    the leading rows of the same stacks passes ``bound``: the ``_matvec`` of
+    ``mat`` and the list of flat ``(rows[i], products[i])`` views of the
+    stacks, which it binds once."""
     x = start.reshape(-1)
-    matvec = _matvec(mat, x.size // mat.shape[1])
+    if bound is None:
+        bound = (_matvec(mat, x.size // mat.shape[1]),
+                 list(zip(rows.reshape(-1, x.size),
+                          products.reshape(-1, x.size))))
+    matvec, pairs = bound
     products.fill(0.0)
-    for out, y in zip(rows.reshape(-1, x.size), products.reshape(-1, x.size)):
+    for out, y in pairs[:len(rows)]:
         matvec(x, y)
-        np.divide(y, lam, out=out)
+        np.divide(y, lam, out)
         out += x
         out /= norm(out)
         x = out

@@ -704,6 +704,27 @@ def test_moves_are_computed_once_per_visited_state():
     assert set(calls.values()) == {1}
 
 
+@pytest.mark.parametrize("name", ["constant", "catastrophe"])
+def test_a_single_path_asks_for_the_moves_of_each_state_once(name):
+    make, start, t_max = MODELS[name]
+    memo = make()._moves
+    asked = Counter()
+
+    def moves(n):
+        asked[n] += 1
+        return memo(n)
+
+    for k in range(20):
+        asked.clear()
+        path = _jump_path(moves, start, 5 * t_max, RngPlan(8).stream(k))
+        # The states the path stood on: all but an absorbing last one.
+        stood = path.states[:len(path.states) - path.absorbed]
+        assert set(asked) == set(stood)
+        assert set(asked.values()) == {1}
+        # A call per event would show: the path revisits its states.
+        assert len(stood) > 2 * len(asked) or path.absorbed
+
+
 # ---------------------------------------------------------------------------
 # the flat particle loop against its former code, and the occupation pass
 # against the reference
@@ -1119,6 +1140,19 @@ def _scripted_particle_cases():
             (1,), {k: [0.3, _DOWN, 0.3, _UP, 0.1, _DOWN, _NEVER]
                    for k in range(4)} | {4: [0.1, 0.4, 0.7, 0.9]},
             None, 4),
+        # Walker 0 dies at 0.223, restarts on walker 2 at (1,) and steps up
+        # at 0.223 + 0.357, where walker 1 steps up twice (a zero wait).  In
+        # one window the lockstep records walker 1's two steps before
+        # walker 0's, against the (m, w) order of their slots and against
+        # event order: the three tied events go by the events before them,
+        # walker 0's step (after its death), walker 1's first (after its
+        # step at 0.357), walker 1's second.  So (1,) is occupied first,
+        # then (2,), then (4,).
+        "tied steps recorded against their slot order": (
+            (1,), {0: [0.2, _DOWN, 0.3, _UP, _NEVER],
+                   1: [0.3, _UP, 0.2, _UP, 0.0, _UP, _NEVER],
+                   2: [_NEVER], 3: [0.75]},
+            {(2,): 1 / 3, (4,): 1 / 3, (1,): 1 / 3}, 1),
     }
 
 
@@ -1133,6 +1167,30 @@ def test_windowed_particles_on_scripted_streams(monkeypatch, case, window):
     assert result.deaths == deaths
     if law is not None:
         assert list(result.law.weights.items()) == list(law.items())
+
+
+@pytest.mark.parametrize("window", [0.01, 3, 10 ** 6])
+def test_tied_steps_go_by_event_order_not_by_record_order(monkeypatch,
+                                                          window):
+    start, scripts, *_ = _scripted_particle_cases()[
+        "tied steps recorded against their slot order"]
+    monkeypatch.setattr(simulate, "_WINDOW", window)
+    recorded = []
+    close = simulate._Window.close
+
+    def spy(self, *args):
+        m, w = (np.concatenate(column) for column in zip(*self.steps))
+        recorded.append(list(zip(m.tolist(), w.tolist())))
+        return close(self, *args)
+
+    monkeypatch.setattr(simulate._Window, "close", spy)
+    result = _assert_particles_match(_unit_walk(), start, 3, 1.0,
+                                     _ScriptedPlan(scripts))
+    assert list(result.occupation.weights) == [(1,), (2,), (4,)]
+    if window == 10 ** 6:
+        # One window: walker 1's second and third steps (slots 1 and 2)
+        # are recorded before walker 0's restarted step (slot 1).
+        assert recorded == [[(0, 0), (0, 1), (1, 1), (2, 1), (1, 0)]]
 
 
 def test_particles_keep_walkers_in_states_without_moves():
