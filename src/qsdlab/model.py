@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import accumulate
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -125,10 +125,10 @@ class Model:
     out of a whole list of states in one array pass, whatever the family;
     :meth:`transition_table` is its one-state row.  Only callback models
     have their rates validated per state.  Every rate callable must be a
-    function of the state alone: the simulators evaluate each state's
-    moves once and reuse them for the life of the model, and the checkers
-    of one run share one evaluation of the sampled states, which the model
-    keeps for its own life (``_sweeps``).
+    function of the state alone: the simulators of every run keep each
+    state's moves, evaluated once, in one store of state ids that the
+    model holds for its own life (``_moves``), and the checkers of one run
+    share one evaluation of the sampled states, kept likewise (``_sweeps``).
     """
 
     r: int
@@ -256,10 +256,8 @@ class Model:
 
     @cached_property
     def _moves(self):
-        def rows(states):
-            table = self.move_table(states)
-            return map(table.row, range(len(states)))
-        return _memo_moves(rows)
+        """The simulators' :class:`_MoveStore` of this model."""
+        return _MoveStore(self.move_table)
 
     @cached_property
     def _sweeps(self):
@@ -502,36 +500,94 @@ def _move_table(model, states, b, d, c, loss, births):
     return table
 
 
-def _memo_moves(rows):
-    """Memoise the moves of each state for the simulators.
+class _MoveStore:
+    """The moves out of the states the simulators visit, by state id.
 
-    ``rows(states)`` gives the ``(targets, rates, total)`` of each of a list
-    of states, in order.  The returned function maps a state to ``(targets,
-    cum, total, dead)``, computed on its first request: ``cum`` holds the
-    running sums of ``rates`` in table order, and ``dead[i]`` says whether
-    ``targets[i]`` is absorbed.  Its ``fill(states)`` computes the entries
-    still missing among ``states`` ahead of their requests, by one call of
-    ``rows``.
+    A state gets an id when it first appears, as a start or a target, and
+    its row from ``put``, which reads a :class:`MoveTable` whole; ``fill``
+    puts the table that ``source`` gives for a list of states.  A single
+    path reads ``rows[s]``, ``None`` until put: the target ids of the
+    moves, their running sums in move order, the index of the last move
+    and the total, as lists and floats; ``dead[s]`` says whether state
+    ``s`` is absorbed.  Paths in lockstep read the arrays, a row per id:
+    ``total`` (NaN until put), ``loss``, the rate into the boundary,
+    ``cum``, the running sums of the slots but the last, +inf from the last
+    move on, so that counting the entries <= u * total is the pick, and
+    ``target``, the target id of each slot, -1 for an absorbed one.
     """
-    memo = {}
 
-    def fill(states):
-        todo = [n for n in dict.fromkeys(states) if n not in memo]
-        if not todo:
-            return
-        for n, (targets, rates, total) in zip(todo, rows(todo)):
-            memo[n] = (targets, list(accumulate(rates)), total,
-                       [is_absorbed(target) for target in targets])
+    def __init__(self, source):
+        self.source = source
+        self.ids = {}
+        self.states = []
+        self.rows = []
+        self.dead = []
+        self.total = np.empty(0)
+        self.loss = np.empty(0)
+        self.cum = np.empty((0, 0))
+        self.target = np.empty((0, 1), dtype=np.intp)
 
-    def moves(n):
-        entry = memo.get(n)
-        if entry is None:
-            fill((n,))
-            entry = memo[n]
-        return entry
+    def id(self, n):
+        """The id of state ``n``, given on its first request."""
+        s = self.ids.get(n)
+        if s is None:
+            s = self.ids[n] = len(self.states)
+            self.states.append(n)
+            self.rows.append(None)
+            self.dead.append(is_absorbed(n))
+            if s == len(self.total):
+                self._grow(s + 1, 0)
+        return s
 
-    moves.fill = fill
-    return moves
+    def fill(self, ids):
+        """Put the rows of ``ids``, distinct ids without one."""
+        self.put(self.source([self.states[s] for s in ids]))
+
+    def totals(self, s):
+        """``total[s]``, once the ids in ``s`` have their rows."""
+        total = self.total.take(s)
+        todo = s[np.isnan(total)]
+        if not len(todo):
+            return total
+        self.fill(np.unique(todo).tolist())
+        return self.total.take(s)
+
+    def put(self, table):
+        """Set the row of each state of ``table`` from it."""
+        keep = table.keep
+        rows = list(map(self.id, map(tuple, table.states.tolist())))
+        targets = list(map(self.id, map(tuple, table.targets[keep].tolist())))
+        width = keep.shape[1]
+        self._grow(len(self.states), width)
+        # The rates are 0.0 off ``keep``: the running sums of the slots have
+        # the bits of those of the moves alone.
+        cum = table.rates.cumsum(1)
+        moves, sums = iter(targets), iter(cum[keep].tolist())
+        for s, k, total in zip(rows, keep.sum(1).tolist(),
+                               table.total.tolist()):
+            self.rows[s] = ([*islice(moves, k)], [*islice(sums, k)], k - 1,
+                            total)
+        dead = keep & table.absorbed()
+        self.total[rows] = table.total
+        self.loss[rows] = table.sum(table.rates, dead)
+        slot = np.arange(width)
+        last = np.where(keep, slot, -1).max(1, initial=-1)
+        self.cum[rows, :width - 1] = np.where(slot[:-1] < last[:, None],
+                                              cum[:, :-1], math.inf)
+        target = np.zeros(keep.shape, dtype=np.intp)
+        target[keep] = targets
+        self.target[rows, :width] = np.where(dead, -1, target)
+
+    def _grow(self, rows, width):
+        """Room for ``rows`` states with up to ``width`` move slots each."""
+        have, wide = self.target.shape
+        if rows > have or width > wide:
+            grow = ((0, 2 * rows - have if rows > have else 0),
+                    (0, max(0, width - wide)))
+            self.total = np.pad(self.total, grow[:1], constant_values=math.nan)
+            self.loss = np.pad(self.loss, grow[:1])
+            self.cum = np.pad(self.cum, grow, constant_values=math.inf)
+            self.target = np.pad(self.target, grow)
 
 
 def build_model(config: ConfigDocument) -> Model:

@@ -7,12 +7,13 @@ bit and independent of batching order.
 
 Exponential waits use ``-log1p(-u) / rate`` and move selection bisects the
 running sums of the model's canonical move enumeration with a single
-uniform, so a simulated path is determined entirely by its stream.  Each
-state's moves are computed once, when a path first stands on it, and
-every loop then steps on integer state ids, reading the moves of an id,
-with their targets as ids, by indexing.  Each stream is drawn in blocks of
-``_BLOCK`` uniforms, which are the same floats that single draws would
-give.
+uniform, so a simulated path is determined entirely by its stream.  Every
+loop steps on the integer state ids of a store of moves
+(``model._MoveStore``) and reads the moves of an id, with their targets as
+ids, by indexing.  The model keeps one store for all its runs, which
+computes a state's moves once, when a path first stands on it; a q-process
+path has its own, put whole from its table.  Each stream is drawn in
+blocks of ``_BLOCK`` uniforms, the same floats that single draws give.
 
 The paths of a conditioned estimate and the walkers of the particle system
 share one event loop, ``_Lockstep``, which moves many of them at once, one
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import (DomainError, NoSurvivorsError, NumericalError,
                      ValidationError)
-from .model import Model, _memo_moves, is_absorbed, is_interior
+from .model import Model, _MoveStore, is_absorbed, is_interior
 from .solver import QsdResult, _qprocess_table
 
 _EVENT_BUDGET = 10 ** 7
@@ -153,7 +154,7 @@ class Trajectory:
     state.
 
     A simulated path keeps ``times`` as a float64 ``array.array`` and
-    ``states`` as a list of the state tuples the model's move table holds,
+    ``states`` as a list of the state tuples its move store holds,
     about 16 bytes per event in all.  Paths built by hand may give any
     sequences.  The fields are mutable, so a path is not hashable.
     """
@@ -203,38 +204,30 @@ def _count(value, name: str, least: int) -> int:
     return value
 
 
-def _jump_path(moves, n, t_max: float, rng: np.random.Generator) -> Trajectory:
-    """The event loop of a single path, over the moves ``moves(n)`` gives.
+def _jump_path(moves: _MoveStore, n, t_max: float,
+               rng: np.random.Generator) -> Trajectory:
+    """The event loop of a single path from state ``n``, over the rows of
+    the store ``moves``.
 
-    ``moves(n)`` returns ``(targets, cum, total, dead)`` (see
-    ``model._memo_moves``).  The loop steps on state ids: a state gets an
-    id when it first appears as a target, and its row, those moves with the
-    targets as ids, from one call of ``moves`` when the path first stands
-    on it, so an event costs list indexing.  The path stops at ``t_max``,
-    when no move is left, or on entering an absorbed state.
+    The loop steps on the store's state ids, filling the row of each id
+    the first time the path stands on it, so an event costs list indexing.
+    The path stops at ``t_max``, when no move is left, or on entering an
+    absorbed state.
     """
     draw = _uniforms(rng).__next__
     bisect_right, log1p = bisect.bisect_right, math.log1p
-    ids = {n: 0}
-    state = [n]     # the state of each id
-    rows = [None]   # the row of each id, once the path has stood on it
+    rows, state, dead = moves.rows, moves.states, moves.dead
+    s = moves.id(n)
     times = array("d", (0.0,))
-    states = [n]
+    states = [state[s]]
     add_time, add_state = times.append, states.append
     t = 0.0
-    s = 0
     for _ in range(_EVENT_BUDGET):
         row = rows[s]
         if row is None:
-            targets, cum, total, dead = moves(state[s])
-            for target in targets:
-                if target not in ids:
-                    ids[target] = len(state)
-                    state.append(target)
-                    rows.append(None)
-            row = rows[s] = ([ids[target] for target in targets], cum,
-                             len(cum) - 1, total, dead)
-        targets, cum, last, total, dead = row
+            moves.fill((s,))
+            row = rows[s]
+        targets, cum, last, total = row
         if total <= 0.0:
             return Trajectory(times, states, t_max, False)
         t += -log1p(-draw()) / total
@@ -242,11 +235,10 @@ def _jump_path(moves, n, t_max: float, rng: np.random.Generator) -> Trajectory:
             return Trajectory(times, states, t_max, False)
         # The first move whose running sum exceeds u * total; the last move
         # when rounding leaves none.
-        i = bisect_right(cum, draw() * total, 0, last)
-        s = targets[i]
+        s = targets[bisect_right(cum, draw() * total, 0, last)]
         add_time(t)
         add_state(state[s])
-        if dead[i]:
+        if dead[s]:
             return Trajectory(times, states, t, True)
     raise NumericalError(f"event budget {_EVENT_BUDGET} exhausted before "
                          f"t_max = {t_max}; the model may explode")
@@ -425,11 +417,11 @@ def _survivor_counts(model: Model, initial, t: float, plan: RngPlan,
     """
     n = _start(model, initial, t)
     first, rekey = plan._rekeyer(first, count)
-    table = _MoveTable(model._moves, n)
+    moves = model._moves
     counts: Counter = Counter()
     events = 0
     # One set of rows, and so one refill buffer, serves every batch.
-    paths = _Lockstep(table, min(_BATCH, count), rekey, first)
+    paths = _Lockstep(moves, moves.id(n), min(_BATCH, count), rekey, first)
     for lo in range(first, first + count, _BATCH):
         size = min(_BATCH, first + count - lo)
         paths.restart(lo)
@@ -442,78 +434,26 @@ def _survivor_counts(model: Model, initial, t: float, plan: RngPlan,
                                      f"before t_max = {t}; the model may "
                                      "explode")
         final = paths.state[:size]
-        counts.update(map(table.states.__getitem__, final[final >= 0].tolist()))
+        counts.update(map(moves.states.__getitem__,
+                          final[final >= 0].tolist()))
     return counts, events
-
-
-class _MoveTable:
-    """The moves of the states the paths visit, as arrays over state ids.
-
-    Row ``s`` holds ``total[s]``, the running sums but the last in ``cum[s]``
-    (padded with +inf, so that counting the entries <= u * total is the
-    pick) and the target ids in ``target[s]``, -1 for an absorbed target.
-    A state gets an id when it first appears as a live target, and its row
-    from ``moves`` (the model's memo) when a path first stands on it, the
-    new states of one step by one ``moves.fill``; until then its total is
-    NaN.
-    """
-
-    def __init__(self, moves, start):
-        self.moves = moves
-        self.ids = {start: 0}
-        self.states = [start]
-        self.total = np.full(1, math.nan)
-        self.loss = np.zeros(1)
-        self.cum = np.zeros((1, 0))
-        self.target = np.zeros((1, 1), dtype=np.intp)
-
-    def totals(self, s):
-        """``total[s]``, once the rows of the ids in ``s`` are filled."""
-        total = self.total.take(s)
-        todo = s[np.isnan(total)]
-        if not len(todo):
-            return total
-        todo = np.unique(todo).tolist()
-        self.moves.fill([self.states[i] for i in todo])
-        for i in todo:
-            targets, cum, rate, dead = self.moves(self.states[i])
-            ids = [-1 if gone else self.ids.setdefault(target, len(self.ids))
-                   for target, gone in zip(targets, dead)]
-            # The states that just got ids, in id order.
-            self.states.extend(islice(self.ids, len(self.states), None))
-            self._grow(len(self.states), len(ids))
-            self.total[i] = rate
-            self.loss[i] = sum(b - a for a, b, gone
-                               in zip([0.0, *cum], cum, dead) if gone)
-            self.cum[i, :max(len(ids) - 1, 0)] = cum[:-1]
-            self.target[i, :len(ids)] = ids
-        return self.total.take(s)
-
-    def _grow(self, rows, width):
-        """Room for ``rows`` states with up to ``width`` moves each."""
-        have, wide = self.target.shape
-        if rows > have or width > wide:
-            grow = ((0, 2 * rows - have if rows > have else 0),
-                    (0, max(0, width - wide)))
-            self.total = np.pad(self.total, grow[:1], constant_values=math.nan)
-            self.loss = np.pad(self.loss, grow[:1])
-            self.cum = np.pad(self.cum, grow, constant_values=math.inf)
-            self.target = np.pad(self.target, grow)
 
 
 class _Lockstep:
     """Paths on the rows of a buffer of uniforms, moved one event per step.
 
-    Row k holds a path's state id in ``state[k]`` (-1 once absorbed) and
-    the time of its next event in ``clock[k]`` (+inf in a state without
-    moves).  A step draws each moving path's pick and the uniform after it
-    as a pair, so each path reads its stream in order, as ``_jump_path``
-    does.  Row k reads stream ``first + k``, refilled through ``rekey`` of
-    ``RngPlan._rekeyer``.
+    Row k holds a path's state id in the store ``moves`` in ``state[k]``
+    (-1 once absorbed) and the time of its next event in ``clock[k]``
+    (+inf in a state without moves); every row starts on id ``origin``.
+    A step reads the moves from the store's arrays, draws each moving
+    path's pick and the uniform after it as a pair, so each path reads its
+    stream in order, as ``_jump_path`` does.  Row k reads stream ``first +
+    k``, refilled through ``rekey`` of ``RngPlan._rekeyer``.
     """
 
-    def __init__(self, table, rows, rekey, first):
-        self.table = table
+    def __init__(self, moves, origin, rows, rekey, first):
+        self.moves = moves
+        self.origin = origin
         self.rekey = rekey
         self.state = np.empty(rows, dtype=np.intp)
         self.clock = np.empty(rows)
@@ -528,7 +468,7 @@ class _Lockstep:
         """Put every row at time 0 on the start state, with nothing drawn
         from its stream, now ``first`` plus the row's index."""
         self.first = first
-        self.state[:] = 0
+        self.state[:] = self.origin
         self.clock[:] = 0.0
         self.pos[:] = _REFILL + 1
         self.drawn[:] = 0
@@ -565,7 +505,7 @@ class _Lockstep:
     def _wait(self, rows, logs, end):
         """Move the clock of each row in ``rows`` on by the wait that
         ``logs`` gives it; return the rows due before ``end``."""
-        total = self.table.totals(self.state.take(rows))
+        total = self.moves.totals(self.state.take(rows))
         stuck = total <= 0.0
         if np.count_nonzero(stuck):
             self.clock[rows[stuck]] = math.inf
@@ -582,16 +522,16 @@ class _Lockstep:
         step, the rows that moved, their new state ids, and the ``log1p(-u)``
         of the uniform each drew after its pick: for an absorbed row, that
         of the wait after its teleport."""
-        table = self.table
+        moves = self.moves
         while len(rows):
             s = self.state.take(rows)
             at = self._take(rows, 2)
             # The pick of ``_jump_path``: the count of running sums but the
             # last that are <= u * total, by the ufunc that ``ndarray.sum``
             # and ``np.count_nonzero`` call through Python wrappers.
-            x = self.flat.take(at) * table.total.take(s)
-            pick = np.add.reduce(table.cum.take(s, 0) <= x[:, None], 1)
-            s = table.target.take(s * table.target.shape[1] + pick)
+            x = self.flat.take(at) * moves.total.take(s)
+            pick = np.add.reduce(moves.cum.take(s, 0) <= x[:, None], 1)
+            s = moves.target.take(s * moves.target.shape[1] + pick)
             self.state[rows] = s
             logs = self._logs(at + 1)
             yield rows, s, logs
@@ -642,9 +582,9 @@ def fleming_viot(model: Model, initial, particles: int, t_max: float,
     particles = _count(particles, "particles", 2)
     start = _start(model, initial, t_max)
     occupation_from = t_max / 2.0
-    table = _MoveTable(model._moves, start)
+    moves = model._moves
     _, rekey = plan._rekeyer(0, particles)
-    walkers = _Lockstep(table, particles, rekey, 0)
+    walkers = _Lockstep(moves, moves.id(start), particles, rekey, 0)
     resample = _uniforms(plan.stream(particles)).__next__
     walkers.start(np.arange(particles), math.inf)
     window = _Window(walkers)
@@ -656,7 +596,7 @@ def fleming_viot(model: Model, initial, particles: int, t_max: float,
         nonlocal occupation
         keep = span > 0.0
         s, span = s[keep], span[keep]
-        grow = len(table.states) - len(occupation)
+        grow = len(moves.states) - len(occupation)
         if grow:
             occupation = np.pad(occupation, (0, grow))
         # The ids occupied for the first time, where they first appear: an
@@ -684,8 +624,8 @@ def fleming_viot(model: Model, initial, particles: int, t_max: float,
         if not due < t_max:
             break
         moving = walkers.state[clock < math.inf]
-        rate = table.total.take(moving).sum()
-        loss = table.loss.take(moving).sum()
+        rate = moves.total.take(moving).sum()
+        loss = moves.loss.take(moving).sum()
         # About _WINDOW events per walker, fewer when absorptions are
         # frequent: teleported walkers move on in small batches, whose steps
         # grow with the window.  The divisor is the root of the absorptions
@@ -713,7 +653,7 @@ def fleming_viot(model: Model, initial, particles: int, t_max: float,
                 j += 1
             n = window.into[m, i] = walkers.state[i] = window.state_at(j, m, i)
             # ``_Lockstep._wait`` for one walker.
-            total = table.total[n]
+            total = moves.total[n]
             next_t = walkers.clock[i] = (t - window.spare[i] / total
                                          if total > 0.0 else math.inf)
             if next_t < end:
@@ -721,7 +661,7 @@ def fleming_viot(model: Model, initial, particles: int, t_max: float,
                 soonest = min(soonest, next_t)
         occupy(*window.close(first, occupation_from))
     occupy(walkers.state, t_max - np.maximum(window.since, occupation_from))
-    states = table.states
+    states = moves.states
     return ParticleResult(
         law=EmpiricalLaw.from_counts(Counter(map(states.__getitem__,
                                                  walkers.state.tolist()))),
@@ -853,13 +793,14 @@ def simulate_qprocess(model: Model, qsd: QsdResult, initial, t_max: float,
     The moves are those of ``solver._qprocess_table``, the table that
     ``qprocess_generator`` is built from: moves inside the solved space
     reweighted by the ratio of survival profiles between target and source,
-    and none out of it (absorption or truncation overflow).  The resulting
-    path never absorbs.  Like ``simulate_path``, the path depends on its
-    stream alone, and ``rng`` is consumed in blocks: use one stream per path.
+    and none out of it (absorption or truncation overflow), put whole into
+    a store of their own, which so needs no source.  The resulting path
+    never absorbs.  Like ``simulate_path``, the path depends on its stream
+    alone, and ``rng`` is consumed in blocks: use one stream per path.
     """
     n = _start(model, initial, t_max)
     if n not in qsd.space.index:
         raise DomainError(f"initial state {n} is outside the solved space")
-    table, index = _qprocess_table(model, qsd), qsd.space.index
-    moves = _memo_moves(lambda states: [table.row(index[m]) for m in states])
+    moves = _MoveStore(None)
+    moves.put(_qprocess_table(model, qsd))
     return _jump_path(moves, n, t_max, rng)

@@ -432,7 +432,11 @@ def _bits(values):
 def _assert_array_pass_matches(model, states):
     reference = _scalar_kernel(model)
     table = model.move_table(states)
-    model._moves.fill(states)
+    store = model._moves
+    empty = [s for s in dict.fromkeys(map(store.id, states))
+             if store.rows[s] is None]
+    if empty:
+        store.fill(empty)
     for i, n in enumerate(states):
         targets, rates, total = reference(n)
         got = table.row(i)
@@ -440,11 +444,30 @@ def _assert_array_pass_matches(model, states):
         assert _bits(got[1]) == _bits(rates), n
         assert got[2].hex() == total.hex() == float(table.total[i]).hex(), n
         assert model.transition_table(n) == got
-        memo_targets, cum, memo_total, dead = model._moves(n)
-        assert memo_targets == targets
+        # The store's row for a single path: target ids, running sums in
+        # move order, the last index and the total.
+        s = store.ids[n]
+        ids, cum, last, stored = store.rows[s]
+        dead = [is_absorbed(t) for t in targets]
+        assert [store.states[k] for k in ids] == targets
+        assert [store.dead[k] for k in ids] == dead
         assert _bits(cum) == _bits(accumulate(rates))
-        assert memo_total.hex() == total.hex()
-        assert dead == [is_absorbed(t) for t in targets]
+        assert last == len(targets) - 1
+        assert stored.hex() == total.hex() == float(store.total[s]).hex()
+        # Its row for the lockstep: on the slots of the moves, the running
+        # sums but the last, +inf from the last move on, and the target
+        # ids, -1 for an absorbed one; the rate into the boundary.
+        slots = np.flatnonzero(table.keep[i])
+        assert _bits(store.cum[s, slots[:-1]]) == _bits(cum[:-1])
+        assert (store.cum[s, slots[-1]:] == math.inf).all()
+        assert (np.diff(store.cum[s]) >= 0).all()
+        assert store.target[s, slots].tolist() == [
+            -1 if gone else k for k, gone in zip(ids, dead)]
+        loss = 0.0
+        for rate, gone in zip(rates, dead):
+            if gone:
+                loss += rate
+        assert float(store.loss[s]).hex() == loss.hex()
 
 
 def _tabulated_2d():

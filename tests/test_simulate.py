@@ -9,6 +9,7 @@ loudly rather than drift silently.
 
 import bisect
 import heapq
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -24,7 +25,8 @@ from qsdlab import simulate
 from qsdlab.config import load_config
 from qsdlab.errors import (DomainError, NoSurvivorsError, NumericalError,
                            ValidationError)
-from qsdlab.model import LitterLaw, Model, _memo_moves, build_model, is_absorbed
+from qsdlab.model import (LitterLaw, Model, MoveTable, _MoveStore, build_model,
+                          is_absorbed)
 from qsdlab.presets import (catastrophe_logistic_1d, logistic_1d,
                             multibirth_uniform_1d, reference_2d)
 from qsdlab.simulate import (
@@ -608,9 +610,27 @@ class _Scripted:
         return np.array(out)
 
 
-def _each(table):
-    """The ``rows`` of ``_memo_moves`` that reads ``table`` state by state."""
-    return lambda states: map(table, states)
+def _store(table):
+    """A move store whose rows come from ``table(n) -> (targets, rates,
+    total)``, state by state, with ``total`` as given, even when it is not
+    the in-order sum of ``rates``."""
+    def source(states):
+        rows = [table(n) for n in states]
+        # One slot at least, as in every table of a model.
+        width = max([1] + [len(rates) for _, rates, _ in rows])
+        targets = np.zeros((len(rows), width, 1), dtype=np.int64)
+        rates = np.zeros((len(rows), width))
+        keep = np.zeros((len(rows), width), dtype=bool)
+        for i, (moves, weights, _) in enumerate(rows):
+            targets[i, :len(moves), 0] = [m for m, in moves]
+            rates[i, :len(weights)] = weights
+            keep[i, :len(weights)] = True
+        moves = MoveTable(np.array(states), targets, rates, keep)
+        # Where ``MoveTable.total`` caches the in-order sums.
+        vars(moves)["total"] = np.array([total for *_, total in rows])
+        return moves
+
+    return _MoveStore(source)
 
 
 def _fixed_table(targets, rates, total=None):
@@ -629,7 +649,7 @@ _LAST_BELOW_ONE = 1.0 - 2.0 ** -53
 def test_pick_on_a_running_sum_boundary_takes_the_next_move():
     table = _fixed_table([(6,), (7,), (4,)], [1.0, 1.0, 2.0])
     script = [0.5, 0.25, _LAST_BELOW_ONE]  # 0.25 * 4.0 == 1.0, the first sum
-    path = _jump_path(_memo_moves(_each(table)), (5,), 1.0, _Scripted(script))
+    path = _jump_path(_store(table), (5,), 1.0, _Scripted(script))
     assert tuple(path.states) == ((5,), (7,))
     assert (tuple(path.times), tuple(path.states), path.t_end,
             path.absorbed) == \
@@ -644,7 +664,7 @@ def test_pick_rounded_up_to_the_last_sum_takes_the_last_move():
     table = _fixed_table([(6,), (0,)], [1.0, 2.0], total)
     assert _LAST_BELOW_ONE * total == 3.0
     script = [0.5, _LAST_BELOW_ONE]
-    path = _jump_path(_memo_moves(_each(table)), (5,), 1.0, _Scripted(script))
+    path = _jump_path(_store(table), (5,), 1.0, _Scripted(script))
     assert tuple(path.states) == ((5,), (0,))
     assert path.absorbed
     assert (tuple(path.times), tuple(path.states), path.t_end,
@@ -702,21 +722,75 @@ def test_moves_are_computed_once_per_visited_state():
         visited.update(s for s in path.states if not is_absorbed(s))
     assert visited == set(calls)
     assert set(calls.values()) == {1}
+    # The walkers reach states the paths above never stood on, and read
+    # those the paths did from the same store.
+    before = set(calls)
+    fleming_viot(model, (3,), 200, 6.0, RngPlan(4))
+    assert set(calls) > before
+    assert set(calls.values()) == {1}
+
+
+def _runs_from(model, start):
+    """Everything the three simulators of ``model`` report from ``start``,
+    with every law as its ordered list of items."""
+    estimate = estimate_conditional(model, start, 4.0, 300, RngPlan(3))
+    particles = fleming_viot(model, start, 150, 4.0, RngPlan(3))
+    paths = [simulate_path(model, start, 4.0, RngPlan(3).stream(k))
+             for k in range(20)]
+    return ([list(estimate.law.weights.items()), estimate.events],
+            [list(particles.law.weights.items()),
+             list(particles.occupation.weights.items()),
+             particles.events, particles.deaths],
+            [(list(path.times), path.states, path.absorbed)
+             for path in paths])
+
+
+def test_a_filled_store_gives_the_bits_of_a_fresh_model():
+    # Other runs from other starts give states their ids and rows first,
+    # so the runs from (3, 3) see other ids and fill other batches.
+    _, used = _config_model("ref2d")
+    fleming_viot(used, (8, 2), 100, 3.0, RngPlan(1))
+    estimate_conditional(used, (1, 6), 3.0, 200, RngPlan(2))
+    filled = len(used._moves.states)
+    _, fresh = _config_model("ref2d")
+    assert _runs_from(used, (3, 3)) == _runs_from(fresh, (3, 3))
+    assert len(fresh._moves.states) < len(used._moves.states)
+    assert filled > 50
+
+
+def test_a_qprocess_path_reads_the_model_once(monkeypatch, small_solves):
+    model, start, qsd = small_solves["constant"]
+    asked = []
+    move_table = Model.move_table
+
+    def spy(self, states, *args):
+        states = list(states)
+        asked.append(states)
+        return move_table(self, states, *args)
+
+    monkeypatch.setattr(Model, "move_table", spy)
+    for k in range(2):
+        path = simulate_qprocess(model, qsd, start, 40.0,
+                                 RngPlan(23).stream(k))
+        assert len(path.times) > 100
+        # One read of the whole space, for the table the generator has too.
+        assert asked == [list(qsd.space.states)] * (k + 1)
 
 
 @pytest.mark.parametrize("name", ["constant", "catastrophe"])
 def test_a_single_path_asks_for_the_moves_of_each_state_once(name):
     make, start, t_max = MODELS[name]
-    memo = make()._moves
+    model = make()
     asked = Counter()
 
-    def moves(n):
-        asked[n] += 1
-        return memo(n)
+    def source(states):
+        asked.update(states)
+        return model.move_table(states)
 
     for k in range(20):
         asked.clear()
-        path = _jump_path(moves, start, 5 * t_max, RngPlan(8).stream(k))
+        path = _jump_path(_MoveStore(source), start, 5 * t_max,
+                          RngPlan(8).stream(k))
         # The states the path stood on: all but an absorbing last one.
         stood = path.states[:len(path.states) - path.absorbed]
         assert set(asked) == set(stood)
@@ -737,7 +811,12 @@ def test_a_single_path_asks_for_the_moves_of_each_state_once(name):
 
 def _closure_fleming_viot(model, start, particles, t_max, plan):
     occupation_from = t_max / 2.0
-    moves = model._moves
+
+    def moves(n):
+        targets, rates, total = model.transition_table(n)
+        return (targets, list(itertools.accumulate(rates)), total,
+                [is_absorbed(target) for target in targets])
+
     states = [start] * particles
     draws = [_uniforms(plan.stream(i)).__next__ for i in range(particles)]
     resample = _uniforms(plan.stream(particles)).__next__
@@ -952,7 +1031,7 @@ def test_lockstep_tally_keeps_paths_in_states_without_moves():
             return [], [], 0.0
         return [(n[0] + 1,), (n[0] - 1,)], [1.5, 1.0], 2.5
 
-    model = SimpleNamespace(r=1, _moves=_memo_moves(_each(table)))
+    model = SimpleNamespace(r=1, _moves=_store(table))
     counts, *_ = _assert_tally_matches(model, (2,), 3.0, RngPlan(6), 0, 300)
     assert set(counts) >= {(3,)}
 
@@ -1009,10 +1088,10 @@ def _boundary_cases():
 @pytest.mark.parametrize("case", sorted(_boundary_cases()))
 def test_lockstep_tally_on_scripted_boundaries(case):
     table, t, script = _boundary_cases()[case]
-    model = SimpleNamespace(r=1, _moves=_memo_moves(_each(table)))
+    model = SimpleNamespace(r=1, _moves=_store(table))
     counts, events = _survivor_counts(model, (5,), t,
                                       _ScriptedPlan({0: script}), 0, 1)
-    path = _jump_path(_memo_moves(_each(table)), (5,), t, _Scripted(script))
+    path = _jump_path(_store(table), (5,), t, _Scripted(script))
     want = Counter() if path.absorbed else Counter([path.final_state])
     assert (counts, events) == (want, len(path.times) - 1)
     if case.startswith("wait"):
@@ -1068,7 +1147,7 @@ def _unit_walk():
     def table(n):
         return [(n[0] + 1,), (n[0] - 1,)], [0.5, 0.5], 1.0
 
-    return SimpleNamespace(r=1, _moves=_memo_moves(_each(table)),
+    return SimpleNamespace(r=1, _moves=_store(table),
                            transition_table=table)
 
 
@@ -1201,7 +1280,7 @@ def test_particles_keep_walkers_in_states_without_moves():
             return [], [], 0.0
         return [(n[0] + 1,), (n[0] - 1,)], [1.5, 1.0], 2.5
 
-    model = SimpleNamespace(r=1, _moves=_memo_moves(_each(table)),
+    model = SimpleNamespace(r=1, _moves=_store(table),
                             transition_table=table)
     result = _assert_particles_match(model, (1,), 40, 3.0, RngPlan(6))
     assert result.deaths > 0 and result.law.mass_at((3,)) > 0.5
