@@ -35,7 +35,7 @@ from .lyapunov import (INCONCLUSIVE, AssumptionReport, PotentialParams,
 from .model import build_model
 from .simulate import (RngPlan, estimate_conditional, fleming_viot,
                        occupation_measure, simulate_qprocess)
-from .solver import assemble, enumerate_space, solve_qsd
+from .solver import _Forked, assemble, enumerate_space, solve_qsd
 
 _CONDITIONAL_CHECK_CAP = 20000
 
@@ -219,10 +219,16 @@ def _cmd_simulate(cfg, args, out, overrides):
 
 
 def _cmd_fv(cfg, args, out, overrides):
-    model, space, Q, res = _solved(cfg, profile=False)
-    initial = _initials(cfg)[0]
-    plan = RngPlan(cfg.seed)
-    result = fleming_viot(model, initial, cfg.particles, cfg.t_max, plan)
+    model = build_model(cfg)
+    Q = assemble(model, enumerate_space(cfg.r, cfg.truncation_n))
+    # The particles never read the law: a forked child solves for it while
+    # they run here, and its error wins over theirs, as when it ran first.
+    with _Forked(lambda: solve_qsd(Q, tol=cfg.tol, max_iter=cfg.max_iter,
+                                   profile=False)) as solve:
+        initial = _initials(cfg)[0]
+        result = fleming_viot(model, initial, cfg.particles, cfg.t_max,
+                              RngPlan(cfg.seed))
+    res = solve.result()
     header, rows = _empirical_rows(
         cfg.r, [("final_mass", result.law), ("occupation", result.occupation)])
     law_path = os.path.join(out, "particle_law.csv")

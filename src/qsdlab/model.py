@@ -126,9 +126,11 @@ class Model:
     :meth:`transition_table` is its one-state row.  Only callback models
     have their rates validated per state.  Every rate callable must be a
     function of the state alone: the simulators of every run keep each
-    state's moves, evaluated once, in one store of state ids that the
-    model holds for its own life (``_moves``), and the checkers of one run
-    share one evaluation of the sampled states, kept likewise (``_sweeps``).
+    state's moves, evaluated once per process, in one store of state ids
+    that the model holds for its own life (``_moves``; the forked child of
+    a split survivor tally fills a copy of its own), and the checkers of
+    one run share one evaluation of the sampled states, kept likewise
+    (``_sweeps``).
     """
 
     r: int

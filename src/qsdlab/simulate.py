@@ -10,10 +10,12 @@ running sums of the model's canonical move enumeration with a single
 uniform, so a simulated path is determined entirely by its stream.  Every
 loop steps on the integer state ids of a store of moves
 (``model._MoveStore``) and reads the moves of an id, with their targets as
-ids, by indexing.  The model keeps one store for all its runs, which
-computes a state's moves once, when a path first stands on it; a q-process
-path has its own, put whole from its table.  Each stream is drawn in
-blocks of ``_BLOCK`` uniforms, the same floats that single draws give.
+ids, by indexing.  The model keeps one store for all its runs in a
+process, which computes a state's moves once per process, when a path
+first stands on it: the forked child of a split survivor tally fills a
+copy that the caller never sees.  A q-process path has its own store, put
+whole from its table.  Each stream is drawn in blocks of ``_BLOCK``
+uniforms, the same floats that single draws give.
 
 The paths of a conditioned estimate and the walkers of the particle system
 share one event loop, ``_Lockstep``, which moves many of them at once, one
@@ -43,7 +45,7 @@ import numpy as np
 from .errors import (DomainError, NoSurvivorsError, NumericalError,
                      ValidationError)
 from .model import Model, _MoveStore, is_absorbed, is_interior
-from .solver import QsdResult, _qprocess_table
+from .solver import QsdResult, _Forked, _qprocess_table
 
 _EVENT_BUDGET = 10 ** 7
 
@@ -388,8 +390,10 @@ def estimate_conditional(model: Model, initial, t: float, trajectories: int,
     Trajectory k draws from stream ``first_stream + k`` of the plan, so any
     contiguous batch of indices reproduces exactly: runs over streams
     ``[0, a)`` and ``[a, n)``, in one process or two, have between them the
-    survivor counts and events of one run over ``[0, n)``.  Raises when
-    every path was absorbed by t.
+    survivor counts and events of one run over ``[0, n)``.  A run of more
+    than ``_BATCH`` paths splits itself so, the lower half in a forked child
+    (see :func:`_survivor_counts`), with the bits of one process.  Raises
+    when every path was absorbed by t.
     """
     trajectories = _count(trajectories, "trajectories", 1)
     counts, events = _survivor_counts(model, initial, t, plan, first_stream,
@@ -414,29 +418,49 @@ def _survivor_counts(model: Model, initial, t: float, plan: RngPlan,
     path reads its stream in order, refilled by a generator re-keyed to the
     path's stream and position, so it makes the moves ``simulate_path``
     makes on that stream.
+
+    Above ``_BATCH`` paths, a forked child (see ``solver._Forked``) tallies
+    the lower half of the streams while this process tallies the upper
+    half.  The child's counts are merged first, so the counts, their order
+    and the events are those of one process, and its error, from the lower
+    streams, wins.  The child fills a copy of the model's move store that
+    this process never sees, so the rate callbacks of a model run there
+    too and must keep to ``_Forked``'s rule: no import, no BLAS call.
     """
     n = _start(model, initial, t)
     first, rekey = plan._rekeyer(first, count)
     moves = model._moves
-    counts: Counter = Counter()
-    events = 0
-    # One set of rows, and so one refill buffer, serves every batch.
-    paths = _Lockstep(moves, moves.id(n), min(_BATCH, count), rekey, first)
-    for lo in range(first, first + count, _BATCH):
-        size = min(_BATCH, first + count - lo)
-        paths.restart(lo)
-        rows = paths.start(np.arange(size), t)
-        for step, (rows, s, _) in enumerate(paths.run(rows, t), 1):
-            events += len(rows)
-            # A path that makes its budget's last move unabsorbed raises.
-            if step == _EVENT_BUDGET and (s >= 0).any():
-                raise NumericalError(f"event budget {_EVENT_BUDGET} exhausted "
-                                     f"before t_max = {t}; the model may "
-                                     "explode")
-        final = paths.state[:size]
-        counts.update(map(moves.states.__getitem__,
-                          final[final >= 0].tolist()))
-    return counts, events
+    origin = moves.id(n)
+
+    def tally(first, count):
+        counts: Counter = Counter()
+        events = 0
+        # One set of rows, and so one refill buffer, serves every batch.
+        paths = _Lockstep(moves, origin, min(_BATCH, count), rekey, first)
+        for lo in range(first, first + count, _BATCH):
+            size = min(_BATCH, first + count - lo)
+            paths.restart(lo)
+            rows = paths.start(np.arange(size), t)
+            for step, (rows, s, _) in enumerate(paths.run(rows, t), 1):
+                events += len(rows)
+                # A path that makes its budget's last move unabsorbed raises.
+                if step == _EVENT_BUDGET and (s >= 0).any():
+                    raise NumericalError(f"event budget {_EVENT_BUDGET} "
+                                         f"exhausted before t_max = {t}; "
+                                         "the model may explode")
+            final = paths.state[:size]
+            counts.update(map(moves.states.__getitem__,
+                              final[final >= 0].tolist()))
+        return counts, events
+
+    if count <= _BATCH:
+        return tally(first, count)
+    half = count // 2
+    with _Forked(lambda: tally(first, half)) as lower:
+        upper, upper_events = tally(first + half, count - half)
+    counts, events = lower.result()
+    counts.update(upper)
+    return counts, events + upper_events
 
 
 class _Lockstep:

@@ -367,20 +367,30 @@ def solve_qsd(Q: SubGenerator, tol: float = 1e-12, max_iter: int = 10 ** 6,
 class _Forked:
     """The outcome of ``work()``, run in a forked child beside the caller.
 
+    Three callers run independent work this way: :func:`solve_qsd` its
+    forward iteration, ``simulate._survivor_counts`` the lower half of a
+    survivor tally, and the ``fv`` command its law-only solve.  Work done
+    in the child is invisible to the caller's ``RUSAGE_SELF`` and to its
+    profilers.
+
     Not a thread: the power iteration's few small numpy and scipy calls
     per step hold the interpreter lock most of the time, and two
     iterations on two threads took longer than one after the other.
 
     The child runs ``work()``, writes its pickled value or exception to a
     pipe and leaves by ``os._exit``, whatever happens, so none of the
-    parent's exit handlers or buffers run twice.  :meth:`result` reads
-    that outcome once, reaps the child and then returns the value or raises
-    the exception, here and at every later call; anything that stops the
-    wait (``KeyboardInterrupt``) kills and reaps the child before it
-    propagates.  Leaving a ``with`` block on an :class:`Exception` reads
-    the outcome too, so that ``work()``'s error wins over the block's;
-    leaving on anything else kills the child instead of waiting for it.
-    Either way the child is reaped before the block is left.
+    parent's exit handlers or buffers run twice.  An outcome that does
+    not survive pickling is replaced by running ``work()`` again here:
+    every caller's work is deterministic, so that gives the child's value
+    or error, say one that a model's rate callback raised.
+    :meth:`result` reads that outcome once, reaps the child and then
+    returns the value or raises the exception, here and at every later
+    call; anything that stops the wait (``KeyboardInterrupt``) kills and
+    reaps the child before it propagates.  Leaving a ``with`` block on an
+    :class:`Exception` reads the outcome too, so that ``work()``'s error
+    wins over the block's; leaving on anything else kills the child
+    instead of waiting for it.  Either way the child is reaped before the
+    block is left.
 
     A forked child holds only the thread that forked it.  The parent has
     others (OpenBLAS's worker pool, which OpenBLAS stops at the fork and
@@ -390,9 +400,10 @@ class _Forked:
     another thread may hold: it makes no BLAS call and imports nothing.
     The power iteration takes none: its products are scipy's sparse
     kernel, the rest, residuals included, are numpy ufuncs and reductions,
-    and ``pickle`` is loaded with numpy.  Where ``os.fork`` does not exist
-    or fails, ``work()`` runs here, at construction, and its error
-    propagates from there.
+    and ``pickle`` is loaded with numpy.  Nor does the survivor tally,
+    whose steps and move-table fills are numpy indexing, ufuncs and running
+    sums.  Where ``os.fork`` does not exist or fails, ``work()`` runs here,
+    at construction, and its error propagates from there.
     """
 
     def __init__(self, work):
@@ -412,12 +423,17 @@ class _Forked:
                     outcome = (True, work())
                 except BaseException as exc:
                     outcome = (False, exc)
-                data = memoryview(pickle.dumps(outcome))
+                try:
+                    data = pickle.dumps(outcome)
+                except Exception:
+                    data = pickle.dumps(None)
+                data = memoryview(data)
                 while data:
                     data = data[os.write(write, data):]
             finally:
                 os._exit(0)
         os.close(write)
+        self._work = work
         self._pid, self._pipe = pid, open(read, "rb")
 
     def result(self):
@@ -430,13 +446,29 @@ class _Forked:
                 self._kill()
                 raise
             self._pid = None
-            self._outcome = pickle.loads(data) if data else (
+            self._outcome = self._unpickled(data) if data else (
                 False, RuntimeError(f"the forked process ended without a "
                                     f"result (wait status {status})"))
         ok, value = self._outcome
         if not ok:
             raise value
         return value
+
+    def _unpickled(self, data):
+        """The child's outcome from ``data``; where it could not make the
+        trip (an exception class defined in a function, say), the outcome
+        of running ``work()`` again here, which raises what the child
+        raised."""
+        try:
+            outcome = pickle.loads(data)
+        except Exception:
+            outcome = None
+        if outcome is None:
+            try:
+                outcome = (True, self._work())
+            except Exception as exc:
+                outcome = (False, exc)
+        return outcome
 
     def _kill(self):
         """Kills the child and reaps it."""

@@ -1,5 +1,7 @@
 """Shared fixtures: expensive reference solves are computed once per session."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -54,3 +56,18 @@ def built_propagators(monkeypatch):
 
     monkeypatch.setattr(solver, "_sequence_flow", spy)
     return built
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every child that ``os.fork`` starts from here on."""
+    pids = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids

@@ -586,33 +586,60 @@ def test_each_command_flows_its_grid_the_cheaper_way(command, name, expected,
     assert ways == expected
 
 
-@pytest.mark.parametrize("argv", [
-    ["converge", "--config", str(CONFIGS / "catastrophe1d.cfg")],
-    ["fv", "--config", str(CONFIGS / "ref2d.cfg"), "--trunc", "30", "--t",
-     "2"]], ids=["converge", "fv"])
-def test_converge_and_fv_solve_the_law_alone(tmp_path, monkeypatch, argv):
+@pytest.mark.parametrize("argv, solve_forks", [
+    (["converge", "--config", str(CONFIGS / "catastrophe1d.cfg")], 0),
+    (["fv", "--config", str(CONFIGS / "ref2d.cfg"), "--trunc", "30", "--t",
+      "2"], 1)], ids=["converge", "fv"])
+def test_converge_and_fv_solve_the_law_alone(tmp_path, monkeypatch, forks,
+                                             argv, solve_forks):
     """Neither command reads the survival profile: each solves for the law
-    alone, with no fork, and writes the bytes that a full solve gives."""
-    forks = []
-    fork = os.fork
-
-    def spy():
-        forks.append(fork())
-        return forks[-1]
-
-    monkeypatch.setattr(os, "fork", spy)
+    alone and writes the bytes that a full solve gives.  ``converge`` solves
+    with no fork; ``fv`` forks once, to solve in a child while its particles
+    run, and the full solve's own fork happens in that child."""
     assert main(argv + ["--out", str(tmp_path / "alone")]) == 0
-    assert forks == []
+    assert len(forks) == solve_forks
     monkeypatch.setattr(cli, "solve_qsd",
                         lambda Q, tol, max_iter, profile: solve_qsd(
                             Q, tol=tol, max_iter=max_iter))
     assert main(argv + ["--out", str(tmp_path / "full")]) == 0
-    assert len(forks) == 1
+    assert len(forks) == 1 + solve_forks
     names = sorted(p.name for p in (tmp_path / "full").iterdir())
     assert sorted(p.name for p in (tmp_path / "alone").iterdir()) == names
     for name in names:
         assert ((tmp_path / "alone" / name).read_bytes()
                 == (tmp_path / "full" / name).read_bytes())
+
+
+def test_an_exhausted_fv_solve_exits_two_with_the_solvers_message(
+        tmp_path, capsys, forks):
+    """The particles run to their end beside the failing solve, and the
+    solve's error is the one reported, as from ``solve``."""
+    text = (CONFIGS / "logistic1d.cfg").read_text()
+    cfg = write_cfg(tmp_path, re.sub(r"^(tol = .*)$", r"\1\nmax_iter = 3",
+                                     text, count=1, flags=re.M))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    solved = capsys.readouterr().err
+    assert "forward iteration did not converge in 3 steps" in solved
+    del forks[:]
+    assert main(["fv", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == solved
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
+
+
+def test_simulate_with_no_survivors_exits_two_from_a_split_tally(
+        tmp_path, capsys, forks):
+    """5,000 paths on neutral3d: more than one batch, so a forked child
+    tallies half of them, and none survives."""
+    argv = ["simulate", "--config", str(CONFIGS / "neutral3d.cfg"), "--out",
+            str(tmp_path)]
+    assert main(argv) == 2
+    assert ("all 5000 paths were absorbed before t = 5.0"
+            in capsys.readouterr().err)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
 
 
 def test_certify_reads_the_plateau_from_the_comparison_pass(tmp_path,

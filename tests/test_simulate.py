@@ -11,6 +11,8 @@ import bisect
 import heapq
 import itertools
 import math
+import os
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -1129,6 +1131,139 @@ def test_lockstep_tally_keeps_the_event_budget(monkeypatch):
         else:
             _assert_tally_matches(make(), start, t_max, RngPlan(3), 0, 40)
     assert raised[:2] == [5, longest - 1] and longest + 1 not in raised
+
+
+# ---------------------------------------------------------------------------
+# the survivor tally split between a forked child and this process
+# ---------------------------------------------------------------------------
+
+
+def _assert_reaped(pids, count):
+    assert len(pids) == count
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_the_split_tally_keeps_the_bits_of_one_process(forks, monkeypatch):
+    """Sixty paths in batches of 16: streams [0, 30) in the child and
+    [30, 60) here, against the same calls with no ``os.fork``."""
+    monkeypatch.setattr(simulate, "_BATCH", 16)
+
+    def run():
+        return (_survivor_counts(logistic_1d(), (2,), 0.7, RngPlan(5), 0, 60),
+                estimate_conditional(logistic_1d(), (2,), 0.7, 60, RngPlan(5)))
+
+    (counts, events), estimate = run()
+    _assert_reaped(forks, 2)
+    monkeypatch.delattr(os, "fork")
+    (want, want_events), alone = run()
+    assert counts == want and list(counts) == list(want)
+    assert events == want_events
+    assert (estimate.survivors, estimate.events) == (alone.survivors,
+                                                     alone.events)
+    assert list(estimate.law.weights.items()) == list(
+        alone.law.weights.items())
+    # The halves first meet their states in other orders, so only the
+    # child's counts merged first give the order of one path at a time.
+    plain, plain_events, _ = _plain_tally(logistic_1d(), (2,), 0.7,
+                                          RngPlan(5), 0, 60)
+    assert list(counts.items()) == list(plain.items())
+    assert events == plain_events
+    head = _plain_tally(logistic_1d(), (2,), 0.7, RngPlan(5), 0, 30)[0]
+    tail = _plain_tally(logistic_1d(), (2,), 0.7, RngPlan(5), 30, 30)[0]
+    assert list(head) != list(tail)
+
+
+@pytest.mark.parametrize("first, exhausted", [(0, "lower"), (20, "upper")])
+def test_an_exhausted_budget_in_either_half_raises_as_in_one_process(
+        forks, monkeypatch, first, exhausted):
+    """Forty paths from stream ``first`` in batches of 16.  At a budget of
+    80 events, paths 1, 7, 12, 14 and 16 of seed 3 exhaust it, and 45, 46,
+    48, 53 and 54: all in the lower half from stream 0 and in the upper
+    half from stream 20."""
+    make, start, t_max = MODELS["constant"]
+    monkeypatch.setattr(simulate, "_BATCH", 16)
+    monkeypatch.setattr(simulate, "_EVENT_BUDGET", 80)
+    halves = {"lower": first, "upper": first + 20}
+    for half, lo in halves.items():
+        if half == exhausted:
+            with pytest.raises(NumericalError):
+                _plain_tally(make(), start, t_max, RngPlan(3), lo, 20)
+        else:
+            _plain_tally(make(), start, t_max, RngPlan(3), lo, 20)
+    with pytest.raises(NumericalError, match="event budget 80") as forked:
+        _survivor_counts(make(), start, t_max, RngPlan(3), first, 40)
+    _assert_reaped(forks, 1)
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(NumericalError) as alone:
+        _survivor_counts(make(), start, t_max, RngPlan(3), first, 40)
+    assert str(forked.value) == str(alone.value)
+
+
+def test_the_lower_half_error_wins_as_in_one_process(forks, monkeypatch):
+    """Each half fails at its first batch: the child's, on the lower
+    streams, is the error of one process, which meets it first."""
+    monkeypatch.setattr(simulate, "_BATCH", 16)
+
+    def failing(self, first):
+        raise ArithmeticError("lower" if first < 30 else "upper")
+
+    monkeypatch.setattr(simulate._Lockstep, "restart", failing)
+    with pytest.raises(ArithmeticError, match="lower"):
+        _survivor_counts(logistic_1d(), (2,), 0.7, RngPlan(5), 0, 60)
+    _assert_reaped(forks, 1)
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(ArithmeticError, match="lower"):
+        _survivor_counts(logistic_1d(), (2,), 0.7, RngPlan(5), 0, 60)
+
+
+def test_a_rate_callback_error_from_the_child_keeps_its_class(forks,
+                                                             monkeypatch):
+    """A callback's error class, defined in a function, does not pickle:
+    the lower half runs again here and raises it as one process does."""
+    monkeypatch.setattr(simulate, "_BATCH", 16)
+
+    class Undefined(Exception):
+        pass
+
+    def birth(n):
+        if n[0] > 6:
+            raise Undefined(f"no birth rate at {n}")
+        return [1.0]
+
+    def make():
+        return Model.from_callbacks(1, 1.0, birth, lambda n: [0.5],
+                                    lambda n: [[0.01]])
+
+    with pytest.raises(Undefined) as forked:
+        _survivor_counts(make(), (2,), 5.0, RngPlan(0), 0, 60)
+    _assert_reaped(forks, 1)
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(Undefined) as alone:
+        _survivor_counts(make(), (2,), 5.0, RngPlan(0), 0, 60)
+    assert str(forked.value) == str(alone.value)
+
+
+def test_an_interrupt_kills_the_tally_child_instead_of_waiting(forks,
+                                                               monkeypatch):
+    """The child, on streams [0, 30), stalls for a minute; this process is
+    interrupted as it starts on stream 30."""
+    monkeypatch.setattr(simulate, "_BATCH", 16)
+    restart = simulate._Lockstep.restart
+
+    def stalled(self, first):
+        if first >= 30:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        restart(self, first)
+
+    monkeypatch.setattr(simulate._Lockstep, "restart", stalled)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _survivor_counts(logistic_1d(), (2,), 0.7, RngPlan(5), 0, 60)
+    assert time.monotonic() - start < 30
+    _assert_reaped(forks, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -573,21 +573,6 @@ def test_a_budget_that_ends_mid_block_reports_the_last_residual(
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pid of every child that ``os.fork`` starts from here on."""
-    pids = []
-    fork = os.fork
-
-    def spy():
-        pid = fork()
-        pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", spy)
-    return pids
-
-
 def assert_reaped(pids):
     assert len(pids) == 1
     with pytest.raises(ChildProcessError):
@@ -729,6 +714,47 @@ def test_a_child_that_dies_without_a_result_is_an_error(forks, monkeypatch):
     with pytest.raises(RuntimeError, match="ended without a result"):
         solve_qsd(assemble(reference_2d(), enumerate_space(2, 8)))
     assert_reaped(forks)
+
+
+class _TwoArgError(Exception):
+    """Pickles, but does not unpickle: its ``args`` hold one of two."""
+
+    def __init__(self, what, code):
+        super().__init__(f"{what} ({code})")
+
+
+def test_an_outcome_that_cannot_make_the_trip_is_computed_here(forks):
+    """A function-local class does not pickle in the child and a
+    ``_TwoArgError`` does not unpickle here: either way ``work()`` runs
+    again here and gives the child's value or error."""
+
+    class Local(Exception):
+        pass
+
+    class Value:
+        pass
+
+    def failing(error):
+        def work():
+            runs.append(os.getpid())
+            raise error
+        return work
+
+    def valued():
+        runs.append(os.getpid())
+        return Value()
+
+    runs = []
+    for work, want in ((failing(Local("local")), Local),
+                       (failing(_TwoArgError("two", 2)), _TwoArgError)):
+        with pytest.raises(want, match="local|two \\(2\\)"):
+            solver._Forked(work).result()
+    assert isinstance(solver._Forked(valued).result(), Value)
+    assert runs == [os.getpid()] * 3
+    assert len(forks) == 3
+    for pid in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def refuse_to_fork():
